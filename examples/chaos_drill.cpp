@@ -703,7 +703,6 @@ GrayFingerprint run_gray_scenario(const std::string& trace_path) {
 
   // Scripted targets, one per gray kind, in disjoint fault windows.
   const NodeId ramp_node = 2, pair_node = 4, skew_node = 1, install_node = 5;
-  const NodeId pair_peer = 6;
   GrayFingerprint fp;
   scanner.set_transition_hook([&](NodeId n, services::HealthScanner::NodeHealth,
                                   services::HealthScanner::NodeHealth to) {

@@ -32,26 +32,17 @@ void Host::bind_flow(FlowId flow, ReceiveFn sink) {
   // that lane; control-phase pushes land before the current window's lane
   // events run, and the first data packet trails the bind by at least the
   // fabric latency (>= one window), so the sink is always installed in time.
-  if (net_.sim().cross_lane(tor_)) {
-    net_.sim().schedule_at_lane(
-        tor_, net_.sim().now(),
-        [this, flow, s = std::move(sink)]() mutable {
-          flows_[flow] = std::move(s);
-        },
-        "host.bind");
-    return;
-  }
-  flows_[flow] = std::move(sink);
+  net_.sim().run_on(
+      tor_,
+      [this, flow, s = std::move(sink)]() mutable {
+        flows_[flow] = std::move(s);
+      },
+      "host.bind");
 }
 
 void Host::unbind_flow(FlowId flow) {
-  if (net_.sim().cross_lane(tor_)) {
-    net_.sim().schedule_at_lane(
-        tor_, net_.sim().now(), [this, flow]() { flows_.erase(flow); },
-        "host.unbind");
-    return;
-  }
-  flows_.erase(flow);
+  net_.sim().run_on(
+      tor_, [this, flow]() { flows_.erase(flow); }, "host.unbind");
 }
 
 SimTime Host::stack_delay() {
@@ -983,19 +974,14 @@ void Network::enable_sharding(int workers) {
 
 void Network::notify_wrong_slice(NodeId n, SimTime at) {
   if (!arrival_hook_) return;
-  if (sim_.sharded() &&
-      sim_.current_lane() != sim::Simulator::kControlLane) {
-    // The hook holds control-plane state (the sync watchdog); a worker-lane
-    // symptom crosses to the control queue through the barrier.
-    sim_.schedule_at_lane(
-        sim::Simulator::kControlLane, at,
-        [this, n, at]() {
-          if (arrival_hook_) arrival_hook_(n, at);
-        },
-        "net.wrong_slice");
-    return;
-  }
-  arrival_hook_(n, at);
+  // The hook holds control-plane state (the sync watchdog); a worker-lane
+  // symptom crosses to the control queue through the barrier.
+  sim_.run_on(
+      sim::Simulator::kControlLane,
+      [this, n, at]() {
+        if (arrival_hook_) arrival_hook_(n, at);
+      },
+      "net.wrong_slice");
 }
 
 void Network::start() {

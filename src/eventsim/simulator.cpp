@@ -25,58 +25,11 @@ thread_local LaneContext t_lane_ctx;
 
 }  // namespace
 
-void Simulator::push_event(Event ev) {
-  heap_.push_back(std::move(ev));
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  if (profiler_) profiler_->sample_queue_depth(heap_.size());
-}
-
-Simulator::Event Simulator::pop_event() {
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  Event ev = std::move(heap_.back());
-  heap_.pop_back();
-  return ev;
-}
-
-void Simulator::maybe_compact() {
-  // Compact when cancelled events are (at least) the majority of a
-  // non-trivial queue: filter them out and re-heapify. O(n), amortised by
-  // the >=50% trigger.
-  if (heap_.size() < kCompactMinQueue ||
-      cancelled_pending_->load(std::memory_order_relaxed) * 2 <=
-          static_cast<std::int64_t>(heap_.size())) {
-    return;
-  }
-  std::erase_if(heap_, [](const Event& ev) { return *ev.cancelled; });
-  std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  cancelled_pending_->store(0, std::memory_order_relaxed);
-  ++compactions_;
-}
-
-SimTime Simulator::now_sharded() const {
-  const Lane* ln = current_lane_ptr();
-  return ln ? ln->now : now_;
-}
-
 telemetry::FlightRecorder* Simulator::recorder_sharded() const {
   if (t_lane_ctx.sim == this && t_lane_ctx.recorder != nullptr) {
     return t_lane_ctx.recorder;
   }
   return recorder_;
-}
-
-Simulator::Lane* Simulator::current_lane_ptr() {
-  if (t_lane_ctx.sim == this && t_lane_ctx.lane >= 0) {
-    return &lanes_[static_cast<std::size_t>(t_lane_ctx.lane)];
-  }
-  return nullptr;
-}
-
-const Simulator::Lane* Simulator::current_lane_ptr() const {
-  if (t_lane_ctx.sim == this && t_lane_ctx.lane >= 0) {
-    return &lanes_[static_cast<std::size_t>(t_lane_ctx.lane)];
-  }
-  return nullptr;
 }
 
 int Simulator::current_lane() const {
@@ -89,140 +42,113 @@ bool Simulator::cross_lane(int lane) const {
   return cur != kControlLane && cur != lane;
 }
 
-void Simulator::lane_maybe_compact(Lane& ln) {
-  if (ln.heap.size() < kCompactMinQueue ||
-      ln.cancelled_pending->load(std::memory_order_relaxed) * 2 <=
-          static_cast<std::int64_t>(ln.heap.size())) {
-    return;
+void Simulator::push(Queue& q, Event ev) {
+  q.heap.push_back(std::move(ev));
+  std::push_heap(q.heap.begin(), q.heap.end(), std::greater<>{});
+  if (profiler_ != nullptr && &q == &control_) {
+    profiler_->sample_queue_depth(q.heap.size());
   }
-  std::erase_if(ln.heap, [](const Event& ev) { return *ev.cancelled; });
-  std::make_heap(ln.heap.begin(), ln.heap.end(), std::greater<>{});
-  ln.cancelled_pending->store(0, std::memory_order_relaxed);
-  ++ln.compactions;
 }
 
-EventHandle Simulator::lane_push(Lane& ln, SimTime when, EventFn fn,
-                                 const char* tag) {
-  if (when < ln.now) {
-    ++ln.past_schedules;
-    ln.past_log.push_back({when, ln.now, tag});
-    when = ln.now;
+EventHandle Simulator::insert(Queue& q, SimTime when, EventFn fn,
+                              const char* tag, SimTime period) {
+  if (when < q.now) {
+    // Scheduling into the past would make virtual time run backwards when
+    // the event pops (the run loop sets now = ev.when). Clamp to now so
+    // behaviour stays defined, count it, and tell the invariant monitor —
+    // a legal program never takes this branch, so the clamp cannot change
+    // any correct run. Workers can't call the single-threaded sink, so a
+    // lane logs the report for the barrier to forward.
+    ++q.past_schedules;
+    if (&q != &control_) {
+      q.past_log.push_back({when, q.now, tag});
+    } else if (invariants_ != nullptr) {
+      invariants_->on_past_schedule(when, q.now, tag);
+    }
+    when = q.now;
   }
   auto flag = std::make_shared<bool>(false);
-  ln.heap.push_back(Event{when, ln.next_seq++, std::move(fn), flag, tag});
-  std::push_heap(ln.heap.begin(), ln.heap.end(), std::greater<>{});
-  lane_maybe_compact(ln);
-  return EventHandle{std::move(flag), ln.cancelled_pending};
+  push(q, Event{when, q.next_seq++, std::move(fn), flag, tag, period});
+  // Compact when cancelled events are (at least) the majority of a
+  // non-trivial queue: filter them out and re-heapify. O(n), amortised by
+  // the >=50% trigger.
+  if (q.heap.size() >= kCompactMinQueue &&
+      q.cancelled_pending->load(std::memory_order_relaxed) * 2 >
+          static_cast<std::int64_t>(q.heap.size())) {
+    std::erase_if(q.heap, [](const Event& ev) { return *ev.cancelled; });
+    std::make_heap(q.heap.begin(), q.heap.end(), std::greater<>{});
+    q.cancelled_pending->store(0, std::memory_order_relaxed);
+    ++q.compactions;
+  }
+  return EventHandle{std::move(flag), q.cancelled_pending};
 }
 
 EventHandle Simulator::schedule_at(SimTime when, EventFn fn, const char* tag) {
-  if (!lanes_.empty()) {
-    if (Lane* ln = current_lane_ptr()) {
-      return lane_push(*ln, when, std::move(fn), tag);
-    }
-  }
-  if (when < now_) {
-    // Scheduling into the past would make virtual time run backwards when
-    // the event pops (the run loop sets now_ = ev.when). Clamp to now so
-    // behaviour stays defined, count it, and tell the invariant monitor —
-    // a legal program never takes this branch, so the clamp cannot change
-    // any correct run.
-    ++past_schedules_;
-    if (invariants_ != nullptr) invariants_->on_past_schedule(when, now_, tag);
-    when = now_;
-  }
-  auto flag = std::make_shared<bool>(false);
-  push_event(Event{when, next_seq_++, std::move(fn), flag, tag});
-  maybe_compact();
-  return EventHandle{std::move(flag), cancelled_pending_};
+  return insert(queue(current_lane()), when, std::move(fn), tag,
+                SimTime::zero());
 }
 
 EventHandle Simulator::schedule_at_lane(int lane, SimTime when, EventFn fn,
                                         const char* tag) {
   if (lanes_.empty()) return schedule_at(when, std::move(fn), tag);
-  assert(lane == kControlLane ||
-         (lane >= 0 && lane < static_cast<int>(lanes_.size())));
-  const int cur = current_lane();
-  if (lane == cur) return schedule_at(when, std::move(fn), tag);
-  if (in_parallel_ && cur != kControlLane) {
+  assert(lane == kControlLane || (lane >= 0 && lane < num_lanes()));
+  if (cross_lane(lane)) {
     // Worker-to-elsewhere during a parallel phase: stage in the source
     // lane's outbox; the barrier merges it in canonical order. The handle
     // is intentionally invalid — the event doesn't exist yet.
+    const int cur = current_lane();
     Lane& src = lanes_[static_cast<std::size_t>(cur)];
     src.outbox.push_back(
         CrossLaneMsg{lane, when, std::move(fn), tag, cur, src.out_seq++});
     ++src.staged;
     return EventHandle{};
   }
-  // Serial context (control phase, barrier, setup): push straight into the
-  // target queue with the target's own clock/sequence.
-  if (lane == kControlLane) {
-    if (when < now_) {
-      ++past_schedules_;
-      if (invariants_ != nullptr) {
-        invariants_->on_past_schedule(when, now_, tag);
-      }
-      when = now_;
-    }
-    auto flag = std::make_shared<bool>(false);
-    push_event(Event{when, next_seq_++, std::move(fn), flag, tag});
-    maybe_compact();
-    return EventHandle{std::move(flag), cancelled_pending_};
-  }
-  return lane_push(lanes_[static_cast<std::size_t>(lane)], when,
-                   std::move(fn), tag);
+  // Same lane or serial context (control phase, barrier, setup): push
+  // straight into the target queue with the target's own clock/sequence.
+  return insert(queue(lane), when, std::move(fn), tag, SimTime::zero());
 }
 
 EventHandle Simulator::schedule_every(SimTime start, SimTime period,
                                       EventFn fn, const char* tag) {
   assert(period > SimTime::zero());
-  // Sharded discipline: the rearm chain pushes with the control sequence
-  // counter, so periodic timers must be armed (and fire) on the control
-  // queue. Every in-tree user arms them from setup or control events.
-  assert(current_lane_ptr() == nullptr &&
-         "schedule_every must be called from the control context");
-  auto flag = std::make_shared<bool>(false);
-  // The periodic wrapper reschedules itself; the shared cancellation flag
-  // covers every future firing.
-  auto tick = std::make_shared<std::function<void(SimTime)>>();
-  // The event closure holds only a weak_ptr to the rescheduler to avoid a
-  // shared_ptr cycle (tick -> closure -> tick) that would leak.
-  std::weak_ptr<std::function<void(SimTime)>> weak_tick = tick;
-  *tick = [this, period, tag, fn = std::move(fn), flag,
-           weak_tick](SimTime when) {
-    push_event(Event{when, next_seq_++,
-                     [period, fn, flag, weak_tick, when]() {
-                       fn();
-                       if (*flag) return;
-                       if (auto t = weak_tick.lock()) (*t)(when + period);
-                     },
-                     flag, tag});
-  };
-  periodic_ticks_.push_back(tick);
-  (*tick)(start);
-  maybe_compact();
-  return EventHandle{std::move(flag), cancelled_pending_};
+  return insert(queue(current_lane()), start, std::move(fn), tag, period);
 }
 
-void Simulator::dispatch(Event& ev) {
-  now_ = ev.when;
-  if (*ev.cancelled) {
-    if (cancelled_pending_->load(std::memory_order_relaxed) > 0) {
-      cancelled_pending_->fetch_sub(1, std::memory_order_relaxed);
+void Simulator::run_due(Queue& q, SimTime last) {
+  const bool control = &q == &control_;
+  while (!q.heap.empty() && q.heap.front().when <= last) {
+    // stop() and the profiler act on the control queue only: a lane always
+    // finishes its window, or results would depend on the worker count.
+    if (control && stop_requested()) return;
+    std::pop_heap(q.heap.begin(), q.heap.end(), std::greater<>{});
+    Event ev = std::move(q.heap.back());
+    q.heap.pop_back();
+    q.now = ev.when;
+    if (*ev.cancelled) {
+      if (q.cancelled_pending->load(std::memory_order_relaxed) > 0) {
+        q.cancelled_pending->fetch_sub(1, std::memory_order_relaxed);
+      }
+      continue;
     }
-    return;
+    if (control && profiler_ != nullptr) {
+      const auto t0 = std::chrono::steady_clock::now();
+      ev.fn();
+      const auto t1 = std::chrono::steady_clock::now();
+      profiler_->add(ev.tag,
+                     std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         t1 - t0).count());
+    } else {
+      ev.fn();
+    }
+    ++q.executed;
+    // A periodic timer re-arms unless its own callback cancelled it. The
+    // re-arm is never clamped (it is in the future) nor compacted.
+    if (ev.period > SimTime::zero() && !*ev.cancelled) {
+      ev.when += ev.period;
+      ev.seq = q.next_seq++;
+      push(q, std::move(ev));
+    }
   }
-  if (profiler_) {
-    const auto t0 = std::chrono::steady_clock::now();
-    ev.fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    profiler_->add(
-        ev.tag,
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-  } else {
-    ev.fn();
-  }
-  ++executed_;
 }
 
 void Simulator::run_until(SimTime until) {
@@ -230,16 +156,13 @@ void Simulator::run_until(SimTime until) {
     runner_->run_until(until);
     return;
   }
-  stopped_.store(false, std::memory_order_relaxed);
-  while (!heap_.empty() && !stopped_.load(std::memory_order_relaxed)) {
-    if (heap_.front().when > until) {
-      now_ = until;
-      return;
-    }
-    Event ev = pop_event();
-    dispatch(ev);
+  clear_stop();
+  run_due(control_, until);
+  // The clock parks at the horizon, never moving back on a drained queue,
+  // unless stop() ended the run with events still queued.
+  if (control_.heap.empty() ? control_.now < until : !stop_requested()) {
+    control_.now = until;
   }
-  if (heap_.empty() && now_ < until) now_ = until;
 }
 
 void Simulator::run() {
@@ -247,11 +170,8 @@ void Simulator::run() {
     runner_->run_all();
     return;
   }
-  stopped_.store(false, std::memory_order_relaxed);
-  while (!heap_.empty() && !stopped_.load(std::memory_order_relaxed)) {
-    Event ev = pop_event();
-    dispatch(ev);
-  }
+  clear_stop();
+  run_due(control_, SimTime::max());
 }
 
 // ---- sharded-lane engine ----
@@ -260,41 +180,24 @@ void Simulator::configure_lanes(int num_lanes) {
   assert(lanes_.empty() && "configure_lanes is one-shot");
   assert(num_lanes > 0);
   lanes_.resize(static_cast<std::size_t>(num_lanes));
-  for (Lane& ln : lanes_) ln.now = now_;
+  for (Lane& ln : lanes_) ln.now = control_.now;
 }
 
 void Simulator::run_control_until_exclusive(SimTime end) {
-  while (!heap_.empty() && !stopped_.load(std::memory_order_relaxed) &&
-         heap_.front().when < end) {
-    Event ev = pop_event();
-    dispatch(ev);
-  }
+  run_due(control_, end - SimTime::nanos(1));
 }
 
 void Simulator::run_lane_until_exclusive(int lane, SimTime end,
                                          telemetry::FlightRecorder* rec) {
-  Lane& ln = lanes_[static_cast<std::size_t>(lane)];
   const LaneContext saved = t_lane_ctx;
   t_lane_ctx = LaneContext{this, lane, rec};
-  while (!ln.heap.empty() && ln.heap.front().when < end) {
-    std::pop_heap(ln.heap.begin(), ln.heap.end(), std::greater<>{});
-    Event ev = std::move(ln.heap.back());
-    ln.heap.pop_back();
-    ln.now = ev.when;
-    if (*ev.cancelled) {
-      if (ln.cancelled_pending->load(std::memory_order_relaxed) > 0) {
-        ln.cancelled_pending->fetch_sub(1, std::memory_order_relaxed);
-      }
-      continue;
-    }
-    ev.fn();
-    ++ln.executed;
-  }
+  run_due(queue(lane), end - SimTime::nanos(1));
   t_lane_ctx = saved;
 }
 
 SimTime Simulator::min_pending_time() const {
-  SimTime m = heap_.empty() ? SimTime::max() : heap_.front().when;
+  SimTime m =
+      control_.heap.empty() ? SimTime::max() : control_.heap.front().when;
   for (const Lane& ln : lanes_) {
     if (!ln.heap.empty() && ln.heap.front().when < m) {
       m = ln.heap.front().when;
@@ -304,7 +207,7 @@ SimTime Simulator::min_pending_time() const {
 }
 
 void Simulator::advance_all_to(SimTime t) {
-  if (now_ < t) now_ = t;
+  if (control_.now < t) control_.now = t;
   for (Lane& ln : lanes_) {
     if (ln.now < t) ln.now = t;
   }
@@ -331,23 +234,16 @@ Simulator::MergeStats Simulator::merge_outboxes(SimTime next_start) {
               return a.src_seq < b.src_seq;
             });
   for (CrossLaneMsg& m : msgs) {
-    SimTime when = m.when;
-    if (when < next_start) {
+    if (m.when < next_start) {
       // A cross-lane hop shorter than the sync window (control mailboxes,
       // bind messages). Deterministic: every shard count clamps the same
       // message to the same instant.
-      when = next_start;
+      m.when = next_start;
       ++stats.clamped;
     }
-    auto flag = std::make_shared<bool>(false);
-    if (m.target == kControlLane) {
-      push_event(Event{when, next_seq_++, std::move(m.fn), flag, m.tag});
-    } else {
-      Lane& tgt = lanes_[static_cast<std::size_t>(m.target)];
-      tgt.heap.push_back(
-          Event{when, tgt.next_seq++, std::move(m.fn), flag, m.tag});
-      std::push_heap(tgt.heap.begin(), tgt.heap.end(), std::greater<>{});
-    }
+    Queue& q = queue(m.target);
+    push(q, Event{m.when, q.next_seq++, std::move(m.fn),
+                  std::make_shared<bool>(false), m.tag, SimTime::zero()});
     ++stats.delivered;
   }
   return stats;
@@ -364,19 +260,19 @@ Simulator::take_lane_past_schedules() {
 }
 
 std::int64_t Simulator::events_executed() const {
-  std::int64_t n = executed_;
+  std::int64_t n = control_.executed;
   for (const Lane& ln : lanes_) n += ln.executed;
   return n;
 }
 
 std::size_t Simulator::events_pending() const {
-  std::size_t n = heap_.size();
+  std::size_t n = control_.heap.size();
   for (const Lane& ln : lanes_) n += ln.heap.size();
   return n;
 }
 
 std::int64_t Simulator::compactions() const {
-  std::int64_t n = compactions_;
+  std::int64_t n = control_.compactions;
   for (const Lane& ln : lanes_) n += ln.compactions;
   return n;
 }
@@ -388,7 +284,7 @@ std::int64_t Simulator::cross_staged() const {
 }
 
 std::int64_t Simulator::past_schedules() const {
-  std::int64_t n = past_schedules_;
+  std::int64_t n = control_.past_schedules;
   for (const Lane& ln : lanes_) n += ln.past_schedules;
   return n;
 }

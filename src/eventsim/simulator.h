@@ -8,24 +8,28 @@
 // per dispatched event, bucketed by the tag given at scheduling time). All
 // three are off by default and cost a null-check when unused.
 //
-// Sharded mode (src/parallel/sharded.h): configure_lanes(N) splits the
-// single event queue into N per-lane queues (one lane per ToR) plus the
-// original "control" queue. Each lane carries its own clock, sequence
-// counter, and cancelled-event accounting, so a lane's execution order is a
-// pure function of the events delivered to it — independent of how many
-// worker threads drive the lanes. Cross-lane scheduling goes through
-// schedule_at_lane(): same-lane and serial-context calls push directly;
-// calls from a worker during the parallel phase are staged in the source
-// lane's outbox and merged at the next window barrier in canonical
-// (when, src_lane, src_seq) order, which is what makes results byte-
-// identical at any shard count. When no lanes are configured every public
-// entry point takes its original single-queue path, bit for bit.
+// Every event lives in a Queue: a (when, seq)-ordered heap with its own
+// clock, sequence counter, and cancelled-event accounting. The legacy engine
+// is the control queue alone. Sharded mode (src/parallel/sharded.h):
+// configure_lanes(N) adds N lane queues (one per ToR) beside it, and one
+// insert/compact/pop-due path serves them all, so a lane's execution order
+// is a pure function of the events delivered to it — independent of how
+// many worker threads drive the lanes. Only stop() and the profiler act on
+// the control queue alone: a lane always finishes its window. Cross-lane
+// scheduling goes through schedule_at_lane(): same-lane and serial-context
+// calls push directly; calls from a worker during the parallel phase are
+// staged in the source lane's outbox and merged at the next window barrier
+// in canonical (when, src_lane, src_seq) order, which is what makes results
+// byte-identical at any shard count >= 1. run_on() is the hand-off for state
+// one lane owns: inline when the caller may touch it, posted through the
+// barrier otherwise.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/time.h"
@@ -98,12 +102,6 @@ class ScopedEventHandle {
 
   bool valid() const { return h_.valid(); }
   void cancel() { h_.cancel(); }
-  // Detach: the caller takes over cancellation responsibility.
-  EventHandle release() {
-    EventHandle out = std::move(h_);
-    h_ = EventHandle{};
-    return out;
-  }
 
  private:
   EventHandle h_;
@@ -145,8 +143,7 @@ class Simulator {
   // Virtual time of the calling context: the executing lane's clock from a
   // worker, the control clock everywhere else (and always in legacy mode).
   SimTime now() const {
-    if (lanes_.empty()) return now_;
-    return now_sharded();
+    return lanes_.empty() ? control_.now : queue(current_lane()).now;
   }
 
   // Schedule `fn` at absolute time `when` (must be >= now()). `tag` labels
@@ -160,8 +157,9 @@ class Simulator {
   }
   // Periodic timer starting at `start`, repeating every `period` until
   // cancelled or the run ends. Models the on-chip packet generator that
-  // drives queue rotation and EQO updates (§5.1, Appx A). Sharded: control
-  // context only (the rearm chain stays on the arming queue).
+  // drives queue rotation and EQO updates (§5.1, Appx A). The first firing
+  // lands on the calling context's queue exactly like schedule_at (a past
+  // `start` is clamped to now()); each re-arm stays on that queue.
   EventHandle schedule_every(SimTime start, SimTime period, EventFn fn,
                              const char* tag = nullptr);
 
@@ -173,6 +171,19 @@ class Simulator {
   // and returns an *invalid* handle (cross-lane events can't be cancelled).
   EventHandle schedule_at_lane(int lane, SimTime when, EventFn fn,
                                const char* tag = nullptr);
+
+  // Run `fn` against state owned by `lane` (kControlLane or a lane index):
+  // inline when the calling context may touch that state — legacy mode,
+  // setup, the serial phases, or a worker already on `lane` — otherwise
+  // post it to `lane` at now(), delivered at the next window barrier.
+  template <typename F>
+  void run_on(int lane, F&& fn, const char* tag) {
+    if (cross_lane(lane)) {
+      schedule_at_lane(lane, now(), std::forward<F>(fn), tag);
+    } else {
+      fn();
+    }
+  }
 
   // Run until the queue drains or `until` is reached, whichever first.
   void run_until(SimTime until);
@@ -209,8 +220,8 @@ class Simulator {
   // Attach/detach the invariant sink (non-owning; nullptr detaches).
   void set_invariant_sink(InvariantSink* sink) { invariants_ = sink; }
   InvariantSink* invariant_sink() const { return invariants_; }
-  // Times schedule_at was asked for a time in the past (always counted;
-  // the sink only adds reporting).
+  // Times an event was scheduled for a time in the past, on any queue
+  // (always counted; the sink only adds reporting).
   std::int64_t past_schedules() const;
 
   // ---- sharded-lane engine (driven by parallel::ShardedEngine) ----
@@ -223,10 +234,6 @@ class Simulator {
   // Lane of the calling context: kControlLane unless called from a worker
   // executing a lane of *this* simulator.
   int current_lane() const;
-  // True when a direct touch of `lane`-owned state from the calling
-  // context would race (worker on a different lane, parallel phase live).
-  bool cross_lane(int lane) const;
-  bool in_parallel_phase() const { return in_parallel_; }
 
   void set_parallel_runner(ParallelRunner* r) { runner_ = r; }
   ParallelRunner* parallel_runner() const { return runner_; }
@@ -280,6 +287,7 @@ class Simulator {
     EventFn fn;
     std::shared_ptr<bool> cancelled;
     const char* tag;
+    SimTime period;  // > 0: periodic timer, re-armed after each firing
     bool operator>(const Event& o) const {
       if (when != o.when) return when > o.when;
       return seq > o.seq;
@@ -298,55 +306,61 @@ class Simulator {
     std::int64_t src_seq;
   };
 
-  struct Lane {
+  // The control queue and every lane. Min-heap over `heap`
+  // (std::push_heap/pop_heap with operator>), kept as a plain vector so
+  // compaction can filter cancelled events in place — std::priority_queue
+  // hides its container.
+  struct Queue {
     std::vector<Event> heap;
     SimTime now = SimTime::zero();
     std::int64_t next_seq = 0;
     std::int64_t executed = 0;
     std::int64_t compactions = 0;
     std::int64_t past_schedules = 0;
+    // Shared with every EventHandle: count of cancelled events still
+    // queued. May over-count when an already-fired event is cancelled;
+    // compaction resets it, so drift self-heals.
     std::shared_ptr<std::atomic<std::int64_t>> cancelled_pending =
         std::make_shared<std::atomic<std::int64_t>>(0);
-    std::vector<CrossLaneMsg> outbox;
-    std::int64_t out_seq = 0;
-    std::int64_t staged = 0;
+    // Past-schedule reports awaiting the barrier. Lanes only: the control
+    // queue reports to the invariant sink directly.
     std::vector<PastScheduleRecord> past_log;
   };
 
-  void push_event(Event ev);
-  Event pop_event();
-  void maybe_compact();
-  void dispatch(Event& ev);
-  SimTime now_sharded() const;
-  telemetry::FlightRecorder* recorder_sharded() const;
-  Lane* current_lane_ptr();
-  const Lane* current_lane_ptr() const;
-  EventHandle lane_push(Lane& ln, SimTime when, EventFn fn, const char* tag);
-  void lane_maybe_compact(Lane& ln);
+  // A worker lane: its queue plus the outbox the barrier drains.
+  struct Lane : Queue {
+    std::vector<CrossLaneMsg> outbox;
+    std::int64_t out_seq = 0;
+    std::int64_t staged = 0;
+  };
 
-  // Min-heap over `heap_` (std::push_heap/pop_heap with operator>), kept as
-  // a plain vector so compaction can filter cancelled events in place —
-  // std::priority_queue hides its container.
-  std::vector<Event> heap_;
-  // Keeps periodic-timer reschedulers alive for the simulator's lifetime;
-  // the event closures only hold weak references (see schedule_every).
-  std::vector<std::shared_ptr<std::function<void(SimTime)>>> periodic_ticks_;
-  // Shared with every EventHandle: count of cancelled events still queued.
-  // May over-count when an already-fired event is cancelled; compaction
-  // resets it, so drift self-heals.
-  std::shared_ptr<std::atomic<std::int64_t>> cancelled_pending_ =
-      std::make_shared<std::atomic<std::int64_t>>(0);
+  // True when a direct touch of `lane`-owned state from the calling
+  // context would race (worker on a different lane, parallel phase live).
+  bool cross_lane(int lane) const;
+  Queue& queue(int lane) {
+    return lane == kControlLane ? control_
+                                : lanes_[static_cast<std::size_t>(lane)];
+  }
+  const Queue& queue(int lane) const {
+    return lane == kControlLane ? control_
+                                : lanes_[static_cast<std::size_t>(lane)];
+  }
+  telemetry::FlightRecorder* recorder_sharded() const;
+  // The one scheduling path: past-time clamp, push, compaction check.
+  // `period` > 0 arms a periodic timer.
+  EventHandle insert(Queue& q, SimTime when, EventFn fn, const char* tag,
+                     SimTime period);
+  void push(Queue& q, Event ev);
+  // Dispatch q's events due at or before `last`, in (when, seq) order.
+  void run_due(Queue& q, SimTime last);
+
   telemetry::MetricsRegistry metrics_;
   telemetry::FlightRecorder* recorder_ = nullptr;
   telemetry::EventProfiler* profiler_ = nullptr;
   InvariantSink* invariants_ = nullptr;
-  SimTime now_ = SimTime::zero();
-  std::int64_t next_seq_ = 0;
-  std::int64_t executed_ = 0;
-  std::int64_t compactions_ = 0;
-  std::int64_t past_schedules_ = 0;
   std::atomic<bool> stopped_{false};
 
+  Queue control_;
   std::vector<Lane> lanes_;
   bool in_parallel_ = false;
   ParallelRunner* runner_ = nullptr;

@@ -176,19 +176,14 @@ void OpticalFabric::enable_sharding() {
 
 void OpticalFabric::notify_violation(NodeId from, SimTime at) {
   if (violation_listeners_.empty()) return;
-  if (sharded_ &&
-      sim_.current_lane() != sim::Simulator::kControlLane) {
-    // Listeners (the sync watchdog) live on the control queue; a worker
-    // lane posts the symptom through the barrier instead of calling in.
-    sim_.schedule_at_lane(
-        sim::Simulator::kControlLane, sim_.now(),
-        [this, from, at]() {
-          for (const auto& fn : violation_listeners_) fn(from, at);
-        },
-        "fabric.violation");
-    return;
-  }
-  for (const auto& fn : violation_listeners_) fn(from, at);
+  // Listeners (the sync watchdog) live on the control queue; a worker
+  // lane posts the symptom through the barrier instead of calling in.
+  sim_.run_on(
+      sim::Simulator::kControlLane,
+      [this, from, at]() {
+        for (const auto& fn : violation_listeners_) fn(from, at);
+      },
+      "fabric.violation");
 }
 
 void OpticalFabric::transmit(NodeId from, PortId port, Packet&& p,

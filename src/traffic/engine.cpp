@@ -134,9 +134,7 @@ void TrafficEngine::start() {
       lanes_[slot].heap.push({s.next.ns(), static_cast<std::uint32_t>(i)});
     }
   }
-  for (std::size_t slot = 0; slot < lanes_.size(); ++slot) {
-    arm(slot, /*cross=*/sharded);
-  }
+  for (std::size_t slot = 0; slot < lanes_.size(); ++slot) arm(slot);
 }
 
 void TrafficEngine::stop() {
@@ -146,22 +144,16 @@ void TrafficEngine::stop() {
   for (auto& l : lanes_) l.wake.cancel();
 }
 
-void TrafficEngine::arm(std::size_t slot, bool cross) {
+void TrafficEngine::arm(std::size_t slot) {
   LaneEmit& le = lanes_[slot];
   if (!running_ || le.heap.empty()) return;
-  const SimTime at = SimTime::nanos(le.heap.top().at_ns);
-  // Scoped-handle assignment cancels the previous wave timer. The initial
-  // sharded arm pushes from control straight onto the slot's lane (serial
-  // context => direct push, real cancellable handle); re-arms come from
-  // fire() already on the right lane and inherit it via schedule_at.
-  if (cross) {
-    le.wake = net_.sim().schedule_at_lane(
-        static_cast<int>(slot), at, [this, slot] { fire(slot); },
-        "traffic.wave");
-  } else {
-    le.wake = net_.sim().schedule_at(at, [this, slot] { fire(slot); },
-                                     "traffic.wave");
-  }
+  // Scoped-handle assignment cancels the previous wave timer. Slot i runs
+  // on lane i (the legacy engine ignores the lane), so both the initial
+  // arm from control and re-arms from fire() push directly and return a
+  // real, cancellable handle.
+  le.wake = net_.sim().schedule_at_lane(
+      static_cast<int>(slot), SimTime::nanos(le.heap.top().at_ns),
+      [this, slot] { fire(slot); }, "traffic.wave");
 }
 
 void TrafficEngine::fire(std::size_t slot) {
@@ -177,7 +169,7 @@ void TrafficEngine::fire(std::size_t slot) {
     s.next = next_arrival(s, now);
     if (s.next != SimTime::max()) le.heap.push({s.next.ns(), idx});
   }
-  arm(slot, /*cross=*/false);
+  arm(slot);
 }
 
 void TrafficEngine::emit(std::size_t slot, Source& s) {
@@ -238,17 +230,14 @@ void TrafficEngine::emit(std::size_t slot, Source& s) {
     // directly: mailbox the launch to the control queue. The barrier
     // clamp delays the launch by at most one sync window — the same
     // amount at every shard count, so results stay byte-identical.
-    auto launch = [this, alive = alive_, src, dst, bytes, record]() {
-      if (!*alive) return;
-      fluid_.launch(src, dst, bytes,
-                    [record](SimTime fct, std::int64_t) { record(fct); });
-    };
-    if (net_.sim().cross_lane(sim::Simulator::kControlLane)) {
-      net_.sim().schedule_at_lane(sim::Simulator::kControlLane, now,
-                                  std::move(launch), "traffic.fluid");
-    } else {
-      launch();
-    }
+    net_.sim().run_on(
+        sim::Simulator::kControlLane,
+        [this, alive = alive_, src, dst, bytes, record]() {
+          if (!*alive) return;
+          fluid_.launch(src, dst, bytes,
+                        [record](SimTime fct, std::int64_t) { record(fct); });
+        },
+        "traffic.fluid");
   } else {
     ++le.emitted_packet;
     flows_packet_ctr_->inc();

@@ -163,10 +163,7 @@ class TrafficEngine {
     std::uint64_t fingerprint = 0;
   };
 
-  // `cross` = arm from the control context onto the slot's worker lane
-  // (initial arming of a sharded run); re-arms from fire() inherit the
-  // firing context's lane and pass false.
-  void arm(std::size_t slot, bool cross);
+  void arm(std::size_t slot);
   void fire(std::size_t slot);
   void emit(std::size_t slot, Source& s);
   // Next arrival strictly after `from`, honoring the ON/OFF process and

@@ -140,18 +140,14 @@ void FlowTransfer::finish() {
   if (!done_) return;
   const SimTime fct = net_.sim().now() - start_time_;
   const std::int64_t retrans = retrans_;
-  if (net_.sim().cross_lane(sim::Simulator::kControlLane)) {
-    // Sharded: the full ack lands on the sender ToR's lane, but done_
-    // callbacks mutate workload aggregates and may launch or destroy
-    // transfers — control-plane state. Copy the results out and post the
-    // callback to the control queue; it may delete this transfer, so the
-    // closure must not capture `this`.
-    net_.sim().schedule_at_lane(
-        sim::Simulator::kControlLane, net_.sim().now(),
-        [done = done_, fct, retrans]() { done(fct, retrans); }, "flow.done");
-    return;
-  }
-  done_(fct, retrans);
+  // Sharded: the full ack lands on the sender ToR's lane, but done_
+  // callbacks mutate workload aggregates and may launch or destroy
+  // transfers — control-plane state. Copy the results out and run the
+  // callback on the control queue; it may delete this transfer, so the
+  // closure must not capture `this`.
+  net_.sim().run_on(
+      sim::Simulator::kControlLane,
+      [done = done_, fct, retrans]() { done(fct, retrans); }, "flow.done");
 }
 
 }  // namespace oo::transport

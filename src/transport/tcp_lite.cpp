@@ -181,17 +181,13 @@ void TcpLite::on_sender_packet(Packet&& p) {
       stopped_ = true;
       rto_timer_.cancel();
       if (done_) {
+        // done_ chains workload steps (control-plane state) and may
+        // destroy this transport: run it on the control queue and never
+        // touch `this` from the closure.
         const SimTime fct = net_.sim().now() - start_time_;
-        if (net_.sim().cross_lane(sim::Simulator::kControlLane)) {
-          // Sharded: done_ chains workload steps (control-plane state) and
-          // may destroy this transport — post it to the control queue and
-          // never touch `this` from the closure.
-          net_.sim().schedule_at_lane(
-              sim::Simulator::kControlLane, net_.sim().now(),
-              [done = done_, fct]() { done(fct); }, "tcp.done");
-        } else {
-          done_(fct);
-        }
+        net_.sim().run_on(
+            sim::Simulator::kControlLane,
+            [done = done_, fct]() { done(fct); }, "tcp.done");
       }
       return;
     }

@@ -134,15 +134,11 @@ void TrimRetxTransfer::finish() {
   if (!done_) return;
   const SimTime fct = net_.sim().now() - start_time_;
   const std::int64_t retx = prompt_retx_ + rto_events_;
-  if (net_.sim().cross_lane(sim::Simulator::kControlLane)) {
-    // Sharded: done_ is control-plane state and may destroy this transfer;
-    // post to the control queue without capturing `this`.
-    net_.sim().schedule_at_lane(
-        sim::Simulator::kControlLane, net_.sim().now(),
-        [done = done_, fct, retx]() { done(fct, retx); }, "trim.done");
-    return;
-  }
-  done_(fct, retx);
+  // done_ is control-plane state and may destroy this transfer; run it on
+  // the control queue without capturing `this`.
+  net_.sim().run_on(
+      sim::Simulator::kControlLane,
+      [done = done_, fct, retx]() { done(fct, retx); }, "trim.done");
 }
 
 }  // namespace oo::transport

@@ -24,16 +24,11 @@ TEST(Arch2, HybridRotornetUsesBothFabrics) {
   inst.run_for(60_ms);
   kv.stop();
   EXPECT_GT(kv.ops_completed(), 300);
-  // Per-packet hashing spreads across optical and electrical.
+  // Per-packet hashing spreads across optical and electrical. With one
+  // host per ToR every delivery crossed a fabric, so deliveries beyond the
+  // optical fabric's were carried by the electrical one.
   EXPECT_GT(inst.net->optical().delivered(), 0);
-  std::int64_t electrical_bytes = 0;
-  for (NodeId n = 0; n < 8; ++n) {
-    (void)n;
-  }
-  // The 10G electrical fabric carried something (egress drop counter is 0
-  // but deliveries happened — infer from optical < total).
-  const auto t = inst.net->totals();
-  EXPECT_GT(t.delivered, 0);
+  EXPECT_GT(inst.net->totals().delivered, inst.net->optical().delivered());
 }
 
 TEST(Arch2, OperaBulkUsesDirectPlane) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <tuple>
 
 #include "core/controller.h"
 #include "core/network.h"
@@ -30,18 +32,15 @@ using core::NetworkConfig;
 // ---------------------------------------------------------------------------
 // Every TO routing scheme delivers end-to-end on every rotor size.
 
-struct SchemeCase {
-  const char* name;
-  int tors;
-  int uplinks;
-};
-
+// The scheme is a std::string, not a const char*: gtest prints a char
+// pointer with its address, which would put a per-process address into
+// every listed test name and make the names differ from build to build.
 class ToSchemeParam
-    : public ::testing::TestWithParam<std::tuple<const char*, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int, int>> {};
 
 TEST_P(ToSchemeParam, CompilesDeploysDelivers) {
   const auto [scheme, tors, uplinks] = GetParam();
-  if (std::string(scheme) == "opera" && uplinks < 2) {
+  if (scheme == "opera" && uplinks < 2) {
     GTEST_SKIP() << "Opera needs >= 2 uplinks: one matching per slice is "
                     "not a connected expander";
   }
@@ -59,17 +58,16 @@ TEST_P(ToSchemeParam, CompilesDeploysDelivers) {
   std::vector<core::Path> paths;
   LookupMode lookup = LookupMode::PerHop;
   MultipathMode mp = MultipathMode::None;
-  const std::string s = scheme;
-  if (s == "vlb") {
+  if (scheme == "vlb") {
     paths = routing::vlb(sched);
     mp = MultipathMode::PerPacket;
-  } else if (s == "direct") {
+  } else if (scheme == "direct") {
     paths = routing::direct_to(sched);
-  } else if (s == "opera") {
+  } else if (scheme == "opera") {
     paths = routing::opera(sched);
-  } else if (s == "hoho") {
+  } else if (scheme == "hoho") {
     paths = routing::hoho(sched);
-  } else if (s == "ucmp") {
+  } else if (scheme == "ucmp") {
     paths = routing::ucmp(sched);
     lookup = LookupMode::SourceRouting;
     mp = MultipathMode::PerPacket;
@@ -95,7 +93,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(4, 8, 12),
                        ::testing::Values(1, 2)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_n" +
+      return std::get<0>(info.param) + "_n" +
              std::to_string(std::get<1>(info.param)) + "_u" +
              std::to_string(std::get<2>(info.param));
     });

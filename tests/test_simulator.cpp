@@ -2,12 +2,42 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
+
+#include "parallel/sharded.h"
 
 namespace oo::sim {
 namespace {
 
 using namespace oo::literals;
+
+// Invariant sink that keeps every past-schedule report, with the clock and
+// lane of the context that delivered it.
+struct RecordingSink : InvariantSink {
+  explicit RecordingSink(const Simulator& s) : sim(s) {}
+  void on_past_schedule(SimTime when, SimTime now, const char* tag) override {
+    seen.push_back({when, now, tag});
+    reported_at.push_back(sim.now());
+    reported_on.push_back(sim.current_lane());
+  }
+  const Simulator& sim;
+  std::vector<Simulator::PastScheduleRecord> seen;
+  std::vector<SimTime> reported_at;
+  std::vector<int> reported_on;
+};
+
+// A simulator with `lanes` lanes driven by the windowed engine.
+struct LaneSim {
+  LaneSim(int lanes, int workers, SimTime window) {
+    sim.configure_lanes(lanes);
+    engine = std::make_unique<parallel::ShardedEngine>(sim, lanes, workers,
+                                                       window);
+    sim.set_parallel_runner(engine.get());
+  }
+  Simulator sim;
+  std::unique_ptr<parallel::ShardedEngine> engine;
+};
 
 TEST(Simulator, ExecutesInTimeOrder) {
   Simulator s;
@@ -91,6 +121,25 @@ TEST(Simulator, PeriodicCancelStops) {
   s.schedule_at(35_us, [&h]() { h.cancel(); });
   s.run_until(100_us);
   EXPECT_EQ(ticks, 3);
+}
+
+TEST(Simulator, LatePeriodicStartIsClampedToNow) {
+  // A periodic timer whose start is already past takes schedule_at's
+  // clamp: the first firing runs at now(), is counted and reported, and the
+  // clock never runs backwards. Re-arms follow from the clamped firing.
+  Simulator s;
+  RecordingSink sink(s);
+  s.set_invariant_sink(&sink);
+  s.run_until(100_us);
+  std::vector<SimTime> fired;
+  s.schedule_every(50_us, 50_us, [&]() { fired.push_back(s.now()); }, "late");
+  s.run_until(200_us);
+  EXPECT_EQ(fired, (std::vector<SimTime>{100_us, 150_us, 200_us}));
+  EXPECT_EQ(s.past_schedules(), 1);
+  ASSERT_EQ(sink.seen.size(), 1u);
+  EXPECT_EQ(sink.seen[0].when, 50_us);
+  EXPECT_EQ(sink.seen[0].now, 100_us);
+  EXPECT_STREQ(sink.seen[0].tag, "late");
 }
 
 TEST(Simulator, StopInsideEvent) {
@@ -195,6 +244,96 @@ TEST(Simulator, CancelledPeriodicTimersCompactAway) {
   EXPECT_GE(s.compactions(), 1);
   EXPECT_LT(s.events_pending(), 64u);
   keep.cancel();
+}
+
+TEST(SimulatorLanes, PastScheduleOnLaneIsReportedAtTheBarrier) {
+  for (int workers : {1, 4}) {
+    LaneSim ls(4, workers, 10_us);
+    Simulator& s = ls.sim;
+    RecordingSink sink(s);
+    s.set_invariant_sink(&sink);
+    SimTime ran_at = SimTime::max();
+    std::size_t reports_in_window = 1;
+    s.schedule_at_lane(2, 13_us, [&]() {
+      s.schedule_at(5_us, [&]() { ran_at = s.now(); }, "lane.past");
+      reports_in_window = sink.seen.size();
+    });
+    s.run_until(50_us);
+    // Clamped to the lane's clock and counted at once; the worker never
+    // calls the sink — the barrier closing the window [10, 20) us does.
+    EXPECT_EQ(ran_at, 13_us) << workers << " workers";
+    EXPECT_EQ(s.past_schedules(), 1);
+    EXPECT_EQ(reports_in_window, 0u);
+    ASSERT_EQ(sink.seen.size(), 1u);
+    EXPECT_EQ(sink.seen[0].when, 5_us);
+    EXPECT_EQ(sink.seen[0].now, 13_us);
+    EXPECT_STREQ(sink.seen[0].tag, "lane.past");
+    EXPECT_EQ(sink.reported_at[0], 20_us);
+    EXPECT_EQ(sink.reported_on[0], Simulator::kControlLane);
+  }
+}
+
+TEST(SimulatorLanes, RunOnIsInlineWhereTheCallerMayTouchTheLane) {
+  LaneSim ls(4, 1, 10_us);
+  Simulator& s = ls.sim;
+  bool setup_ran = false;
+  s.run_on(2, [&]() { setup_ran = true; }, "t");
+  EXPECT_TRUE(setup_ran);
+  // Each event records whether run_on had already run its callable by the
+  // time it returned.
+  bool control_inline = false;
+  bool own_lane_inline = false;
+  s.schedule_at(5_us, [&]() {
+    bool ran = false;
+    s.run_on(3, [&]() { ran = true; }, "t");
+    control_inline = ran;
+  });
+  s.schedule_at_lane(1, 12_us, [&]() {
+    bool ran = false;
+    s.run_on(1, [&]() { ran = true; }, "t");
+    own_lane_inline = ran;
+  });
+  s.run_until(50_us);
+  EXPECT_TRUE(control_inline);
+  EXPECT_TRUE(own_lane_inline);
+}
+
+TEST(SimulatorLanes, RunOnFromAnotherLaneLandsAtTheNextWindowStart) {
+  struct Landing {
+    int from;
+    int seq;
+    SimTime at;
+    int lane;
+    bool operator==(const Landing&) const = default;
+  };
+  const auto run = [](int workers) {
+    LaneSim ls(4, workers, 10_us);
+    Simulator& s = ls.sim;
+    // Appended only by events on lane 3, read after the run.
+    std::vector<Landing> landed;
+    for (int from = 0; from < 3; ++from) {
+      s.schedule_at_lane(from, 13_us, [&s, &landed, from]() {
+        for (int seq = 0; seq < 2; ++seq) {
+          s.run_on(
+              3,
+              [&s, &landed, from, seq]() {
+                landed.push_back({from, seq, s.now(), s.current_lane()});
+              },
+              "t");
+        }
+      });
+    }
+    s.run_until(50_us);
+    return landed;
+  };
+  // Posted at 13 us from lanes 0-2, delivered on lane 3 when the next
+  // window opens, in canonical (when, source lane, source order) order.
+  std::vector<Landing> expected;
+  for (int from = 0; from < 3; ++from) {
+    for (int seq = 0; seq < 2; ++seq) expected.push_back({from, seq, 20_us, 3});
+  }
+  EXPECT_EQ(run(1), expected);
+  EXPECT_EQ(run(4), expected);
 }
 
 }  // namespace
