@@ -3,7 +3,7 @@
 //   chaos_fuzz [--seed N] [--runs N] [--events N] [--intensity X]
 //              [--tors N] [--replicas N] [--duration-us N] [--shards N]
 //              [--plant-bug] [--no-minimize] [--replay FILE]
-//              [--out DIR] [--trace FILE]
+//              [--out DIR]
 //
 // Each run fuzzes a structurally valid FaultPlan from its seed
 // (src/chaos/fuzz.h), executes it against a live hybrid-rotor fabric under
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   std::int64_t duration_us = 3000;
   double intensity = 1.0;
   bool plant_bug = false, no_minimize = false;
-  std::string replay_path, out_dir, trace_path;
+  std::string replay_path, out_dir;
 
   cli::ArgParser args("chaos_fuzz",
                       "seeded chaos fuzzing under the invariant monitor");
@@ -71,8 +71,7 @@ int main(int argc, char** argv) {
             "report violations without shrinking the plan")
       .option("--replay", &replay_path,
               "re-run a reproducer.json instead of fuzzing")
-      .option("--out", &out_dir, "directory for reproducer.json artifacts")
-      .option("--trace", &trace_path, "unused placeholder kept for parity");
+      .option("--out", &out_dir, "directory for reproducer.json artifacts");
   if (!args.parse(argc, argv)) return 1;
 
   auto fn = runner::find_experiment("chaos_fuzz");

@@ -255,13 +255,6 @@ json::Object run_gray_detection(RunContext& ctx) {
         ++off_target_suspects;
       }
     }
-    if (ctx.param_bool("debug_transitions", false)) {
-      const auto& b = scanner.blame(n);
-      std::fprintf(stderr,
-                   "[%lld ns] node %d -> %d cause=%s port=%d peer=%d\n",
-                   (long long)net->sim().now().ns(), (int)n, (int)to,
-                   cause_name(b.cause), (int)b.port, (int)b.peer);
-    }
     if (n == target && to == HealthScanner::NodeHealth::Quarantined) {
       if (quarantine_at == SimTime::zero()) quarantine_at = net->sim().now();
       // Keep the last quarantine's verdict: a sticky fault oscillates

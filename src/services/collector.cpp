@@ -9,10 +9,10 @@ topo::TrafficMatrix Collector::collect_now() {
 void Collector::start() {
   if (started_) return;
   started_ = true;
-  net_.sim().schedule_every(net_.sim().now() + interval_, interval_,
-                            [this]() {
-                              if (cb_) cb_(collect_now());
-                            });
+  timer_ = net_.sim().schedule_every(net_.sim().now() + interval_, interval_,
+                                     [this]() {
+                                       if (cb_) cb_(collect_now());
+                                     });
 }
 
 }  // namespace oo::services

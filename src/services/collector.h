@@ -19,6 +19,8 @@ class Collector {
 
   Collector(core::Network& net, SimTime interval, Callback cb)
       : net_(net), interval_(interval), cb_(std::move(cb)) {}
+  Collector(const Collector&) = delete;
+  Collector& operator=(const Collector&) = delete;
 
   void start();
   // One-shot collection (drains the counters).
@@ -28,6 +30,7 @@ class Collector {
   core::Network& net_;
   SimTime interval_;
   Callback cb_;
+  sim::ScopedEventHandle timer_;
   bool started_ = false;
 };
 

@@ -17,21 +17,6 @@ std::string cdf_csv(const PercentileSampler& s, int points,
   return out;
 }
 
-std::string summary_csv(
-    const std::vector<std::pair<std::string, const PercentileSampler*>>&
-        series) {
-  std::string out = "label,count,p50,p90,p99,p999,max\n";
-  char buf[192];
-  for (const auto& [label, s] : series) {
-    std::snprintf(buf, sizeof buf, "%s,%zu,%.6g,%.6g,%.6g,%.6g,%.6g\n",
-                  label.c_str(), s->count(), s->percentile(50),
-                  s->percentile(90), s->percentile(99), s->percentile(99.9),
-                  s->max());
-    out += buf;
-  }
-  return out;
-}
-
 std::string robustness_csv(const FailureRecovery& recovery,
                            const optics::OpticalFabric& fabric) {
   std::string out = "metric,value\n";

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "common/stats.h"
 #include "optics/fabric.h"
@@ -14,12 +13,6 @@ namespace oo::services {
 // CDF of a sampler as "value,quantile" rows.
 std::string cdf_csv(const PercentileSampler& s, int points = 100,
                     const std::string& value_header = "value");
-
-// Percentile summary rows for several labelled samplers:
-// "label,count,p50,p90,p99,p999,max".
-std::string summary_csv(
-    const std::vector<std::pair<std::string, const PercentileSampler*>>&
-        series);
 
 // Robustness summary as "metric,value" rows: per-fault-class fabric drops,
 // failure/repair transition counts, detection-latency and MTTR percentiles

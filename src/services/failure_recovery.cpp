@@ -151,7 +151,11 @@ void FailureRecovery::schedule_retry() {
     tr->control_retry(net_.sim().now(), retries_);
   }
   retry_handle_ = net_.sim().schedule_in(
-      backoff_, [this]() { recover_now(); }, "recovery.retry");
+      backoff_,
+      [this, alive = alive_]() {
+        if (*alive) recover_now();
+      },
+      "recovery.retry");
   backoff_ = std::min(backoff_ + backoff_, backoff_cap_);
 }
 

@@ -45,6 +45,11 @@ class FailureRecovery {
   FailureRecovery(core::Network& net, core::Controller& ctl,
                   RerouteFn reroute, SimTime scrub = SimTime::millis(1))
       : net_(net), ctl_(ctl), reroute_(std::move(reroute)), scrub_(scrub) {}
+  ~FailureRecovery() {
+    if (alive_) *alive_ = false;
+  }
+  FailureRecovery(const FailureRecovery&) = delete;
+  FailureRecovery& operator=(const FailureRecovery&) = delete;
 
   // Subscribe to the fabric's LOS alarms (and start the optional scrub).
   // Captures the current schedule as the baseline that repairs re-admit to.
@@ -115,8 +120,10 @@ class FailureRecovery {
   RerouteFn reroute_;
   SimTime scrub_;
   optics::Schedule baseline_;
-  std::shared_ptr<bool> alive_;  // gates the fabric LOS subscription
-  sim::EventHandle scrub_handle_;
+  std::shared_ptr<bool> alive_;  // gates the LOS listeners and retries
+  sim::ScopedEventHandle scrub_handle_;
+  // Plain handle: an aborted commit can arm a retry while an earlier one
+  // is still pending, and both stay live.
   sim::EventHandle retry_handle_;
   std::vector<Incident> open_incidents_;
   std::int64_t seen_drops_ = 0;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "core/controller.h"
 
@@ -24,10 +22,6 @@ HealthScanner::HealthScanner(core::Network& net, Config cfg)
       quarantines_(&net.sim().metrics().counter("health.quarantines")),
       readmissions_(&net.sim().metrics().counter("health.readmissions")),
       probes_lost_(&net.sim().metrics().counter("health.probes_lost")) {}
-
-HealthScanner::~HealthScanner() {
-  if (alive_) *alive_ = false;
-}
 
 void HealthScanner::start() {
   if (started_) return;
@@ -377,19 +371,6 @@ void HealthScanner::classify(std::int64_t slice_abs) {
       why.port = e.port;
       why.peer = e.peer;
       if (e.has_first) first = e.first;
-    }
-    static const bool scanner_debug = std::getenv("OO_SCANNER_DEBUG") != nullptr;
-    if (why.cause != Cause::None && scanner_debug) {
-      std::fprintf(stderr,
-                   "[dbg %lld] n=%d cause=%d port=%d peer=%d "
-                   "agg(po=%d no=%d pi=%d ni=%d) breadth=",
-                   static_cast<long long>(now.ns()), n,
-                   static_cast<int>(why.cause), why.port, why.peer, a.pos_out,
-                   a.neg_out, a.pos_in, a.neg_in);
-      for (NodeId b = 0; b < num_nodes_; ++b) {
-        std::fprintf(stderr, "%d,", breadth[static_cast<std::size_t>(b)]);
-      }
-      std::fprintf(stderr, "\n");
     }
     const bool probe_evidence =
         st.probe != nullptr && st.probe->lost() > st.probe_losses;

@@ -122,7 +122,6 @@ class HealthScanner {
   HealthScanner(core::Network& net, Config cfg);
   explicit HealthScanner(core::Network& net)
       : HealthScanner(net, Config{}) {}
-  ~HealthScanner();
   HealthScanner(const HealthScanner&) = delete;
   HealthScanner& operator=(const HealthScanner&) = delete;
 
@@ -231,7 +230,7 @@ class HealthScanner {
   std::int64_t pending_slice_abs_ = -1;
   bool have_baseline_ = false;
   std::shared_ptr<bool> alive_;
-  sim::EventHandle boundary_handle_;
+  sim::ScopedEventHandle boundary_handle_;
   DegradeFn degrade_hook_;
   TransitionFn transition_hook_;
   bool started_ = false;

@@ -41,7 +41,7 @@ void Monitor::start() {
   if (started_) return;
   started_ = true;
   baseline_ = snapshot(net_);
-  net_.sim().schedule_every(
+  timer_ = net_.sim().schedule_every(
       net_.sim().now() + interval_, interval_,
       [this]() {
         for (NodeId n = 0; n < net_.num_tors(); ++n) {

@@ -13,6 +13,8 @@ namespace oo::services {
 class Monitor {
  public:
   Monitor(core::Network& net, SimTime interval);
+  Monitor(const Monitor&) = delete;
+  Monitor& operator=(const Monitor&) = delete;
 
   void start();
 
@@ -64,6 +66,7 @@ class Monitor {
   std::vector<std::int64_t> last_tx_bytes_;
   PercentileSampler all_;
   Health baseline_;
+  sim::ScopedEventHandle timer_;
   bool started_ = false;
 };
 

@@ -75,6 +75,8 @@ class SyncWatchdog {
   SyncWatchdog(core::Network& net, Config cfg);
   explicit SyncWatchdog(core::Network& net)
       : SyncWatchdog(net, Config{}) {}
+  SyncWatchdog(const SyncWatchdog&) = delete;
+  SyncWatchdog& operator=(const SyncWatchdog&) = delete;
 
   // Invoked on quarantine entry (true) and re-admission (false) — the wiring
   // point for services that shift load off a fenced node, e.g.
@@ -165,7 +167,7 @@ class SyncWatchdog {
   SimTime widen_step_ = SimTime::zero();
   SimTime beacon_timeout_ = SimTime::zero();
   std::shared_ptr<bool> alive_;  // gates the fabric/network subscriptions
-  sim::EventHandle check_handle_;
+  sim::ScopedEventHandle check_handle_;
   QuarantineFn quarantine_hook_;
   TransitionFn transition_hook_;
   bool started_ = false;

@@ -34,17 +34,6 @@ TEST(ExportGolden, CdfCsvDegenerate) {
   EXPECT_EQ(services::cdf_csv(one, 2, "v"), "v,quantile\n7,0\n7,1\n");
 }
 
-TEST(ExportGolden, SummaryCsv) {
-  PercentileSampler alpha;
-  for (int i = 1; i <= 10; ++i) alpha.add(i);
-  // Closest-rank interpolation over n=10: p50 -> rank 4.5 -> 5.5,
-  // p90 -> rank 8.1 -> 9.1, p99 -> rank 8.91 -> 9.91, p99.9 -> 9.991.
-  EXPECT_EQ(
-      services::summary_csv({{"alpha", &alpha}}),
-      "label,count,p50,p90,p99,p999,max\n"
-      "alpha,10,5.5,9.1,9.91,9.991,10\n");
-}
-
 TEST(ExportGolden, RobustnessCsvFreshRecovery) {
   arch::Params p;
   p.tors = 4;

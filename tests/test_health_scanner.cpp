@@ -107,6 +107,17 @@ TEST(HealthScanner, CleanRunByteIdenticalWithScannerDetached) {
 
 // ---- localization: every kind, zero false positives ----
 
+// Every localized fault also walks the full ladder: quarantined, then
+// readmitted once it heals. `probes_lost`: the targeted probes must have
+// lost some (every kind at seed 11 except the silent installer).
+void expect_ladder_walked(const json::Object& row, bool probes_lost) {
+  EXPECT_GE(row.at("quarantines").as_int(), 1) << json::Value(row).dump();
+  EXPECT_GE(row.at("readmissions").as_int(), 1) << json::Value(row).dump();
+  if (probes_lost) {
+    EXPECT_GE(row.at("probes_lost").as_int(), 1) << json::Value(row).dump();
+  }
+}
+
 TEST(HealthScanner, LocalizesBerRamp) {
   const json::Object row =
       run_row("gray_detection", gray_spec("ber_ramp", 11));
@@ -114,6 +125,7 @@ TEST(HealthScanner, LocalizesBerRamp) {
   EXPECT_EQ(row.at("blame_cause").as_string(), "port_degrade");
   EXPECT_EQ(row.at("blame_port").as_int(), 0);
   EXPECT_EQ(row.at("false_positives").as_int(), 0);
+  expect_ladder_walked(row, /*probes_lost=*/true);
 }
 
 TEST(HealthScanner, LocalizesGrayPairToTheCircuit) {
@@ -125,6 +137,7 @@ TEST(HealthScanner, LocalizesGrayPairToTheCircuit) {
   EXPECT_EQ(row.at("blame_port").as_int(), 0);
   EXPECT_EQ(row.at("blame_peer").as_int(), 5);
   EXPECT_EQ(row.at("false_positives").as_int(), 0);
+  expect_ladder_walked(row, /*probes_lost=*/true);
 }
 
 TEST(HealthScanner, LocalizesTelemetrySkew) {
@@ -133,6 +146,7 @@ TEST(HealthScanner, LocalizesTelemetrySkew) {
   EXPECT_TRUE(row.at("localized").as_bool()) << json::Value(row).dump();
   EXPECT_EQ(row.at("blame_cause").as_string(), "telemetry_skew");
   EXPECT_EQ(row.at("false_positives").as_int(), 0);
+  expect_ladder_walked(row, /*probes_lost=*/true);
 }
 
 TEST(HealthScanner, LocalizesSilentInstall) {
@@ -141,6 +155,7 @@ TEST(HealthScanner, LocalizesSilentInstall) {
   EXPECT_TRUE(row.at("localized").as_bool()) << json::Value(row).dump();
   EXPECT_EQ(row.at("blame_cause").as_string(), "silent_install");
   EXPECT_EQ(row.at("false_positives").as_int(), 0);
+  expect_ladder_walked(row, /*probes_lost=*/false);
 }
 
 // ---- ladder legality + readmission, on a heal-at-window-end fault ----

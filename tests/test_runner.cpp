@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <exception>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -335,6 +336,138 @@ TEST(Experiments, RegistryLookupAndInjection) {
   EXPECT_EQ(s.ok, 2);
   EXPECT_EQ(s.retries, 1);
   EXPECT_EQ(r.records()[1].attempts, 2);
+}
+
+// ---- committed chaos specs: each cell's row holds its drill's gates ----
+
+// Runs the first cell of examples/specs/<file> whose params equal every
+// entry of `want`, with the seed and the attempts the campaign gives it, and
+// returns its result row.
+json::Object spec_cell_row(const std::string& file, const json::Object& want) {
+  const CampaignSpec spec =
+      CampaignSpec::from_file(std::string(OO_SPEC_DIR) + "/" + file);
+  for (const RunSpec& run : spec.expand()) {
+    bool hit = true;
+    for (const auto& [k, v] : want) {
+      const auto it = run.params.find(k);
+      hit = hit && it != run.params.end() && it->second.dump() == v.dump();
+    }
+    if (!hit) continue;
+    for (int attempt = 1;; ++attempt) {
+      try {
+        RunContext ctx{run, attempt};
+        return find_experiment(spec.experiment)(ctx);
+      } catch (const std::exception&) {
+        if (attempt >= spec.max_attempts) throw;
+      }
+    }
+  }
+  ADD_FAILURE() << "no cell of " << file << " matches "
+                << json::Value(want).dump();
+  return {};
+}
+
+json::Object control_chaos_cell(bool fencing) {
+  return spec_cell_row("control_chaos.json", {{"fencing", fencing},
+                                              {"sb_loss_prob", 1.0},
+                                              {"sb_latency_us", 20.0}});
+}
+
+// Total install loss to one ToR under port churn, fabric-wide duplication
+// and a controller crash: the transaction aborts and rolls back through the
+// loss window, fences the echoes, resyncs once after the restart, and never
+// forwards on mixed epochs.
+TEST(ChaosSpecCells, ControlChaosFencedCellContainsTheLossySouthbound) {
+  const json::Object row = control_chaos_cell(true);
+  const std::string dump = json::Value(row).dump();
+  EXPECT_EQ(row.at("mixed_epoch_slices").as_int(), 0) << dump;
+  EXPECT_GE(row.at("txn_commits").as_int(), 2) << dump;
+  EXPECT_GE(row.at("txn_aborts").as_int(), 1) << dump;
+  EXPECT_GE(row.at("txn_rollbacks").as_int(), 1) << dump;
+  EXPECT_EQ(row.at("resyncs").as_int(), 1) << dump;
+  EXPECT_GE(row.at("deploys_rejected").as_int(), 1) << dump;
+  EXPECT_GE(row.at("sb_lost").as_int(), 1) << dump;
+  EXPECT_GE(row.at("sb_duped").as_int(), 1) << dump;
+  EXPECT_GE(row.at("recoveries").as_int(), 1) << dump;
+  EXPECT_GE(row.at("retries").as_int(), 1) << dump;
+}
+
+// The legacy scatter baseline under the same script exposes the mixed-epoch
+// slices the fenced transaction hides.
+TEST(ChaosSpecCells, ControlChaosScatterCellExposesMixedEpochs) {
+  const json::Object row = control_chaos_cell(false);
+  EXPECT_GT(row.at("mixed_epoch_slices").as_int(), 0)
+      << json::Value(row).dump();
+}
+
+// Leader killed mid-run, a log divergence and a replica partition on a
+// 3-replica quorum: leadership moves, the diverged log heals, takeovers
+// resync, deploys keep committing, and no dead-term epoch leaks.
+TEST(ChaosSpecCells, QuorumChaosThreeReplicaCellFailsOverCleanly) {
+  const json::Object row = spec_cell_row(
+      "quorum_chaos.json",
+      {{"controller_replicas", std::int64_t{3}}, {"sb_loss_prob", 0.0}});
+  const std::string dump = json::Value(row).dump();
+  EXPECT_GE(row.at("failovers").as_int(), 1) << dump;
+  EXPECT_GE(row.at("elections").as_int(), 1) << dump;
+  EXPECT_GE(row.at("term").as_int(), 2) << dump;
+  EXPECT_GE(row.at("log_repairs").as_int(), 1) << dump;
+  EXPECT_GE(row.at("resyncs").as_int(), 1) << dump;
+  EXPECT_GE(row.at("txn_commits").as_int(), 2) << dump;
+  EXPECT_EQ(row.at("mixed_epoch_slices").as_int(), 0) << dump;
+}
+
+// An 8000 ppm drift with its beacons suppressed: the drifted ToR launches
+// into wrong slices before the watchdog fences it, launches none after, and
+// is re-admitted once beacons resume. The unwatched twin keeps misfiring.
+TEST(ChaosSpecCells, ClockChaosWatchdogCellFencesAndReadmitsTheDrift) {
+  const json::Object row = spec_cell_row(
+      "ci_campaign.json", {{"ppm", 8000.0}, {"watchdog", true}});
+  const json::Object unwatched = spec_cell_row(
+      "ci_campaign.json", {{"ppm", 8000.0}, {"watchdog", false}});
+  const std::string dump = json::Value(row).dump();
+  EXPECT_GE(row.at("desyncs").as_int(), 1) << dump;
+  EXPECT_GE(row.at("quarantines").as_int(), 1) << dump;
+  EXPECT_GE(row.at("readmissions").as_int(), 1) << dump;
+  EXPECT_GT(row.at("wrong_at_quarantine").as_int(), 0) << dump;
+  EXPECT_EQ(row.at("wrong_slice").as_int(),
+            row.at("wrong_at_quarantine").as_int())
+      << dump;
+  EXPECT_LT(row.at("wrong_slice").as_int(),
+            unwatched.at("wrong_slice").as_int())
+      << json::Value(unwatched).dump();
+}
+
+// One cell per gray kind plus a clean control: each fault is blamed on the
+// injected component, walks the ladder to quarantine and back out, and no
+// honest node is ever suspected. Probes corroborate every lossy kind.
+TEST(ChaosSpecCells, GrayChaosCellsLocalizeEveryKind) {
+  // `localized` also matches the blamed port (and peer) to the patch's.
+  struct Want {
+    const char* fault;
+    const char* cause;
+    bool probes_lost;
+  };
+  const Want wants[] = {{"ber_ramp", "port_degrade", true},
+                        {"gray_pair", "link_loss", true},
+                        {"telemetry_skew", "telemetry_skew", true},
+                        {"silent_install", "silent_install", false}};
+  for (const Want& w : wants) {
+    const json::Object row =
+        spec_cell_row("gray_chaos.json", {{"fault", std::string(w.fault)}});
+    const std::string dump = json::Value(row).dump();
+    EXPECT_TRUE(row.at("localized").as_bool()) << dump;
+    EXPECT_EQ(row.at("blame_cause").as_string(), w.cause) << dump;
+    EXPECT_EQ(row.at("false_positives").as_int(), 0) << dump;
+    EXPECT_GE(row.at("quarantines").as_int(), 1) << dump;
+    EXPECT_GE(row.at("readmissions").as_int(), 1) << dump;
+    if (w.probes_lost) {
+      EXPECT_GE(row.at("probes_lost").as_int(), 1) << dump;
+    }
+  }
+  const json::Object clean =
+      spec_cell_row("gray_chaos.json", {{"fault", std::string("none")}});
+  EXPECT_EQ(clean.at("suspects").as_int(), 0) << json::Value(clean).dump();
 }
 
 }  // namespace

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "arch/arch.h"
 #include "core/controller.h"
 #include "routing/ta_routing.h"
 #include "routing/to_routing.h"
 #include "services/circuit_gate.h"
 #include "services/collector.h"
+#include "services/failure_recovery.h"
 #include "services/flow_aging.h"
+#include "services/health_scanner.h"
 #include "services/hybrid_steering.h"
 #include "services/monitor.h"
+#include "services/sync_watchdog.h"
 #include "topo/round_robin.h"
 
 namespace oo::services {
@@ -189,6 +195,102 @@ TEST(HybridSteering, ElephantsPinnedToCircuit) {
   steering.prepare(r, 0);
   EXPECT_TRUE(r.source_route.empty());
   EXPECT_EQ(steering.steered_packets(), 1);
+}
+
+// ---- lifetime: a destroyed service leaves nothing behind ----
+
+// Events executed by a hybrid rotor that runs 1 ms, lets `scoped` build,
+// start and destroy a service, then runs 2 ms more with a port failing
+// halfway (so LOS listeners left behind would fire too). A service that
+// cancels its timers and mutes its listeners on destruction leaves the
+// count equal to a twin run that never had the service.
+std::int64_t events_after(const std::function<void(arch::Instance&)>& scoped) {
+  arch::Params p;
+  p.tors = 8;
+  p.hosts_per_tor = 1;
+  p.uplinks = 1;
+  p.seed = 7;
+  auto inst =
+      arch::make_rotornet(p, arch::RotorRouting::Direct, /*hybrid=*/true);
+  inst.run_for(1_ms);
+  if (scoped) scoped(inst);
+  inst.net->sim().schedule_in(1_ms, [net = inst.net.get()]() {
+    net->optical().set_port_failed(0, 0, true);
+  });
+  inst.run_for(2_ms);
+  return inst.net->sim().events_executed();
+}
+
+std::vector<core::Path> direct_reroute(const optics::Schedule& s) {
+  return routing::direct_to(s);
+}
+
+TEST(ServiceLifetime, SyncWatchdogCancelsItsCheckTimer) {
+  const std::int64_t bare = events_after(nullptr);
+  EXPECT_EQ(events_after([](arch::Instance& inst) {
+              SyncWatchdog watchdog(*inst.net);
+              watchdog.start();
+            }),
+            bare);
+}
+
+TEST(ServiceLifetime, HealthScannerCancelsItsBoundaryTimer) {
+  const std::int64_t bare = events_after(nullptr);
+  EXPECT_EQ(events_after([](arch::Instance& inst) {
+              HealthScanner scanner(*inst.net);
+              scanner.set_controller(inst.ctl.get());
+              scanner.start();
+            }),
+            bare);
+}
+
+TEST(ServiceLifetime, FailureRecoveryMutesScrubListenersAndRetries) {
+  const std::int64_t bare = events_after(nullptr);
+  EXPECT_EQ(events_after([](arch::Instance& inst) {
+              FailureRecovery recovery(*inst.net, *inst.ctl, direct_reroute);
+              recovery.start();
+            }),
+            bare);
+
+  // A deploy retry armed before destruction fires into a muted closure:
+  // the dead service never redeploys or re-arms.
+  arch::Params p;
+  p.tors = 8;
+  p.hosts_per_tor = 1;
+  p.uplinks = 1;
+  auto inst = arch::make_rotornet(p, arch::RotorRouting::Direct);
+  inst.ctl->set_deploy_fail(true);
+  {
+    FailureRecovery recovery(*inst.net, *inst.ctl, direct_reroute);
+    recovery.start();
+    EXPECT_FALSE(recovery.recover_now());
+    EXPECT_EQ(recovery.retries(), 1);
+  }
+  inst.run_for(2_ms);
+  EXPECT_EQ(inst.net->sim().metrics().counter_value("recovery.retries"), 1);
+}
+
+TEST(ServiceLifetime, MonitorCancelsItsSamplingTimer) {
+  const std::int64_t bare = events_after(nullptr);
+  EXPECT_EQ(events_after([](arch::Instance& inst) {
+              Monitor monitor(*inst.net, 100_us);
+              monitor.start();
+            }),
+            bare);
+}
+
+TEST(ServiceLifetime, CollectorCancelsItsCollectionTimer) {
+  const std::int64_t bare = events_after(nullptr);
+  int calls = 0;
+  EXPECT_EQ(events_after([&calls](arch::Instance& inst) {
+              Collector collector(*inst.net, 100_us,
+                                  [&calls](const topo::TrafficMatrix&) {
+                                    ++calls;
+                                  });
+              collector.start();
+            }),
+            bare);
+  EXPECT_EQ(calls, 0);
 }
 
 }  // namespace

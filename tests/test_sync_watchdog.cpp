@@ -74,6 +74,7 @@ TEST(SyncWatchdog, WalksTheLadderAndReadmits) {
             std::vector<NodeId>{kDriftNode});
   EXPECT_TRUE(inst.net->node_quarantined(kDriftNode));
   const std::int64_t wrong_at_fence = inst.net->optical().wrong_slice();
+  EXPECT_GT(wrong_at_fence, 0);  // the silent hazard happened before the fence
 
   // Ramp ends at 5 ms, beacons resume, the clock re-disciplines: the node
   // must be re-admitted within a bounded number of clean rounds, with its

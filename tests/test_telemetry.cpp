@@ -4,16 +4,20 @@
 // post-mortem text dump, and the per-tag event profiler.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <initializer_list>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "arch/arch.h"
 #include "common/json.h"
+#include "core/quorum.h"
 #include "eventsim/simulator.h"
 #include "routing/to_routing.h"
 #include "services/failure_recovery.h"
 #include "services/fault_plan.h"
+#include "services/health_scanner.h"
 #include "services/sync_watchdog.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
@@ -232,28 +236,108 @@ void run_clock_chaos(telemetry::FlightRecorder* rec) {
   inst.run_for(8_ms);
 }
 
-TEST(ChromeTrace, ClockChaosEventsPresentAndDeterministic) {
+// Runs `scenario` twice into fresh recorders: identical seeds must give
+// byte-identical Chrome traces holding every event name in `need`.
+void expect_trace_replays_with(
+    const std::function<void(telemetry::FlightRecorder*)>& scenario,
+    std::initializer_list<const char*> need) {
   telemetry::FlightRecorder rec_a(std::size_t{1} << 16);
   telemetry::FlightRecorder rec_b(std::size_t{1} << 16);
-  run_clock_chaos(&rec_a);
-  run_clock_chaos(&rec_b);
+  scenario(&rec_a);
+  scenario(&rec_b);
   ASSERT_GT(rec_a.size(), 0u);
-  // Identical seeds: identical detection timeline, quarantine set, and
-  // byte-identical Chrome traces.
   EXPECT_EQ(rec_a.snapshot(), rec_b.snapshot());
-  EXPECT_EQ(telemetry::chrome_trace_json(rec_a),
-            telemetry::chrome_trace_json(rec_b));
+  const std::string trace = telemetry::chrome_trace_json(rec_a);
+  EXPECT_EQ(trace, telemetry::chrome_trace_json(rec_b));
 
   std::set<std::string> names;
-  const json::Value doc = json::parse(telemetry::chrome_trace_json(rec_a));
+  const json::Value doc = json::parse(trace);
   for (const auto& ev : doc.at("traceEvents").as_array()) {
     names.insert(ev.at("name").as_string());
   }
-  for (const char* need :
-       {"wrong_slice", "beacon_lost", "clock_desync", "guard_widen",
-        "quarantine", "readmit", "fault_inject", "fault_repair"}) {
-    EXPECT_TRUE(names.count(need)) << "missing trace event: " << need;
+  for (const char* name : need) {
+    EXPECT_TRUE(names.count(name)) << "missing trace event: " << name;
   }
+}
+
+TEST(ChromeTrace, ClockChaosEventsPresentAndDeterministic) {
+  // Identical seeds: identical detection timeline and quarantine set.
+  expect_trace_replays_with(
+      run_clock_chaos,
+      {"wrong_slice", "beacon_lost", "clock_desync", "guard_widen",
+       "quarantine", "readmit", "fault_inject", "fault_repair"});
+}
+
+// Leader kill on a 3-replica controller quorum: the survivors time out,
+// elect a new leader, and it takes over the control plane.
+void run_leader_kill(telemetry::FlightRecorder* rec) {
+  arch::Params p;
+  p.tors = 8;
+  p.hosts_per_tor = 1;
+  p.uplinks = 1;
+  p.slice = 50_us;
+  p.seed = 7;
+  auto inst = arch::make_rotornet(p, arch::RotorRouting::Direct);
+  inst.net->sim().set_recorder(rec);
+  core::SouthboundConfig sb;
+  sb.latency = 20_us;
+  inst.ctl->southbound().configure(sb);
+  core::QuorumConfig qc;
+  qc.replicas = 3;
+  core::ControllerQuorum quorum(*inst.net, *inst.ctl, qc);
+  quorum.start();
+  services::FaultPlan plan(*inst.net, /*seed=*/2024, inst.ctl.get());
+  plan.kill_leader(1_ms, /*restart_after=*/1_ms);
+  plan.arm();
+  inst.run_for(4_ms);
+}
+
+TEST(ChromeTrace, QuorumFailoverEventsPresentAndDeterministic) {
+  expect_trace_replays_with(
+      run_leader_kill, {"election_start", "leader_elected", "quorum_failover"});
+}
+
+// A dirty port pair on a hybrid rotor while the health scanner probes the
+// blamed circuit and walks the node up the ladder and back after the pair
+// heals. Traffic is light enough that the run fits the recorder.
+void run_gray_pair(telemetry::FlightRecorder* rec) {
+  arch::Params p;
+  p.tors = 8;
+  p.hosts_per_tor = 1;
+  p.uplinks = 1;
+  p.slice = 100_us;
+  p.seed = 7;
+  auto inst =
+      arch::make_rotornet(p, arch::RotorRouting::Direct, /*hybrid=*/true);
+  auto* net = inst.net.get();
+  net->sim().set_recorder(rec);
+  services::HealthScanner scanner(*net);
+  scanner.set_controller(inst.ctl.get());
+  scanner.start();
+  net->sim().schedule_every(5_us, 25_us, [net]() {
+    for (HostId src = 0; src < net->num_hosts(); ++src) {
+      for (HostId dst = 0; dst < net->num_hosts(); ++dst) {
+        if (dst == src) continue;
+        core::Packet pkt;
+        pkt.type = core::PacketType::Data;
+        pkt.flow = 100 + src;
+        pkt.dst_host = dst;
+        pkt.size_bytes = 1500;
+        net->host(src).send(std::move(pkt));
+      }
+    }
+  });
+  services::FaultPlan plan(*net, /*seed=*/3);
+  plan.gray_pair(1_ms, /*node=*/2, /*port=*/0, /*peer=*/5, /*prob=*/0.6,
+                 /*duration=*/4_ms);
+  plan.arm();
+  inst.run_for(10_ms);
+}
+
+TEST(ChromeTrace, HealthLadderEventsPresentAndDeterministic) {
+  expect_trace_replays_with(
+      run_gray_pair, {"health_suspect", "health_degrade", "health_quarantine",
+                      "health_readmit", "probe_timeout"});
 }
 
 TEST(PostMortem, DumpsLastEventsWithReasons) {

@@ -96,18 +96,6 @@ TEST(ExportCsv, CdfFormat) {
   EXPECT_EQ(rows, 6);
 }
 
-TEST(ExportCsv, SummaryFormat) {
-  PercentileSampler a, b;
-  for (int i = 1; i <= 10; ++i) {
-    a.add(i);
-    b.add(i * 100);
-  }
-  const auto csv = services::summary_csv({{"alpha", &a}, {"beta", &b}});
-  EXPECT_NE(csv.find("alpha,10,"), std::string::npos);
-  EXPECT_NE(csv.find("beta,10,"), std::string::npos);
-  EXPECT_NE(csv.find("label,count,p50"), std::string::npos);
-}
-
 TEST(ExportCsv, WriteFile) {
   const std::string path = "/tmp/oo_export_test.csv";
   services::write_file(path, "a,b\n1,2\n");
