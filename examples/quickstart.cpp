@@ -1,11 +1,13 @@
 // Quickstart: bring up a RotorNet-style optical DCN in a few lines — the
 // OpenOptics workflow of Fig. 5a. A rotor schedule is deployed, VLB routing
 // compiled into time-flow tables, and a latency-sensitive KV workload
-// measures flow completion times across the reconfiguring fabric.
+// measures flow completion times across the reconfiguring fabric. The run
+// is traced and watched by the invariant monitor and the health scanner,
+// none of which changes its results.
 #include <cstdio>
+#include <string>
 
 #include "api/openoptics.h"
-#include "common/log.h"
 #include "routing/to_routing.h"
 #include "topo/round_robin.h"
 #include "workload/kv.h"
@@ -26,6 +28,7 @@ int main() {
   })";
 
   auto net = api::Net::from_json(config_json);
+  net.enable_tracing();
 
   // Topology: single-dimension round-robin rotor schedule (RotorNet).
   auto circuits = topo::round_robin_1d(8, 1);
@@ -35,6 +38,8 @@ int main() {
     return 1;
   }
   std::printf("deployed: %s\n", net.schedule().summary().c_str());
+  net.enable_invariants();
+  net.enable_health_scanner();
 
   // Routing: VLB with per-hop lookup and packet-level multipath (Fig. 5a).
   auto paths = routing::vlb(net.schedule());
@@ -70,5 +75,12 @@ int main() {
       static_cast<long long>(totals.fabric_drops),
       static_cast<long long>(totals.congestion_drops),
       static_cast<long long>(totals.no_route_drops));
+
+  const std::string violations = net.check_invariants();
+  std::printf("trace events=%lld invariants=%s suspects=%lld\n",
+              static_cast<long long>(net.recorder()->total_recorded()),
+              violations.empty() ? "ok" : violations.c_str(),
+              static_cast<long long>(net.health_scanner()->suspects()));
+  if (!violations.empty()) return 3;
   return totals.delivered > 0 ? 0 : 2;
 }

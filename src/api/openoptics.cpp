@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "parallel/sharded.h"
-#include "runner/experiments.h"
 #include "telemetry/trace_export.h"
 
 namespace oo::api {
@@ -143,15 +142,6 @@ bool Net::deploy_topo(const std::vector<optics::Circuit>& circuits,
 
 optics::OcsProfile Net::profile_cached() const { return cfg_.profile(); }
 
-void Net::set_shards(int workers) {
-  if (net_) {
-    throw std::runtime_error(
-        "set_shards: the network already materialized (and started) on "
-        "deploy_topo; select the engine before the first deploy");
-  }
-  cfg_.shards = workers;
-}
-
 bool Net::deploy_routing(const std::vector<core::Path>& paths, Lookup lookup,
                          Multipath multipath, int priority) {
   assert(net_ && "deploy_topo must run before deploy_routing");
@@ -222,7 +212,7 @@ void Net::write_metrics_csv(const std::string& path) {
   assert(net_);
   std::ofstream out(path);
   if (!out) throw std::runtime_error("metrics: cannot open " + path);
-  out << telemetry::metrics_csv(net_->sim().metrics());
+  out << net_->sim().metrics().csv();
 }
 
 traffic::TrafficEngine& Net::start_traffic(traffic::TrafficSpec spec) {
@@ -261,15 +251,14 @@ std::string Net::check_invariants() {
   return monitor_->report();
 }
 
-services::HealthScanner& Net::enable_health_scanner(
-    services::HealthScanner::Config cfg) {
+services::HealthScanner& Net::enable_health_scanner() {
   if (!net_) {
     throw std::runtime_error(
         "enable_health_scanner: deploy a topology first (the network "
         "materializes on the first deploy_topo call)");
   }
   if (!scanner_) {
-    scanner_ = std::make_unique<services::HealthScanner>(*net_, cfg);
+    scanner_ = std::make_unique<services::HealthScanner>(*net_);
     scanner_->set_controller(ctl_.get());
     if (monitor_) monitor_->attach_scanner(scanner_.get());
     scanner_->start();
@@ -288,19 +277,6 @@ std::int64_t Net::bw_usage(NodeId node) {
   const std::int64_t delta = total - base;
   base = total;
   return delta;
-}
-
-runner::CampaignSummary run_campaign(const runner::CampaignSpec& spec,
-                                     const runner::RunnerOptions& opt) {
-  runner::CampaignRunner engine(spec,
-                                runner::find_experiment(spec.experiment),
-                                opt);
-  return engine.run();
-}
-
-runner::CampaignSummary run_campaign_file(const std::string& spec_path,
-                                          const runner::RunnerOptions& opt) {
-  return run_campaign(runner::CampaignSpec::from_file(spec_path), opt);
 }
 
 }  // namespace oo::api

@@ -26,7 +26,6 @@
 #include "optics/fabric.h"
 #include "optics/schedule.h"
 #include "routing/time_expanded.h"
-#include "runner/runner.h"
 #include "services/health_scanner.h"
 #include "telemetry/flight_recorder.h"
 #include "topo/traffic_matrix.h"
@@ -179,16 +178,11 @@ class Net {
   // wires the controller (claim-vs-behavior checks), registers its ladder
   // with the invariant monitor when one is enabled, and starts boundary-
   // aligned conservation audits. Throws before deploy_topo materializes
-  // the network. Idempotent — the first call's config wins.
-  services::HealthScanner& enable_health_scanner(
-      services::HealthScanner::Config cfg = {});
+  // the network. Idempotent.
+  services::HealthScanner& enable_health_scanner();
   services::HealthScanner* health_scanner() { return scanner_.get(); }
 
   // --- Execution ---
-  // Select the sharded parallel engine (0 = legacy single-heap engine).
-  // Must precede the first deploy_topo(), which materializes AND starts
-  // the network; throws std::runtime_error afterwards.
-  void set_shards(int workers);
   int shards() const { return cfg_.shards; }
   void run_for(SimTime t) { net_->sim().run_until(net_->sim().now() + t); }
   void start() { net_->start(); }
@@ -212,17 +206,5 @@ class Net {
   std::unique_ptr<services::HealthScanner> scanner_;
   std::vector<std::int64_t> bw_baseline_;
 };
-
-// --- Campaign helpers ---
-// Run a campaign spec against the built-in experiment registry (see
-// src/runner/): expands the parameter grid × replicas, executes on
-// opt.jobs worker threads with per-run crash isolation and retries, and —
-// when opt.out_dir is set — writes manifest.jsonl plus the deterministic
-// results.jsonl/results.csv (byte-identical for any jobs value).
-runner::CampaignSummary run_campaign(const runner::CampaignSpec& spec,
-                                     const runner::RunnerOptions& opt);
-// Same, loading the JSON spec from disk (the campaign CLI's entry point).
-runner::CampaignSummary run_campaign_file(const std::string& spec_path,
-                                          const runner::RunnerOptions& opt);
 
 }  // namespace oo::api

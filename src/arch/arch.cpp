@@ -1,8 +1,7 @@
 #include "arch/arch.h"
 
-#include <cassert>
-
 #include <queue>
+#include <stdexcept>
 
 #include "routing/ta_routing.h"
 #include "routing/to_routing.h"
@@ -24,15 +23,44 @@ namespace {
 // one slice outlives any simulation horizon.
 constexpr SimTime kStaticSlice = SimTime::seconds(3600);
 
-optics::Schedule compile(int tors, int uplinks, SliceId period, SimTime slice,
+// The presets validate with exceptions, not asserts: release builds define
+// NDEBUG, and a bad shape must fail when it is built, never mid-run.
+[[noreturn]] void reject(const std::string& preset, const std::string& what) {
+  throw std::invalid_argument("arch " + preset + ": " + what);
+}
+
+optics::Schedule compile(const std::string& preset, int tors, int uplinks,
+                         SliceId period, SimTime slice,
                          const std::vector<optics::Circuit>& circuits) {
   optics::Schedule sched(tors, uplinks, period, slice);
   for (const auto& c : circuits) {
-    const bool ok = sched.add_circuit(c);
-    assert(ok && "architecture preset produced an infeasible circuit");
-    (void)ok;
+    if (!sched.add_circuit(c)) {
+      reject(preset, "infeasible circuit " + std::to_string(c.a) + ":" +
+                         std::to_string(c.a_port) + " <-> " +
+                         std::to_string(c.b) + ":" + std::to_string(c.b_port) +
+                         " in slice " + std::to_string(c.slice) +
+                         " for tors=" + std::to_string(tors) +
+                         " uplinks=" + std::to_string(uplinks));
+    }
   }
   return sched;
+}
+
+void check_even_tors(const std::string& preset, const Params& p) {
+  if (p.tors % 2 != 0) {
+    reject(preset, "tors must be even for a round-robin rotor schedule, got " +
+                       std::to_string(p.tors));
+  }
+}
+
+// The preset's base routing must install on the schedule it just built.
+void require_routing(const std::string& preset, const Instance& inst,
+                     const Params& p, bool ok) {
+  if (!ok) {
+    reject(preset, "base routing rejected for tors=" + std::to_string(p.tors) +
+                       " uplinks=" + std::to_string(p.uplinks) + ": " +
+                       inst.ctl->last_error());
+  }
 }
 
 Instance build(std::string name, NetworkConfig cfg, optics::Schedule sched,
@@ -71,7 +99,14 @@ bool connected(const optics::Schedule& sched) {
   return count == n;
 }
 
-NetworkConfig base_config(const Params& p) {
+NetworkConfig base_config(const std::string& preset, const Params& p) {
+  if (p.tors < 2) {
+    reject(preset, "tors must be >= 2, got " + std::to_string(p.tors));
+  }
+  if (p.hosts_per_tor < 1) {
+    reject(preset, "hosts_per_tor must be >= 1, got " +
+                       std::to_string(p.hosts_per_tor));
+  }
   NetworkConfig cfg;
   cfg.num_tors = p.tors;
   cfg.hosts_per_tor = p.hosts_per_tor;
@@ -90,7 +125,7 @@ NetworkConfig base_config(const Params& p) {
 }  // namespace
 
 Instance make_clos(const Params& p) {
-  NetworkConfig cfg = base_config(p);
+  NetworkConfig cfg = base_config("clos", p);
   cfg.calendar_mode = false;
   cfg.electrical_bw = p.electrical_bw;
   auto inst = build("clos", cfg,
@@ -99,14 +134,13 @@ Instance make_clos(const Params& p) {
   const bool ok = inst.ctl->deploy_routing(
       routing::electrical_default(p.tors), LookupMode::PerHop,
       MultipathMode::None);
-  assert(ok);
-  (void)ok;
+  require_routing("clos", inst, p, ok);
   inst.net->start();
   return inst;
 }
 
 Instance make_cthrough(const Params& p) {
-  NetworkConfig cfg = base_config(p);
+  NetworkConfig cfg = base_config("c-through", p);
   cfg.calendar_mode = false;
   // The parallel electrical network is rate-limited to 10 Gbps for
   // consistency with the original design (§6 Case I).
@@ -117,8 +151,7 @@ Instance make_cthrough(const Params& p) {
   const bool ok = inst.ctl->deploy_routing(
       routing::electrical_default(p.tors), LookupMode::PerHop,
       MultipathMode::None);
-  assert(ok);
-  (void)ok;
+  require_routing("c-through", inst, p, ok);
 
   // Host-side elephant steering over direct circuits (flow aging, §5.2).
   inst.steering = std::make_shared<services::HybridSteering>(
@@ -154,17 +187,16 @@ Instance make_cthrough(const Params& p) {
 
 Instance make_jupiter(const Params& p) {
   const int uplinks = std::max(3, p.uplinks);  // mesh connectivity
-  NetworkConfig cfg = base_config(p);
+  NetworkConfig cfg = base_config("jupiter", p);
   cfg.calendar_mode = false;
   auto mesh = topo::jupiter(topo::TrafficMatrix{}, p.tors, uplinks);
-  auto sched = compile(p.tors, uplinks, 1, kStaticSlice, mesh);
+  auto sched = compile("jupiter", p.tors, uplinks, 1, kStaticSlice, mesh);
   auto inst =
       build("jupiter", cfg, sched, optics::ocs_mems());
   const bool ok = inst.ctl->deploy_routing(routing::wcmp(sched),
                                            LookupMode::PerHop,
                                            MultipathMode::PerFlow);
-  assert(ok);
-  (void)ok;
+  require_routing("jupiter", inst, p, ok);
 
   // Gradual evolution: new WCMP routes overlay at higher priority before
   // the topology swap (make-before-break, Fig. 5b).
@@ -197,7 +229,7 @@ Instance make_jupiter(const Params& p) {
 }
 
 Instance make_mordia(const Params& p) {
-  NetworkConfig cfg = base_config(p);
+  NetworkConfig cfg = base_config("mordia", p);
   cfg.calendar_mode = true;
   cfg.congestion_response = core::CongestionResponse::Defer;
   const SliceId period = static_cast<SliceId>(p.tors - 1);
@@ -210,12 +242,11 @@ Instance make_mordia(const Params& p) {
     for (int j = 0; j < p.tors; ++j)
       if (i != j) uniform.at(i, j) = 1.0;
   auto circuits = topo::bvn(uniform, period);
-  auto sched = compile(p.tors, 1, period, p.slice, circuits);
+  auto sched = compile("mordia", p.tors, 1, period, p.slice, circuits);
   auto inst = build("mordia", mcfg, sched, optics::ocs_liquid_crystal());
-  bool ok = inst.ctl->deploy_routing(routing::direct_to(sched),
-                                     LookupMode::PerHop, MultipathMode::None);
-  assert(ok);
-  (void)ok;
+  const bool ok = inst.ctl->deploy_routing(
+      routing::direct_to(sched), LookupMode::PerHop, MultipathMode::None);
+  require_routing("mordia", inst, p, ok);
 
   auto* net = inst.net.get();
   auto* ctl = inst.ctl.get();
@@ -240,27 +271,32 @@ Instance make_mordia(const Params& p) {
 
 Instance make_rotornet(const Params& p, RotorRouting routing_kind,
                        bool hybrid_electrical) {
-  assert(p.tors % 2 == 0);
-  NetworkConfig cfg = base_config(p);
+  std::string name = "rotornet";
+  switch (routing_kind) {
+    case RotorRouting::Vlb: name += "-vlb"; break;
+    case RotorRouting::Direct: name += "-direct"; break;
+    case RotorRouting::Ucmp: name += "-ucmp"; break;
+    case RotorRouting::Hoho: name += "-hoho"; break;
+  }
+  if (hybrid_electrical) name += "-hybrid";
+  NetworkConfig cfg = base_config(name, p);
+  check_even_tors(name, p);
   cfg.calendar_mode = true;
   if (hybrid_electrical) cfg.electrical_bw = 10e9;
   const SliceId period = topo::round_robin_period(p.tors);
   auto circuits = topo::round_robin_1d(p.tors, p.uplinks);
-  auto sched = compile(p.tors, p.uplinks, period, p.slice, circuits);
+  auto sched = compile(name, p.tors, p.uplinks, period, p.slice, circuits);
 
-  std::string name = "rotornet";
   std::vector<core::Path> paths;
   LookupMode lookup = LookupMode::PerHop;
   MultipathMode mp = MultipathMode::None;
   switch (routing_kind) {
     case RotorRouting::Vlb:
-      name += "-vlb";
       paths = routing::vlb(sched);
       mp = MultipathMode::PerPacket;
       cfg.congestion_response = core::CongestionResponse::Drop;
       break;
     case RotorRouting::Direct:
-      name += "-direct";
       // Hybrid merges per-slice electrical alternatives into the optical
       // entries by TFT key below — that needs the expanded per-slice form.
       paths = hybrid_electrical ? routing::direct_to_expanded(sched)
@@ -268,20 +304,17 @@ Instance make_rotornet(const Params& p, RotorRouting routing_kind,
       cfg.congestion_response = core::CongestionResponse::Drop;
       break;
     case RotorRouting::Ucmp:
-      name += "-ucmp";
       paths = routing::ucmp(sched);
       lookup = LookupMode::SourceRouting;
       mp = MultipathMode::PerPacket;
       cfg.congestion_response = core::CongestionResponse::Defer;
       break;
     case RotorRouting::Hoho:
-      name += "-hoho";
       paths = routing::hoho(sched);
       cfg.congestion_response = core::CongestionResponse::Defer;
       break;
   }
   if (hybrid_electrical) {
-    name += "-hybrid";
     // Per-slice electrical alternatives merge into the optical entries as
     // bandwidth-weighted multipath (TDTCP-style hybrid).
     const double w_el = cfg.electrical_bw / p.bw;
@@ -302,17 +335,17 @@ Instance make_rotornet(const Params& p, RotorRouting routing_kind,
     mp = MultipathMode::PerPacket;
   }
 
-  auto inst = build(std::move(name), cfg, sched, optics::ocs_emulated());
+  auto inst = build(name, cfg, sched, optics::ocs_emulated());
   const bool ok = inst.ctl->deploy_routing(paths, lookup, mp);
-  assert(ok);
-  (void)ok;
+  require_routing(name, inst, p, ok);
   inst.net->start();
   return inst;
 }
 
 Instance make_opera(const Params& p, bool bulk) {
-  assert(p.tors % 2 == 0);
-  NetworkConfig cfg = base_config(p);
+  const std::string name = bulk ? "opera-bulk" : "opera";
+  NetworkConfig cfg = base_config(name, p);
+  check_even_tors(name, p);
   cfg.calendar_mode = true;
   // Mice plane: Opera trims payloads on congestion; bulk plane: packets
   // that miss their circuit defer to the next one (Opera's bulk traffic is
@@ -323,30 +356,27 @@ Instance make_opera(const Params& p, bool bulk) {
   const int uplinks = std::max(2, p.uplinks);
   const SliceId period = topo::round_robin_period(p.tors);
   auto circuits = topo::round_robin_1d(p.tors, uplinks);
-  auto sched = compile(p.tors, uplinks, period, p.slice, circuits);
-  auto inst =
-      build(bulk ? "opera-bulk" : "opera", cfg, sched, optics::ocs_emulated());
+  auto sched = compile(name, p.tors, uplinks, period, p.slice, circuits);
+  auto inst = build(name, cfg, sched, optics::ocs_emulated());
   const bool ok = inst.ctl->deploy_routing(
       bulk ? routing::direct_to(sched) : routing::opera(sched),
       LookupMode::PerHop, MultipathMode::None);
-  assert(ok);
-  (void)ok;
+  require_routing(name, inst, p, ok);
   inst.net->start();
   return inst;
 }
 
 Instance make_semi_oblivious(const Params& p) {
-  assert(p.tors % 2 == 0);
-  NetworkConfig cfg = base_config(p);
+  NetworkConfig cfg = base_config("semi-oblivious", p);
+  check_even_tors("semi-oblivious", p);
   cfg.calendar_mode = true;
   const SliceId period = topo::round_robin_period(p.tors);
   auto circuits = topo::round_robin_1d(p.tors, 1);
-  auto sched = compile(p.tors, 1, period, p.slice, circuits);
+  auto sched = compile("semi-oblivious", p.tors, 1, period, p.slice, circuits);
   auto inst = build("semi-oblivious", cfg, sched, optics::ocs_emulated());
-  bool ok = inst.ctl->deploy_routing(routing::vlb(sched), LookupMode::PerHop,
-                                     MultipathMode::PerPacket);
-  assert(ok);
-  (void)ok;
+  const bool ok = inst.ctl->deploy_routing(
+      routing::vlb(sched), LookupMode::PerHop, MultipathMode::PerPacket);
+  require_routing("semi-oblivious", inst, p, ok);
 
   // Every collection interval the optical schedule itself is re-skewed
   // toward the observed demand — a TA-style decision deploying a TO-style
@@ -371,12 +401,12 @@ Instance make_semi_oblivious(const Params& p) {
 }
 
 Instance make_shale(const Params& p, int dimension) {
-  NetworkConfig cfg = base_config(p);
+  NetworkConfig cfg = base_config("shale", p);
   cfg.calendar_mode = true;
   cfg.congestion_response = core::CongestionResponse::Defer;
   const SliceId period = topo::round_robin_period(p.tors, dimension);
   auto circuits = topo::round_robin_nd(p.tors, dimension);
-  auto sched = compile(p.tors, 1, period, p.slice, circuits);
+  auto sched = compile("shale", p.tors, 1, period, p.slice, circuits);
   auto inst = build("shale", cfg, sched, optics::ocs_emulated());
   // Dimension-ordered tours: one fabric hop per grid dimension suffices to
   // reach any coordinate; the time-expanded search finds the fastest
@@ -384,8 +414,7 @@ Instance make_shale(const Params& p, int dimension) {
   const bool ok = inst.ctl->deploy_routing(
       routing::hoho(sched, /*max_hops=*/2 * dimension), LookupMode::PerHop,
       MultipathMode::None);
-  assert(ok);
-  (void)ok;
+  require_routing("shale", inst, p, ok);
   inst.net->start();
   return inst;
 }

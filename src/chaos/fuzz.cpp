@@ -37,27 +37,27 @@ int weight(FaultKind k, const FuzzSpec& spec) {
     case FaultKind::ReconfigStall:
       return 4;
     case FaultKind::ControlDelay:
-      return spec.control_faults ? 5 : 0;
+      return 5;
     case FaultKind::ControlFail:
-      return spec.control_faults ? 4 : 0;
+      return 4;
     case FaultKind::ClockDriftRamp:
-      return spec.clock_faults ? 6 : 0;
+      return 6;
     case FaultKind::ClockStep:
-      return spec.clock_faults ? 5 : 0;
+      return 5;
     case FaultKind::SyncBeaconLoss:
-      return spec.clock_faults ? 4 : 0;
+      return 4;
     case FaultKind::SyncOutage:
-      return spec.clock_faults ? 2 : 0;
+      return 2;
     case FaultKind::SbMsgLoss:
-      return spec.control_faults ? 5 : 0;
+      return 5;
     case FaultKind::SbMsgDelay:
-      return spec.control_faults ? 4 : 0;
+      return 4;
     case FaultKind::SbMsgDup:
-      return spec.control_faults ? 3 : 0;
+      return 3;
     case FaultKind::TorInstallFail:
-      return spec.control_faults ? 3 : 0;
+      return 3;
     case FaultKind::ControllerCrash:
-      return spec.control_faults ? 3 : 0;
+      return 3;
     case FaultKind::LeaderKill:
       return quorum ? 4 : 0;
     case FaultKind::ReplicaPartition:
@@ -69,7 +69,7 @@ int weight(FaultKind k, const FuzzSpec& spec) {
     case FaultKind::GrayPortPair:
       return 5;
     case FaultKind::SilentInstallFail:
-      return spec.control_faults ? 3 : 0;
+      return 3;
     case FaultKind::TelemetrySkew:
       return 3;
   }

@@ -34,9 +34,6 @@ struct FuzzSpec {
   // Quorum replica count; < 2 removes the quorum fault kinds
   // (leader_kill / replica_partition / log_divergence) from the pool.
   int replicas = 1;
-  // Gate whole fault families (e.g. a clock-focused campaign).
-  bool clock_faults = true;
-  bool control_faults = true;
 };
 
 // Generate one plan. Deterministic in (seed, spec); different seeds give

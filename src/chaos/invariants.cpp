@@ -140,14 +140,8 @@ void InvariantMonitor::start(SimTime interval) {
   if (interval_ > SimTime::zero()) poll_round();
 }
 
-void InvariantMonitor::stop() {
-  started_ = false;
-  poll_.cancel();
-}
-
 void InvariantMonitor::poll_round() {
   check_now();
-  if (!started_) return;
   poll_ = net_.sim().schedule_in(interval_, [this] { poll_round(); },
                                  "chaos.poll");
 }

@@ -107,7 +107,6 @@ class InvariantMonitor : public sim::InvariantSink {
   // Arm the periodic poll (virtual time). Idempotent; interval <= 0 keeps
   // the monitor purely event-driven + drain-checked.
   void start(SimTime interval = SimTime::micros(100));
-  void stop();
 
   // Run every polled check right now.
   void check_now();

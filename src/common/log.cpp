@@ -1,44 +1,17 @@
 #include "common/log.h"
 
-#include <atomic>
 #include <cstdarg>
+#include <cstdio>
 
-namespace oo {
+namespace oo::detail {
 
-namespace {
-// Atomic so campaign worker threads can log while the main thread adjusts
-// verbosity; relaxed is enough — the level is advisory, not a fence.
-std::atomic<LogLevel> g_level{LogLevel::Warn};
-const char* level_name(LogLevel l) {
-  switch (l) {
-    case LogLevel::Debug: return "DEBUG";
-    case LogLevel::Info: return "INFO";
-    case LogLevel::Warn: return "WARN";
-    case LogLevel::Error: return "ERROR";
-    case LogLevel::Off: return "OFF";
-  }
-  return "?";
-}
-}  // namespace
-
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
-void set_log_level(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
-
-void log_line(LogLevel level, const char* tag, const std::string& msg) {
-  std::fprintf(stderr, "[%s] %s: %s\n", level_name(level), tag, msg.c_str());
-}
-
-namespace detail {
-std::string format_log(const char* fmt, ...) {
+void log_warning(const char* tag, const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);
   char buf[1024];
   std::vsnprintf(buf, sizeof buf, fmt, args);
   va_end(args);
-  return buf;
+  std::fprintf(stderr, "[WARN] %s: %s\n", tag, buf);
 }
-}  // namespace detail
 
-}  // namespace oo
+}  // namespace oo::detail

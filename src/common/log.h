@@ -1,47 +1,22 @@
-// Leveled stderr logger. Default level is Warn so benches stay quiet;
-// examples bump it to Info for narrative output.
+// Warn-once stderr logging, the simulator's only log output.
 #pragma once
 
 #include <atomic>
-#include <cstdio>
-#include <string>
 
-namespace oo {
-
-enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
-
-LogLevel log_level();
-void set_log_level(LogLevel level);
-
-void log_line(LogLevel level, const char* tag, const std::string& msg);
-
-namespace detail {
-std::string format_log(const char* fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-}  // namespace detail
-
-#define OO_LOG(level, tag, ...)                                   \
-  do {                                                            \
-    if (static_cast<int>(level) >= static_cast<int>(::oo::log_level())) \
-      ::oo::log_line(level, tag, ::oo::detail::format_log(__VA_ARGS__)); \
-  } while (0)
-
-#define OO_DEBUG(tag, ...) OO_LOG(::oo::LogLevel::Debug, tag, __VA_ARGS__)
-#define OO_INFO(tag, ...) OO_LOG(::oo::LogLevel::Info, tag, __VA_ARGS__)
-#define OO_WARN(tag, ...) OO_LOG(::oo::LogLevel::Warn, tag, __VA_ARGS__)
-#define OO_ERROR(tag, ...) OO_LOG(::oo::LogLevel::Error, tag, __VA_ARGS__)
+namespace oo::detail {
+// Prints "[WARN] tag: message" to stderr.
+void log_warning(const char* tag, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+}  // namespace oo::detail
 
 // Warn exactly once per call site: the first hit logs, later hits are
 // silent (the condition usually repeats thousands of times per run — the
-// repeat count belongs in a metric, not the log). The flag is per-process,
-// matching the logger itself; campaign workers and engine shard lanes
-// share one warning, which is the desired dedup (atomic exchange keeps the
-// first-hit race benign under TSan).
+// repeat count belongs in a metric, not the log). The flag is per-process;
+// campaign workers and engine shard lanes share one warning, which is the
+// desired dedup (atomic exchange keeps the first-hit race benign under TSan).
 #define OO_WARN_ONCE(tag, ...)                                        \
   do {                                                                \
     static std::atomic<bool> oo_warned_once_{false};                  \
     if (!oo_warned_once_.exchange(true, std::memory_order_relaxed))   \
-      OO_WARN(tag, __VA_ARGS__);                                      \
+      ::oo::detail::log_warning(tag, __VA_ARGS__);                    \
   } while (0)
-
-}  // namespace oo

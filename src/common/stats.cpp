@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace oo {
@@ -60,37 +59,6 @@ std::vector<std::pair<double, double>> PercentileSampler::cdf(
     const double q =
         static_cast<double>(i) / static_cast<double>(points - 1) * 100.0;
     out.emplace_back(percentile(q), q / 100.0);
-  }
-  return out;
-}
-
-Histogram::Histogram(double lo, double hi, int bins)
-    : lo_(lo),
-      width_((hi - lo) / bins),
-      counts_(static_cast<std::size_t>(bins), 0) {
-  assert(bins > 0 && hi > lo);
-}
-
-void Histogram::add(double x) {
-  auto idx = static_cast<std::int64_t>((x - lo_) / width_);
-  idx = std::clamp<std::int64_t>(idx, 0,
-                                 static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::string Histogram::ascii(int max_width) const {
-  std::string out;
-  std::int64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    char head[64];
-    std::snprintf(head, sizeof head, "%10.3g | ",
-                  lo_ + width_ * static_cast<double>(i));
-    out += head;
-    const auto w = static_cast<int>(counts_[i] * max_width / peak);
-    out.append(static_cast<std::size_t>(w), '#');
-    out += '\n';
   }
   return out;
 }

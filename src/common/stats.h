@@ -1,9 +1,9 @@
-// Streaming statistics used by benches and telemetry: running moments,
-// exact-percentile samplers, and fixed-bin histograms / CDFs.
+// Streaming statistics used by benches and telemetry: running moments and
+// exact-percentile samplers with their CDFs.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace oo {
@@ -50,23 +50,6 @@ class PercentileSampler {
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
   void ensure_sorted() const;
-};
-
-// Fixed-width histogram over [lo, hi); out-of-range clamps to edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int bins);
-  void add(double x);
-  std::int64_t total() const { return total_; }
-  int bins() const { return static_cast<int>(counts_.size()); }
-  std::int64_t bin_count(int i) const { return counts_[static_cast<size_t>(i)]; }
-  double bin_lo(int i) const { return lo_ + width_ * i; }
-  std::string ascii(int max_width = 40) const;
-
- private:
-  double lo_, width_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t total_ = 0;
 };
 
 }  // namespace oo

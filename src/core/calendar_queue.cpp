@@ -21,12 +21,6 @@ CalendarQueuePort::CalendarQueuePort(int num_queues,
   }
 }
 
-const net::FifoQueue& CalendarQueuePort::queue_at_rank(int rank) const {
-  const int k = num_queues();
-  assert(rank >= 0 && rank < k);
-  return queues_[static_cast<std::size_t>((active_ + rank) % k)];
-}
-
 net::FifoQueue& CalendarQueuePort::queue_at_rank(int rank) {
   const int k = num_queues();
   assert(rank >= 0 && rank < k);

@@ -34,7 +34,6 @@ class CalendarQueuePort {
   int active_index() const { return active_; }
 
   // Queue that will be active `rank` rotations from now (rank 0 = active).
-  const net::FifoQueue& queue_at_rank(int rank) const;
   net::FifoQueue& queue_at_rank(int rank);
   net::FifoQueue& active_queue() { return queue_at_rank(0); }
 

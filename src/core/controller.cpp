@@ -5,7 +5,6 @@
 #include <map>
 #include <tuple>
 
-#include "common/log.h"
 #include "core/quorum.h"
 
 namespace oo::core {
@@ -374,7 +373,6 @@ bool Controller::begin_txn(std::unique_ptr<Txn> txn) {
   txn->issued_at = sim.now();
   txn->acked.assign(agents_.size(), 0);
   txn->commit_acked.assign(agents_.size(), 0);
-  if (txn->has_topo) txn->topo.set_epoch(txn->epoch);
   if (txn->has_routing) {
     for (auto& node_entries : txn->entries) {
       for (auto& e : node_entries) e.epoch = txn->epoch;
@@ -939,12 +937,6 @@ bool Controller::add(const TftEntry& entry, NodeId node) {
 void Controller::clear_routing() {
   for (NodeId n = 0; n < net_.num_tors(); ++n) {
     net_.tor(n).tft().clear();
-  }
-}
-
-void Controller::clear_priority(int priority) {
-  for (NodeId n = 0; n < net_.num_tors(); ++n) {
-    net_.tor(n).tft().remove_priority(priority);
   }
 }
 

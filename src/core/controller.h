@@ -103,9 +103,6 @@ class Controller {
 
   // Drops all routing state on every node (used before re-deploys in tests).
   void clear_routing();
-  // Removes every time-flow entry installed at exactly `priority` on every
-  // node — clears a superseded routing overlay.
-  void clear_priority(int priority);
 
   // Control-plane fault injection (the SDN-controller robustness dimension):
   // while `deploy_fail` is set every deploy_* is rejected with last_error()

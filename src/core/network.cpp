@@ -3,18 +3,15 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/log.h"
-
 namespace oo::core {
 
 // ---------------------------------------------------------------------------
 // Host
 
-Host::Host(Network& net, HostId id, NodeId tor, int local_index)
+Host::Host(Network& net, HostId id, NodeId tor)
     : net_(net),
       id_(id),
       tor_(tor),
-      local_index_(local_index),
       rng_(net.fork_rng()) {
   dsts_.reserve(static_cast<std::size_t>(net_.num_tors()));
   for (int i = 0; i < net_.num_tors(); ++i) {
@@ -75,7 +72,6 @@ bool Host::send(Packet&& p) {
                        !st.segq.empty();
   if (blocked) {
     if (!st.segq.enqueue(std::move(p))) {
-      st.segq.note_drop();
       st.sender_blocked = true;
       if (auto* tr = net_.sim().recorder()) {
         tr->drop(net_.sim().now(), telemetry::DropReason::HostSegq, tor_, -1,
@@ -437,7 +433,6 @@ void TorSwitch::enqueue_optical(Packet&& p, PortId port, SliceId dep,
     const std::int64_t pbytes = p.size_bytes;
     if (!u.fifo.enqueue(std::move(p))) {
       drops_congestion_->inc();
-      u.fifo.note_drop();
       if (auto* tr = net_.sim().recorder()) {
         tr->drop(net_.sim().now(), telemetry::DropReason::Congestion, id_,
                  port, pid, pbytes);
@@ -933,7 +928,7 @@ Network::Network(NetworkConfig cfg, optics::Schedule schedule,
     auto* tor = tors_[static_cast<std::size_t>(n)].get();
     for (int i = 0; i < cfg_.hosts_per_tor; ++i) {
       const HostId h = host_id(n, i);
-      hosts_.push_back(std::make_unique<Host>(*this, h, n, i));
+      hosts_.push_back(std::make_unique<Host>(*this, h, n));
       auto* host = hosts_.back().get();
       host->up_link_ = std::make_unique<net::Link>(
           sim_, cfg_.host_bw, cfg_.host_link_delay,

@@ -126,11 +126,10 @@ class Host {
   // Called when a paused/backpressured destination drains below capacity.
   using UnblockFn = std::function<void(NodeId dst)>;
 
-  Host(Network& net, HostId id, NodeId tor, int local_index);
+  Host(Network& net, HostId id, NodeId tor);
 
   HostId id() const { return id_; }
   NodeId tor() const { return tor_; }
-  int local_index() const { return local_index_; }
 
   // Transport attach points.
   void bind_flow(FlowId flow, ReceiveFn sink);
@@ -202,7 +201,6 @@ class Host {
   Network& net_;
   HostId id_;
   NodeId tor_;
-  int local_index_;
   std::unique_ptr<net::Link> up_link_;  // host -> ToR, wired by Network
   std::vector<DstState> dsts_;
   std::unordered_map<FlowId, ReceiveFn> flows_;
@@ -394,8 +392,8 @@ class Network {
   // Partition the per-ToR event streams into lanes (lane id == ToR id) and
   // install a ShardedEngine with `workers` threads of execution (worker 0
   // is the coordinating thread). Called by the constructor when
-  // cfg.shards > 0; may also be called explicitly (api::Net::set_shards)
-  // any time before start(). No-op for workers <= 0 or if already sharded.
+  // cfg.shards > 0, before start(). No-op for workers <= 0 or if already
+  // sharded.
   void enable_sharding(int workers);
   bool sharded() const { return sim_.sharded(); }
   parallel::ShardedEngine* sharded_engine() { return engine_.get(); }

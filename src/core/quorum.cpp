@@ -497,10 +497,4 @@ void ControllerQuorum::force_log(int r, std::vector<LogRec> log) {
       std::min(rep.commit_index, static_cast<std::int64_t>(rep.log.size()) - 1);
 }
 
-void ControllerQuorum::on_ctl_restart() {
-  // Only a replica that still leads may push resync state southbound; a
-  // replica restarting mid-election waits for the winner's takeover.
-  if (ctl_is_leader()) ctl_.quorum_takeover(term());
-}
-
 }  // namespace oo::core

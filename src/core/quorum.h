@@ -141,12 +141,6 @@ class ControllerQuorum {
   // restart resync).
   void force_log(int r, std::vector<LogRec> log);
 
-  // Called by Controller::restart() when the engine's process comes back
-  // while the quorum is live: resync under the current term if the acting
-  // replica still leads; otherwise do nothing — the elected leader's
-  // takeover owns the resync.
-  void on_ctl_restart();
-
   // ---- telemetry (registry cells, registered at construction) ----
   std::int64_t elections() const;
   std::int64_t failovers() const;

@@ -56,38 +56,18 @@ Rng& SouthboundChannel::rng() {
 }
 
 void SouthboundChannel::set_num_replicas(int n) {
-  per_replica_.resize(static_cast<std::size_t>(std::max(n, 0)));
+  per_replica_loss_.resize(static_cast<std::size_t>(std::max(n, 0)));
 }
 
-SouthboundChannel::Override& SouthboundChannel::replica_slot(int replica) {
-  if (static_cast<std::size_t>(replica) >= per_replica_.size()) {
-    per_replica_.resize(static_cast<std::size_t>(replica) + 1);
+double& SouthboundChannel::replica_loss(int replica) {
+  if (static_cast<std::size_t>(replica) >= per_replica_loss_.size()) {
+    per_replica_loss_.resize(static_cast<std::size_t>(replica) + 1);
   }
-  return per_replica_[static_cast<std::size_t>(replica)];
+  return per_replica_loss_[static_cast<std::size_t>(replica)];
 }
 
 void SouthboundChannel::set_replica_loss(int replica, double prob) {
-  Override& o = replica_slot(replica);
-  const bool had = o.any();
-  o.loss = std::clamp(prob, 0.0, 1.0);
-  if (had && !o.any()) --rep_overrides_active_;
-  if (!had && o.any()) ++rep_overrides_active_;
-}
-
-void SouthboundChannel::set_replica_delay(int replica, SimTime extra) {
-  Override& o = replica_slot(replica);
-  const bool had = o.any();
-  o.delay = extra < SimTime::zero() ? SimTime::zero() : extra;
-  if (had && !o.any()) --rep_overrides_active_;
-  if (!had && o.any()) ++rep_overrides_active_;
-}
-
-void SouthboundChannel::set_replica_dup(int replica, double prob) {
-  Override& o = replica_slot(replica);
-  const bool had = o.any();
-  o.dup = std::clamp(prob, 0.0, 1.0);
-  if (had && !o.any()) --rep_overrides_active_;
-  if (!had && o.any()) ++rep_overrides_active_;
+  replica_loss(replica) = std::clamp(prob, 0.0, 1.0);
 }
 
 Rng& SouthboundChannel::replica_rng() {
@@ -101,10 +81,9 @@ Rng& SouthboundChannel::replica_rng() {
 int SouthboundChannel::send_replica(int to, std::function<void()> deliver,
                                     const char* tag) {
   ++rep_sent_;
-  const Override& o = replica_slot(to);
-  const double loss = std::max(cfg_.loss_prob, o.loss);
-  const double dup = std::max(cfg_.dup_prob, o.dup);
-  const SimTime delay = cfg_.latency + o.delay;
+  const double loss = std::max(cfg_.loss_prob, replica_loss(to));
+  const double dup = cfg_.dup_prob;
+  const SimTime delay = cfg_.latency;
   if (loss <= 0.0 && dup <= 0.0 && delay == SimTime::zero()) {
     deliver();
     return 1;
@@ -114,10 +93,7 @@ int SouthboundChannel::send_replica(int to, std::function<void()> deliver,
     return 0;
   }
   int copies = 1;
-  if (dup > 0.0 && replica_rng().uniform01() < dup) {
-    copies = 2;
-    ++rep_duped_;
-  }
+  if (dup > 0.0 && replica_rng().uniform01() < dup) copies = 2;
   auto& sim = net_.sim();
   for (int i = 0; i < copies; ++i) {
     const SimTime d = delay + (i > 0 ? cfg_.dup_extra : SimTime::zero());

@@ -61,14 +61,12 @@ class SouthboundChannel {
   int send(NodeId node, std::function<void()> deliver, const char* tag);
 
   // ---- replica <-> replica leg (controller quorum) ----
-  // Sizes the per-replica override table. Replica links share the base
-  // config (latency/loss/dup) with the ToR leg but have their own override
-  // slots and their own rng stream, so attaching a quorum never perturbs
-  // the ToR leg's draws.
+  // Sizes the per-replica loss table. Replica links share the base config
+  // (latency/loss/dup) with the ToR leg but have their own loss override
+  // and their own rng stream, so attaching a quorum never perturbs the ToR
+  // leg's draws.
   void set_num_replicas(int n);
   void set_replica_loss(int replica, double prob);
-  void set_replica_delay(int replica, SimTime extra);
-  void set_replica_dup(int replica, double prob);
   // Sends one message on the (replica <-> replica) mesh toward `to`.
   // Semantics mirror send(): returns copies scheduled, inline when ideal.
   int send_replica(int to, std::function<void()> deliver, const char* tag);
@@ -90,7 +88,7 @@ class SouthboundChannel {
   };
 
   Override& slot(NodeId node);
-  Override& replica_slot(int replica);
+  double& replica_loss(int replica);
   void note_override_change(bool had, bool has);
   Rng& rng();
   Rng& replica_rng();
@@ -105,14 +103,12 @@ class SouthboundChannel {
   std::int64_t sent_ = 0;
   std::int64_t lost_ = 0;
   std::int64_t duped_ = 0;
-  // Replica mesh state: separate override table, activity count, and rng so
-  // the ToR leg's behavior (and stream) is independent of the quorum's.
-  int rep_overrides_active_ = 0;
-  std::vector<Override> per_replica_;
+  // Replica mesh state: separate loss table and rng so the ToR leg's
+  // behavior (and stream) is independent of the quorum's.
+  std::vector<double> per_replica_loss_;
   std::unique_ptr<Rng> rep_rng_;
   std::int64_t rep_sent_ = 0;
   std::int64_t rep_lost_ = 0;
-  std::int64_t rep_duped_ = 0;
 };
 
 }  // namespace oo::core

@@ -33,15 +33,12 @@ class FifoQueue {
 
   // Running peak occupancy (buffer telemetry).
   std::int64_t peak_bytes() const { return peak_bytes_; }
-  std::int64_t drops() const { return drops_; }
-  void note_drop() { ++drops_; }
 
  private:
   std::deque<Packet> pkts_;
   std::int64_t capacity_;
   std::int64_t bytes_ = 0;
   std::int64_t peak_bytes_ = 0;
-  std::int64_t drops_ = 0;
   bool paused_ = false;
 };
 

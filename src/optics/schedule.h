@@ -42,12 +42,6 @@ class Schedule {
 
   int num_nodes() const { return num_nodes_; }
   int uplinks() const { return uplinks_; }
-  // Deployment epoch stamped by the controller's transactional deploy: every
-  // committed fabric swap carries a strictly increasing epoch, so stale
-  // installs can be fenced and mixed-epoch exposure measured. 0 = never
-  // deployed through a transaction (construction-time schedule).
-  std::uint64_t epoch() const { return epoch_; }
-  void set_epoch(std::uint64_t e) { epoch_ = e; }
   SliceId period() const { return period_; }
   SimTime slice_duration() const { return slice_duration_; }
   SimTime cycle_duration() const { return slice_duration_ * period_; }
@@ -105,7 +99,6 @@ class Schedule {
   int uplinks_;
   SliceId period_;
   SimTime slice_duration_;
-  std::uint64_t epoch_ = 0;
   std::vector<Circuit> circuits_;
   // Dense lookup: node x port x slice -> peer endpoint.
   std::vector<Endpoint> table_;

@@ -43,10 +43,6 @@ void ShardedEngine::enable_worker_recorders(std::size_t capacity) {
   }
 }
 
-void ShardedEngine::add_barrier_check(std::string name, BarrierCheck fn) {
-  barrier_checks_.emplace_back(std::move(name), std::move(fn));
-}
-
 void ShardedEngine::report(const char* invariant, std::string detail) {
   if (violation_handler_) {
     violation_handler_(invariant, detail);
@@ -128,10 +124,6 @@ void ShardedEngine::barrier(SimTime advance_to, SimTime next_start) {
     }
   } else {
     sim_.take_lane_past_schedules();
-  }
-  for (const auto& [name, fn] : barrier_checks_) {
-    std::string detail = fn();
-    if (!detail.empty()) report(name.c_str(), std::move(detail));
   }
 }
 

@@ -86,10 +86,6 @@ class ShardedEngine : public sim::ParallelRunner {
   void set_violation_handler(ViolationHandler h) {
     violation_handler_ = std::move(h);
   }
-  // Custom barrier check: returns "" while the invariant holds, a detail
-  // string once it breaks. Runs serially at every window barrier.
-  using BarrierCheck = std::function<std::string()>;
-  void add_barrier_check(std::string name, BarrierCheck fn);
 
   struct Stats {
     std::int64_t windows = 0;          // barrier cycles completed
@@ -116,7 +112,6 @@ class ShardedEngine : public sim::ParallelRunner {
 
   std::vector<std::unique_ptr<telemetry::FlightRecorder>> worker_recorders_;
   ViolationHandler violation_handler_;
-  std::vector<std::pair<std::string, BarrierCheck>> barrier_checks_;
   Stats stats_;
 
   // Worker pool (only when num_workers_ > 1). The generation counter is the

@@ -98,22 +98,6 @@ std::vector<Path> wcmp(const optics::Schedule& sched) {
   return multipath_shortest(sched, /*one_port_per_neighbor=*/false);
 }
 
-std::vector<Path> direct_ta(const optics::Schedule& sched) {
-  std::vector<Path> out;
-  const int n = sched.num_nodes();
-  for (NodeId m = 0; m < n; ++m) {
-    for (const auto& [v, port] : sched.neighbors(m, 0)) {
-      Path p;
-      p.src = kInvalidNode;
-      p.dst = v;
-      p.start_slice = kAnySlice;
-      p.hops.push_back(PathHop{m, port, kAnySlice});
-      out.push_back(std::move(p));
-    }
-  }
-  return out;
-}
-
 std::vector<Path> electrical_default(int num_nodes) {
   std::vector<Path> out;
   for (NodeId m = 0; m < num_nodes; ++m) {

@@ -4,7 +4,6 @@
 //   ecmp  — equal split across shortest-path next-hop neighbors;
 //   wcmp  — split across every parallel circuit (capacity-weighted);
 //   ksp   — Yen's k-shortest paths, source-routed;
-//   direct_ta — only direct circuits (per-pair), for hybrid elephants;
 //   electrical_default — one-hop default route over the electrical fabric.
 #pragma once
 
@@ -19,9 +18,6 @@ namespace oo::routing {
 std::vector<core::Path> ecmp(const optics::Schedule& sched);
 std::vector<core::Path> wcmp(const optics::Schedule& sched);
 std::vector<core::Path> ksp(const optics::Schedule& sched, int k);
-
-// Single-hop paths for every pair with a static direct circuit.
-std::vector<core::Path> direct_ta(const optics::Schedule& sched);
 
 // Default route via the parallel electrical fabric for every (node, dst).
 std::vector<core::Path> electrical_default(int num_nodes);

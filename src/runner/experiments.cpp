@@ -78,8 +78,7 @@ json::Object run_fct(RunContext& ctx) {
   workload::KvWorkload kv(
       *inst.net, 0, clients,
       SimTime::nanos(static_cast<std::int64_t>(
-          ctx.param_double("kv_interval_ms", 2.0) * 1e6)),
-      ctx.param_int("op_bytes", 4200));
+          ctx.param_double("kv_interval_ms", 2.0) * 1e6)));
   kv.start();
   inst.run_for(SimTime::millis(ctx.param_int("duration_ms", 250)));
   kv.stop();
@@ -217,13 +216,9 @@ json::Object run_gray_detection(RunContext& ctx) {
   auto* ctl = inst.ctl.get();
 
   using services::HealthScanner;
-  HealthScanner::Config hc;
-  hc.min_anomalous_audits = static_cast<int>(
-      ctx.param_int("min_anomalous_audits", hc.min_anomalous_audits));
-  hc.suspect_score = ctx.param_double("suspect_score", hc.suspect_score);
-  hc.readmit_clean_rounds = static_cast<int>(
-      ctx.param_int("readmit_clean_rounds", hc.readmit_clean_rounds));
-  HealthScanner scanner(*net, hc);
+  HealthScanner scanner(
+      *net, ctx.param_double("suspect_score",
+                             HealthScanner::kDefaultSuspectScore));
   scanner.set_controller(ctl);
   if (inst.steering) {
     auto steering = inst.steering;
@@ -265,12 +260,11 @@ json::Object run_gray_detection(RunContext& ctx) {
   });
   scanner.start();
 
-  // All-to-all background traffic, heavy enough that every circuit clears
-  // the audit's min-bytes evidence bar each slice — single-destination
-  // patterns would make a dying port indistinguishable from one bad pair.
-  const SimTime send_every = SimTime::nanos(static_cast<std::int64_t>(
-      ctx.param_double("send_interval_us", 10.0) * 1e3));
-  net->sim().schedule_every(5_us, send_every, [net]() {
+  // All-to-all background traffic every 10 us, heavy enough that every
+  // circuit clears the audit's min-bytes evidence bar each slice —
+  // single-destination patterns would make a dying port indistinguishable
+  // from one bad pair.
+  net->sim().schedule_every(5_us, 10_us, [net]() {
     for (HostId src = 0; src < net->num_hosts(); ++src) {
       for (HostId dst = 0; dst < net->num_hosts(); ++dst) {
         if (dst == src) continue;
@@ -283,12 +277,11 @@ json::Object run_gray_detection(RunContext& ctx) {
       }
     }
   });
-  // Periodic identity redeploys give the claim-vs-behavior check a live ack
-  // trail to audit (a silent installer is only caught while installs flow).
+  // Identity redeploys every 2 ms give the claim-vs-behavior check a live
+  // ack trail to audit (a silent installer is only caught while installs
+  // flow).
   net->sim().schedule_every(
-      SimTime::millis(1),
-      SimTime::nanos(static_cast<std::int64_t>(
-          ctx.param_double("deploy_interval_us", 2000.0) * 1e3)),
+      SimTime::millis(1), SimTime::millis(2),
       [net, ctl]() {
         (void)ctl->deploy_update(net->schedule(),
                                  routing::direct_to(net->schedule()),
@@ -644,8 +637,7 @@ std::int64_t chaos_run_once(RunContext& ctx,
   transport::FluidSolver fluid(*net);
   monitor.attach_fluid(&fluid);
 
-  monitor.start(SimTime::nanos(static_cast<std::int64_t>(
-      ctx.param_double("poll_us", 50.0) * 1e3)));
+  monitor.start(SimTime::micros(50));
 
   if (plant_bug) {
     bool has_step = false, has_fail = false;

@@ -2,9 +2,25 @@
 
 #include <algorithm>
 
-#include "common/log.h"
-
 namespace oo::services {
+
+namespace {
+// Routing overlays install at this fixed priority, above the architecture's
+// base routes; each recovery clears the previous overlay before installing
+// the next, so priorities never stack.
+constexpr int kOverlayPriority = 1;
+// Exponential-backoff retry policy for failed deploys.
+constexpr SimTime kInitialBackoff = SimTime::micros(100);
+constexpr SimTime kBackoffCap = SimTime::millis(10);
+}  // namespace
+
+FailureRecovery::FailureRecovery(core::Network& net, core::Controller& ctl,
+                                 RerouteFn reroute, SimTime scrub)
+    : net_(net),
+      ctl_(ctl),
+      reroute_(std::move(reroute)),
+      scrub_(scrub),
+      backoff_(kInitialBackoff) {}
 
 void FailureRecovery::start() {
   if (started_) return;
@@ -14,8 +30,9 @@ void FailureRecovery::start() {
   seen_drops_ = net_.optical().drops_failed();
 
   // LOS subscription. The fabric keeps its listener for the network's
-  // lifetime; the shared flag lets stop() mute it without unhooking.
-  alive_ = std::make_shared<bool>(true);
+  // lifetime; the shared flag lets stop() mute it without unhooking. A
+  // flag muted by an earlier stop() stays muted for what captured it.
+  if (!*alive_) alive_ = std::make_shared<bool>(true);
   auto alive = alive_;
   net_.optical().on_port_down(
       [this, alive](NodeId n, PortId p, SimTime at) {
@@ -44,7 +61,7 @@ void FailureRecovery::start() {
 void FailureRecovery::stop() {
   if (!started_) return;
   started_ = false;
-  if (alive_) *alive_ = false;
+  *alive_ = false;
   scrub_handle_.cancel();
   retry_handle_.cancel();
 }
@@ -119,14 +136,16 @@ bool FailureRecovery::recover_now() {
   // epoch — all-or-nothing on every ToR, so no packet ever routes in the
   // gap and a lossy southbound can't leave the fabric half-recovered. On
   // an ideal channel the whole transaction (and this callback) completes
-  // synchronously inside this call; under southbound chaos it resolves
-  // later and a failed commit re-arms the retry backoff.
+  // synchronously inside this call; on a modeled southbound it resolves
+  // later — possibly after this recovery is gone, hence the flag — and a
+  // failed commit re-arms the retry backoff.
   const bool issued = ctl_.deploy_update(
       healthy, paths, core::LookupMode::PerHop, core::MultipathMode::None,
-      overlay_priority_, overlay_priority_, SimTime::zero(),
-      [this](bool committed) {
+      kOverlayPriority, kOverlayPriority, SimTime::zero(),
+      [this, alive = alive_](bool committed) {
+        if (!*alive) return;
         if (committed) {
-          backoff_ = initial_backoff_;
+          backoff_ = kInitialBackoff;
           ++recoveries_;
           net_.sim().metrics().counter("recovery.recoveries").inc();
           close_incidents(net_.sim().now());
@@ -156,7 +175,7 @@ void FailureRecovery::schedule_retry() {
         if (*alive) recover_now();
       },
       "recovery.retry");
-  backoff_ = std::min(backoff_ + backoff_, backoff_cap_);
+  backoff_ = std::min(backoff_ + backoff_, kBackoffCap);
 }
 
 void FailureRecovery::close_incidents(SimTime end) {

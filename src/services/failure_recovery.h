@@ -43,37 +43,20 @@ class FailureRecovery {
   // the seed's legacy detector) kept as a safety net behind the LOS
   // subscription; SimTime::zero() disables it.
   FailureRecovery(core::Network& net, core::Controller& ctl,
-                  RerouteFn reroute, SimTime scrub = SimTime::millis(1))
-      : net_(net), ctl_(ctl), reroute_(std::move(reroute)), scrub_(scrub) {}
-  ~FailureRecovery() {
-    if (alive_) *alive_ = false;
-  }
+                  RerouteFn reroute, SimTime scrub = SimTime::millis(1));
+  ~FailureRecovery() { *alive_ = false; }
   FailureRecovery(const FailureRecovery&) = delete;
   FailureRecovery& operator=(const FailureRecovery&) = delete;
 
   // Subscribe to the fabric's LOS alarms (and start the optional scrub).
-  // Captures the current schedule as the baseline that repairs re-admit to.
+  // The first start() captures the current schedule as the baseline, the
+  // full intended schedule that recovery prunes from and repairs re-admit
+  // to.
   void start();
-  // Cancel the scrub timer, pending backoff retries, and the subscription.
+  // Cancel the scrub timer, pending backoff retries, the subscription and
+  // the callbacks of deploys still in flight.
   void stop();
   bool running() const { return started_; }
-
-  // The full intended schedule that recovery prunes from / re-admits to.
-  // start() captures the live schedule; TA architectures that redeploy
-  // topologies should refresh it here.
-  void set_baseline(optics::Schedule s) { baseline_ = std::move(s); }
-
-  // Routing overlays install at this fixed priority; each recovery clears
-  // the previous overlay before installing the next, so priorities no
-  // longer stack unboundedly. Must be above the architecture's base routes.
-  void set_overlay_priority(int p) { overlay_priority_ = p; }
-
-  // Exponential-backoff retry policy for failed deploys.
-  void set_backoff(SimTime initial, SimTime cap) {
-    initial_backoff_ = initial;
-    backoff_cap_ = cap;
-    backoff_ = initial;
-  }
 
   void set_degraded_hook(DegradedFn fn) { degraded_hook_ = std::move(fn); }
 
@@ -120,7 +103,9 @@ class FailureRecovery {
   RerouteFn reroute_;
   SimTime scrub_;
   optics::Schedule baseline_;
-  std::shared_ptr<bool> alive_;  // gates the LOS listeners and retries
+  // Gates the LOS listeners, retries and deploy callbacks; false once the
+  // recovery is stopped or destroyed.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   sim::ScopedEventHandle scrub_handle_;
   // Plain handle: an aborted commit can arm a retry while an earlier one
   // is still pending, and both stay live.
@@ -131,14 +116,11 @@ class FailureRecovery {
   int retries_ = 0;
   std::int64_t port_downs_ = 0;
   std::int64_t port_ups_ = 0;
-  int overlay_priority_ = 1;
   int failed_count_ = 0;
   SimTime degraded_since_ = SimTime::zero();
   SimTime degraded_ns_ = SimTime::zero();
   SimTime started_at_ = SimTime::zero();
-  SimTime initial_backoff_ = SimTime::micros(100);
-  SimTime backoff_cap_ = SimTime::millis(10);
-  SimTime backoff_ = SimTime::micros(100);
+  SimTime backoff_;
   PercentileSampler detect_latency_us_;
   PercentileSampler mttr_us_;
   DegradedFn degraded_hook_;

@@ -155,12 +155,6 @@ void validate_fault_event(const FaultEvent& ev, std::size_t index) {
   }
 }
 
-void validate_fault_events(const std::vector<FaultEvent>& events) {
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    validate_fault_event(events[i], i);
-  }
-}
-
 FaultPlan& FaultPlan::add(FaultEvent ev) {
   // Eager validation: a malformed parameter fails at plan-build time with
   // the event's index, never as silent mid-run misbehavior.
@@ -203,14 +197,6 @@ FaultPlan& FaultPlan::stall_reconfig(SimTime at, SimTime extra) {
   return add({.at = at, .kind = FaultKind::ReconfigStall, .extra = extra});
 }
 
-FaultPlan& FaultPlan::delay_control(SimTime at, SimTime delay,
-                                    SimTime duration) {
-  return add({.at = at,
-              .kind = FaultKind::ControlDelay,
-              .duration = duration,
-              .extra = delay});
-}
-
 FaultPlan& FaultPlan::fail_control(SimTime at, SimTime duration) {
   return add({.at = at, .kind = FaultKind::ControlFail,
               .duration = duration});
@@ -225,19 +211,9 @@ FaultPlan& FaultPlan::drift_clock(SimTime at, NodeId node, double ppm,
               .ppm = ppm});
 }
 
-FaultPlan& FaultPlan::step_clock(SimTime at, NodeId node, SimTime delta) {
-  return add({.at = at, .kind = FaultKind::ClockStep, .node = node,
-              .extra = delta});
-}
-
 FaultPlan& FaultPlan::lose_beacons(SimTime at, NodeId node,
                                    SimTime duration) {
   return add({.at = at, .kind = FaultKind::SyncBeaconLoss, .node = node,
-              .duration = duration});
-}
-
-FaultPlan& FaultPlan::sync_outage(SimTime at, SimTime duration) {
-  return add({.at = at, .kind = FaultKind::SyncOutage,
               .duration = duration});
 }
 
@@ -247,22 +223,10 @@ FaultPlan& FaultPlan::lose_sb_msgs(SimTime at, NodeId node, double prob,
               .duration = duration, .ber = prob});
 }
 
-FaultPlan& FaultPlan::delay_sb_msgs(SimTime at, NodeId node, SimTime extra,
-                                    SimTime duration) {
-  return add({.at = at, .kind = FaultKind::SbMsgDelay, .node = node,
-              .duration = duration, .extra = extra});
-}
-
 FaultPlan& FaultPlan::dup_sb_msgs(SimTime at, NodeId node, double prob,
                                   SimTime duration) {
   return add({.at = at, .kind = FaultKind::SbMsgDup, .node = node,
               .duration = duration, .ber = prob});
-}
-
-FaultPlan& FaultPlan::fail_tor_install(SimTime at, NodeId node,
-                                       SimTime duration) {
-  return add({.at = at, .kind = FaultKind::TorInstallFail, .node = node,
-              .duration = duration});
 }
 
 FaultPlan& FaultPlan::crash_controller(SimTime at, SimTime duration) {
@@ -441,14 +405,8 @@ void FaultPlan::arm() {
   auto& sim = net_.sim();
   for (const auto& ev : events_) {
     const SimTime at = std::max(ev.at, sim.now());
-    handles_.push_back(
-        sim.schedule_at(at, [this, ev]() { fire(ev); }, "fault"));
+    sim.schedule_at(at, [this, ev]() { fire(ev); }, "fault");
   }
-}
-
-void FaultPlan::cancel() {
-  for (auto& h : handles_) h.cancel();
-  handles_.clear();
 }
 
 void FaultPlan::fire(const FaultEvent& ev) {
@@ -478,13 +436,13 @@ void FaultPlan::fire(const FaultEvent& ev) {
       count(ev.kind);
       ctl_->set_deploy_delay(ev.extra);
       if (ev.duration > SimTime::zero()) {
-        handles_.push_back(sim.schedule_in(
+        sim.schedule_in(
             ev.duration,
             [this]() {
               ctl_->set_deploy_delay(SimTime::zero());
               trace_repair(FaultKind::ControlDelay);
             },
-            "fault"));
+            "fault");
       }
       break;
     case FaultKind::ControlFail:
@@ -492,20 +450,20 @@ void FaultPlan::fire(const FaultEvent& ev) {
       count(ev.kind);
       ctl_->set_deploy_fail(true);
       if (ev.duration > SimTime::zero()) {
-        handles_.push_back(sim.schedule_in(
+        sim.schedule_in(
             ev.duration,
             [this]() {
               ctl_->set_deploy_fail(false);
               trace_repair(FaultKind::ControlFail);
             },
-            "fault"));
+            "fault");
       }
       break;
     case FaultKind::ClockDriftRamp:
       count(ev.kind, ev.node);
       net_.clock().set_drift_ppm(ev.node, ev.ppm, sim.now());
       if (ev.duration > SimTime::zero()) {
-        handles_.push_back(sim.schedule_in(
+        sim.schedule_in(
             ev.duration,
             [this, node = ev.node]() {
               // Drift stops but the accumulated offset error stays — only a
@@ -513,7 +471,7 @@ void FaultPlan::fire(const FaultEvent& ev) {
               net_.clock().set_drift_ppm(node, 0.0, net_.sim().now());
               trace_repair(FaultKind::ClockDriftRamp, node);
             },
-            "fault"));
+            "fault");
       }
       break;
     case FaultKind::ClockStep:
@@ -537,13 +495,13 @@ void FaultPlan::fire(const FaultEvent& ev) {
       count(ev.kind, ev.node);
       ctl_->southbound().set_node_loss(ev.node, ev.ber);
       if (ev.duration > SimTime::zero()) {
-        handles_.push_back(sim.schedule_in(
+        sim.schedule_in(
             ev.duration,
             [this, node = ev.node]() {
               ctl_->southbound().set_node_loss(node, 0.0);
               trace_repair(FaultKind::SbMsgLoss, node);
             },
-            "fault"));
+            "fault");
       }
       break;
     case FaultKind::SbMsgDelay:
@@ -551,13 +509,13 @@ void FaultPlan::fire(const FaultEvent& ev) {
       count(ev.kind, ev.node);
       ctl_->southbound().set_node_delay(ev.node, ev.extra);
       if (ev.duration > SimTime::zero()) {
-        handles_.push_back(sim.schedule_in(
+        sim.schedule_in(
             ev.duration,
             [this, node = ev.node]() {
               ctl_->southbound().set_node_delay(node, SimTime::zero());
               trace_repair(FaultKind::SbMsgDelay, node);
             },
-            "fault"));
+            "fault");
       }
       break;
     case FaultKind::SbMsgDup:
@@ -565,13 +523,13 @@ void FaultPlan::fire(const FaultEvent& ev) {
       count(ev.kind, ev.node);
       ctl_->southbound().set_node_dup(ev.node, ev.ber);
       if (ev.duration > SimTime::zero()) {
-        handles_.push_back(sim.schedule_in(
+        sim.schedule_in(
             ev.duration,
             [this, node = ev.node]() {
               ctl_->southbound().set_node_dup(node, 0.0);
               trace_repair(FaultKind::SbMsgDup, node);
             },
-            "fault"));
+            "fault");
       }
       break;
     case FaultKind::TorInstallFail:
@@ -579,13 +537,13 @@ void FaultPlan::fire(const FaultEvent& ev) {
       count(ev.kind, ev.node);
       ctl_->set_install_fail(ev.node, true);
       if (ev.duration > SimTime::zero()) {
-        handles_.push_back(sim.schedule_in(
+        sim.schedule_in(
             ev.duration,
             [this, node = ev.node]() {
               ctl_->set_install_fail(node, false);
               trace_repair(FaultKind::TorInstallFail, node);
             },
-            "fault"));
+            "fault");
       }
       break;
     case FaultKind::ControllerCrash:
@@ -593,13 +551,13 @@ void FaultPlan::fire(const FaultEvent& ev) {
       count(ev.kind);
       ctl_->crash();
       if (ev.duration > SimTime::zero()) {
-        handles_.push_back(sim.schedule_in(
+        sim.schedule_in(
             ev.duration,
             [this]() {
               ctl_->restart();
               trace_repair(FaultKind::ControllerCrash);
             },
-            "fault"));
+            "fault");
       }
       break;
     case FaultKind::LeaderKill: {
@@ -608,13 +566,13 @@ void FaultPlan::fire(const FaultEvent& ev) {
       if (victim < 0) break;  // no live leader at fire time
       count(ev.kind, victim);
       if (ev.duration > SimTime::zero()) {
-        handles_.push_back(sim.schedule_in(
+        sim.schedule_in(
             ev.duration,
             [this, victim]() {
               ctl_->quorum()->revive_replica(victim);
               trace_repair(FaultKind::LeaderKill, victim);
             },
-            "fault"));
+            "fault");
       }
       break;
     }
@@ -626,13 +584,13 @@ void FaultPlan::fire(const FaultEvent& ev) {
       count(ev.kind, ev.node);
       ctl_->quorum()->set_partitioned(ev.node, true);
       if (ev.duration > SimTime::zero()) {
-        handles_.push_back(sim.schedule_in(
+        sim.schedule_in(
             ev.duration,
             [this, replica = ev.node]() {
               ctl_->quorum()->set_partitioned(replica, false);
               trace_repair(FaultKind::ReplicaPartition, replica);
             },
-            "fault"));
+            "fault");
       }
       break;
     case FaultKind::LogDivergence:
@@ -657,12 +615,12 @@ void FaultPlan::fire(const FaultEvent& ev) {
         const double b =
             ev.jitter + (ev.ber - ev.jitter) *
                             (static_cast<double>(i) / static_cast<double>(steps));
-        handles_.push_back(sim.schedule_in(
+        sim.schedule_in(
             when,
             [this, node = ev.node, port = ev.port, b]() {
               net_.optical().set_port_ber(node, port, b);
             },
-            "fault"));
+            "fault");
       }
       break;
     }
@@ -670,26 +628,26 @@ void FaultPlan::fire(const FaultEvent& ev) {
       count(ev.kind, ev.node, ev.port);
       net_.optical().set_gray_pair(ev.node, ev.port, ev.peer, ev.ber);
       // duration > 0 is enforced at plan load; the window always closes.
-      handles_.push_back(sim.schedule_in(
+      sim.schedule_in(
           ev.duration,
           [this, node = ev.node, port = ev.port, peer = ev.peer]() {
             net_.optical().set_gray_pair(node, port, peer, 0.0);
             trace_repair(FaultKind::GrayPortPair, node, port);
           },
-          "fault"));
+          "fault");
       break;
     case FaultKind::SilentInstallFail:
       if (ctl_ == nullptr || ev.node == kInvalidNode) break;
       count(ev.kind, ev.node);
       ctl_->set_silent_install_fail(ev.node, true);
       if (ev.duration > SimTime::zero()) {
-        handles_.push_back(sim.schedule_in(
+        sim.schedule_in(
             ev.duration,
             [this, node = ev.node]() {
               ctl_->set_silent_install_fail(node, false);
               trace_repair(FaultKind::SilentInstallFail, node);
             },
-            "fault"));
+            "fault");
       }
       break;
     case FaultKind::TelemetrySkew:
@@ -697,13 +655,13 @@ void FaultPlan::fire(const FaultEvent& ev) {
       count(ev.kind, ev.node);
       net_.set_telemetry_skew(ev.node, ev.ppm);
       if (ev.duration > SimTime::zero()) {
-        handles_.push_back(sim.schedule_in(
+        sim.schedule_in(
             ev.duration,
             [this, node = ev.node]() {
               net_.set_telemetry_skew(node, 0.0);
               trace_repair(FaultKind::TelemetrySkew, node);
             },
-            "fault"));
+            "fault");
       }
       break;
   }
@@ -714,13 +672,13 @@ void FaultPlan::flap_cycle(const FaultEvent& ev, int remaining) {
   count(FaultKind::LinkFlap, ev.node, ev.port);
   auto& sim = net_.sim();
   net_.optical().set_port_failed(ev.node, ev.port, true);
-  handles_.push_back(sim.schedule_in(
+  sim.schedule_in(
       ev.duration,
       [this, ev]() {
         net_.optical().set_port_failed(ev.node, ev.port, false);
         trace_repair(FaultKind::LinkFlap, ev.node, ev.port);
       },
-      "fault"));
+      "fault");
   if (remaining <= 1) return;
   SimTime next = ev.period;
   if (ev.jitter > 0.0) {
@@ -731,9 +689,9 @@ void FaultPlan::flap_cycle(const FaultEvent& ev, int remaining) {
         static_cast<std::int64_t>(static_cast<double>(next.ns()) * f));
   }
   if (next <= ev.duration) next = ev.duration + SimTime::nanos(1);
-  handles_.push_back(sim.schedule_in(
+  sim.schedule_in(
       next, [this, ev, remaining]() { flap_cycle(ev, remaining - 1); },
-      "fault"));
+      "fault");
 }
 
 std::int64_t FaultPlan::injected_total() const {

@@ -80,7 +80,6 @@ struct FaultEvent {
 // shape (duration > 0, cycles >= 1), GrayPortPair window (duration > 0), and
 // TelemetrySkew factor (ppm != 0, ppm > -1e6 so the factor stays positive).
 void validate_fault_event(const FaultEvent& ev, std::size_t index);
-void validate_fault_events(const std::vector<FaultEvent>& events);
 
 // Parse the {"events": [...]} body shared by FaultPlan::load_events and the
 // chaos tooling (src/chaos). Every event object must carry a known "kind";
@@ -112,28 +111,20 @@ class FaultPlan {
                        SimTime period, int cycles, double jitter = 0.0);
   FaultPlan& set_ber(SimTime at, NodeId node, PortId port, double ber);
   FaultPlan& stall_reconfig(SimTime at, SimTime extra);
-  FaultPlan& delay_control(SimTime at, SimTime delay, SimTime duration);
   FaultPlan& fail_control(SimTime at, SimTime duration);
   // Clock faults (§7's silent hazard). drift_clock ramps node `node` at
-  // `ppm` for `duration` (0 = until further notice); step_clock jumps its
-  // offset by `delta` instantly; lose_beacons suppresses the node's resync
-  // beacons; sync_outage suppresses everyone's.
+  // `ppm` for `duration` (0 = until further notice); lose_beacons
+  // suppresses the node's resync beacons.
   FaultPlan& drift_clock(SimTime at, NodeId node, double ppm,
                          SimTime duration = SimTime::zero());
-  FaultPlan& step_clock(SimTime at, NodeId node, SimTime delta);
   FaultPlan& lose_beacons(SimTime at, NodeId node,
                           SimTime duration = SimTime::zero());
-  FaultPlan& sync_outage(SimTime at, SimTime duration);
   // Southbound-channel faults (the transactional control plane's chaos
   // dimension). `node == kInvalidNode` applies the override fabric-wide.
   FaultPlan& lose_sb_msgs(SimTime at, NodeId node, double prob,
                           SimTime duration = SimTime::zero());
-  FaultPlan& delay_sb_msgs(SimTime at, NodeId node, SimTime extra,
-                           SimTime duration = SimTime::zero());
   FaultPlan& dup_sb_msgs(SimTime at, NodeId node, double prob,
                          SimTime duration = SimTime::zero());
-  FaultPlan& fail_tor_install(SimTime at, NodeId node,
-                              SimTime duration = SimTime::zero());
   // Crash the controller at `at`; restart (with state resync) `duration`
   // later (0 = stays down).
   FaultPlan& crash_controller(SimTime at, SimTime duration);
@@ -173,8 +164,6 @@ class FaultPlan {
 
   // Schedule every event on the simulator. Call once, before/while running.
   void arm();
-  // Cancel all pending injections (in-effect faults stay as they are).
-  void cancel();
 
   std::size_t size() const { return events_.size(); }
   bool armed() const { return armed_; }
@@ -202,7 +191,6 @@ class FaultPlan {
   core::Controller* ctl_;
   Rng rng_;
   std::vector<FaultEvent> events_;
-  std::vector<sim::EventHandle> handles_;
   std::array<std::int64_t, kNumFaultKinds> injected_{};
   bool armed_ = false;
 };

@@ -7,9 +7,36 @@
 
 namespace oo::services {
 
-HealthScanner::HealthScanner(core::Network& net, Config cfg)
+namespace {
+// EWMA smoothing for per-circuit loss fractions.
+constexpr double kEwmaAlpha = 0.3;
+// Anomalous audits a circuit must accumulate before it is evidence — the
+// threshold that keeps clean-but-bursty runs quiet.
+constexpr int kMinAnomalousAudits = 3;
+// Circuits carrying fewer bytes than this in a slice are not audited (a
+// one-packet sample is not evidence).
+constexpr std::int64_t kMinAuditBytes = 3000;
+// Targeted probing once Suspect.
+constexpr SimTime kProbeInterval = SimTime::micros(20);
+constexpr SimTime kProbeTimeout = SimTime::micros(60);
+constexpr SimTime kProbeBackoffCap = SimTime::micros(480);
+constexpr int kProbeRetries = 2;
+// Escalation: probe losses take the next rung immediately; lying faults
+// (skew, silent install) produce no probe loss, so sustained evidence rounds
+// escalate instead.
+constexpr int kDegradeProbeLosses = 3;
+constexpr int kEscalateRounds = 4;
+// Consecutive audit rounds the agent's epoch claim must diverge from
+// observed forwarding (outside any in-flight transaction) before a silent
+// install is charged — one apply normally lags one boundary.
+constexpr int kClaimMismatchRounds = 3;
+// Consecutive clean audit rounds before any rung is re-admitted.
+constexpr int kReadmitCleanRounds = 4;
+}  // namespace
+
+HealthScanner::HealthScanner(core::Network& net, double suspect_score)
     : net_(net),
-      cfg_(cfg),
+      suspect_score_(suspect_score),
       audits_(&net.sim().metrics().counter("health.audits")),
       symptoms_loss_(
           &net.sim().metrics().counter("health.symptoms", {{"kind", "loss"}})),
@@ -47,16 +74,14 @@ void HealthScanner::start() {
   // next slice's first delivery lands strictly later — so sampling rx at
   // T + latency_max + 1ns captures exactly one slice's worth.
   rx_delay_ = net_.optical().profile().latency_max + SimTime::nanos(1);
-  const SimTime interval = cfg_.audit_interval > SimTime::zero()
-                               ? cfg_.audit_interval
-                               : net_.schedule().slice_duration();
   alive_ = std::make_shared<bool>(true);
-  // First audit at the next global slice boundary; every audit event runs
-  // on the control queue, so worker-lane counters are read at barriers.
+  // One audit per slice, the first at the next global slice boundary; every
+  // audit event runs on the control queue, so worker-lane counters are read
+  // at barriers.
   const std::int64_t next_abs =
       net_.schedule().abs_slice_at(net_.sim().now()) + 1;
   boundary_handle_ = net_.sim().schedule_every(
-      net_.schedule().slice_start(next_abs), interval,
+      net_.schedule().slice_start(next_abs), net_.schedule().slice_duration(),
       [this]() {
         const std::int64_t k = net_.schedule().abs_slice_at(net_.sim().now());
         sample_tx(k);
@@ -78,16 +103,6 @@ void HealthScanner::stop() {
   alive_.reset();
   boundary_handle_.cancel();
   for (auto& st : nodes_) st.probe.reset();
-}
-
-std::vector<NodeId> HealthScanner::quarantined_nodes() const {
-  std::vector<NodeId> out;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].state == NodeHealth::Quarantined) {
-      out.push_back(static_cast<NodeId>(i));
-    }
-  }
-  return out;
 }
 
 void HealthScanner::sample_tx(std::int64_t boundary_abs) {
@@ -143,13 +158,13 @@ void HealthScanner::audit(std::int64_t boundary_abs) {
                 NodeHealth::Quarantined ||
             nodes_[static_cast<std::size_t>(peer->node)].state ==
                 NodeHealth::Quarantined;
-        if (administrative || dtx < cfg_.min_audit_bytes) {
+        if (administrative || dtx < kMinAuditBytes) {
           // An idle circuit is not evidence either way, but held evidence
           // must decay — a quarantined node carries no optical traffic, and
           // frozen anomaly counts would block its readmission forever.
           CircuitStat& cs = circuits_[circuit_index(src, p, peer->node)];
-          cs.ewma *= 1.0 - cfg_.ewma_alpha;
-          if (std::abs(cs.ewma) < cfg_.suspect_score) cs.anomalous_audits = 0;
+          cs.ewma *= 1.0 - kEwmaAlpha;
+          if (std::abs(cs.ewma) < suspect_score_) cs.anomalous_audits = 0;
           continue;
         }
         const std::size_t di =
@@ -167,9 +182,8 @@ void HealthScanner::audit(std::int64_t boundary_abs) {
         if (drx < 0) loss = -1.0;
         loss = std::clamp(loss, -1.0, 1.0);
         CircuitStat& cs = circuits_[circuit_index(src, p, peer->node)];
-        cs.ewma = (1.0 - cfg_.ewma_alpha) * cs.ewma + cfg_.ewma_alpha * loss;
-        if (std::abs(cs.ewma) >= cfg_.suspect_score) {
-          if (cs.anomalous_audits == 0) cs.first_anomaly = net_.sim().now();
+        cs.ewma = (1.0 - kEwmaAlpha) * cs.ewma + kEwmaAlpha * loss;
+        if (std::abs(cs.ewma) >= suspect_score_) {
           ++cs.anomalous_audits;
           (cs.ewma > 0 ? symptoms_loss_ : symptoms_negative_)->inc();
         } else {
@@ -185,7 +199,6 @@ void HealthScanner::audit(std::int64_t boundary_abs) {
 
 void HealthScanner::classify(std::int64_t slice_abs) {
   (void)slice_abs;
-  const SimTime now = net_.sim().now();
   // Stale evidence on circuits into a fenced node must not implicate honest
   // far ends: once a node is quarantined its loss already has an owner, and
   // its circuits decay at uneven rates, so the breadth ordering that
@@ -212,7 +225,7 @@ void HealthScanner::classify(std::int64_t slice_abs) {
           continue;
         }
         const CircuitStat& cs = circuits_[circuit_index(src, p, dst)];
-        if (cs.anomalous_audits < cfg_.min_anomalous_audits) continue;
+        if (cs.anomalous_audits < kMinAnomalousAudits) continue;
         if (cs.ewma > 0) {
           ++agg[static_cast<std::size_t>(src)].pos_out;
           ++agg[static_cast<std::size_t>(dst)].pos_in;
@@ -270,15 +283,13 @@ void HealthScanner::classify(std::int64_t slice_abs) {
     indicted[static_cast<std::size_t>(n)] = a.pos_out > 0 && a.pos_in > 0;
   }
   // Best positive egress evidence per node: blamed port, distinct peers,
-  // strongest peer, earliest anomaly. Circuits into a far end with strictly
-  // greater breadth are excluded — that loss already has a better owner.
+  // strongest peer. Circuits into a far end with strictly greater breadth
+  // are excluded — that loss already has a better owner.
   struct Egress {
     PortId port = kInvalidPort;
     NodeId peer = kInvalidNode;
     int peers_on_port = 0;
     double score = 0.0;
-    SimTime first = SimTime::zero();
-    bool has_first = false;
   };
   std::vector<Egress> egress(static_cast<std::size_t>(num_nodes_));
   for (NodeId src = 0; src < num_nodes_; ++src) {
@@ -287,15 +298,13 @@ void HealthScanner::classify(std::int64_t slice_abs) {
       int peers = 0;
       double best = 0.0;
       NodeId best_peer = kInvalidNode;
-      SimTime first = SimTime::zero();
-      bool has_first = false;
       for (NodeId dst = 0; dst < num_nodes_; ++dst) {
         if (fenced[static_cast<std::size_t>(src)] ||
             fenced[static_cast<std::size_t>(dst)]) {
           continue;
         }
         const CircuitStat& cs = circuits_[circuit_index(src, p, dst)];
-        if (cs.anomalous_audits < cfg_.min_anomalous_audits) continue;
+        if (cs.anomalous_audits < kMinAnomalousAudits) continue;
         if (cs.ewma <= 0) continue;
         if (breadth[static_cast<std::size_t>(dst)] >
             breadth[static_cast<std::size_t>(src)]) {
@@ -306,10 +315,6 @@ void HealthScanner::classify(std::int64_t slice_abs) {
           best = cs.ewma;
           best_peer = dst;
         }
-        if (!has_first || cs.first_anomaly < first) {
-          first = cs.first_anomaly;
-          has_first = true;
-        }
       }
       if (peers > a.peers_on_port ||
           (peers == a.peers_on_port && best > a.score)) {
@@ -317,10 +322,6 @@ void HealthScanner::classify(std::int64_t slice_abs) {
         a.peer = best_peer;
         a.peers_on_port = peers;
         a.score = best;
-      }
-      if (has_first && (!a.has_first || first < a.first)) {
-        a.first = first;
-        a.has_first = true;
       }
     }
   }
@@ -337,12 +338,11 @@ void HealthScanner::classify(std::int64_t slice_abs) {
         ctl_->node_committed_epoch(n) != net_.node_epoch(n)) {
       ++st.claim_mismatch_rounds;
       symptoms_claim_->inc();
-      claim_diverged = st.claim_mismatch_rounds >= cfg_.claim_mismatch_rounds;
+      claim_diverged = st.claim_mismatch_rounds >= kClaimMismatchRounds;
     } else {
       st.claim_mismatch_rounds = 0;
     }
     Blame why;
-    SimTime first = now;
     if (((a.pos_out > 0 && a.neg_in > 0) || (a.neg_out > 0 && a.pos_in > 0)) &&
         breadth[static_cast<std::size_t>(n)] >= 2) {
       // Opposite-sign anomalies on the two directions of one node: every
@@ -352,7 +352,6 @@ void HealthScanner::classify(std::int64_t slice_abs) {
       // skewed node must disagree with at least two counterparties; its
       // victims each disagree with exactly one.
       why.cause = Cause::TelemetrySkew;
-      if (e.has_first) first = e.first;
     } else if (indicted[static_cast<std::size_t>(n)] &&
                e.port != kInvalidPort) {
       // Two-sided real loss: the node's own transceiver, whatever the peer
@@ -360,7 +359,6 @@ void HealthScanner::classify(std::int64_t slice_abs) {
       why.cause = Cause::PortDegrade;
       why.port = e.port;
       why.peer = e.peer;
-      if (e.has_first) first = e.first;
     } else if (claim_diverged) {
       why.cause = Cause::SilentInstall;
     } else if (a.pos_out > 0 && e.port != kInvalidPort &&
@@ -370,28 +368,23 @@ void HealthScanner::classify(std::int64_t slice_abs) {
       why.cause = e.peers_on_port >= 2 ? Cause::PortDegrade : Cause::LinkLoss;
       why.port = e.port;
       why.peer = e.peer;
-      if (e.has_first) first = e.first;
     }
     const bool probe_evidence =
         st.probe != nullptr && st.probe->lost() > st.probe_losses;
     if (probe_evidence) st.probe_losses = static_cast<int>(st.probe->lost());
     if (why.cause != Cause::None) {
       st.clean_rounds = 0;
-      if (!st.has_symptom_time) {
-        st.first_symptom = first;
-        st.has_symptom_time = true;
-      }
       if (st.state == NodeHealth::Healthy) {
         st.rounds_at_rung = 0;
         escalate(n, why);
-      } else if (++st.rounds_at_rung >= cfg_.escalate_rounds) {
+      } else if (++st.rounds_at_rung >= kEscalateRounds) {
         st.rounds_at_rung = 0;
         escalate(n, why);
       }
     } else if (st.state != NodeHealth::Healthy) {
       if (probe_evidence) {
         st.clean_rounds = 0;
-      } else if (++st.clean_rounds >= cfg_.readmit_clean_rounds) {
+      } else if (++st.clean_rounds >= kReadmitCleanRounds) {
         readmit(n);
       }
     }
@@ -409,9 +402,6 @@ void HealthScanner::escalate(NodeId n, const Blame& why) {
       st.suspect_at = now;
       st.probe_losses = 0;
       suspects_->inc();
-      const SimTime ttd =
-          st.has_symptom_time ? now - st.first_symptom : SimTime::zero();
-      time_to_suspect_us_.add(ttd.us());
       if (auto* tr = net_.sim().recorder()) {
         tr->health_suspect(now, n, static_cast<std::int64_t>(why.cause),
                            blamed_port);
@@ -439,7 +429,6 @@ void HealthScanner::escalate(NodeId n, const Blame& why) {
       st.blame = why;
       net_.set_node_quarantined(n, true);
       quarantines_->inc();
-      time_to_quarantine_us_.add((now - st.suspect_at).us());
       if (auto* tr = net_.sim().recorder()) {
         tr->health_quarantine(now, n, static_cast<std::int64_t>(why.cause),
                               blamed_port);
@@ -484,9 +473,8 @@ void HealthScanner::start_probe(NodeId n) {
     responder = net_.host_id(n, 0);
   }
   st.probe = std::make_unique<transport::UdpProbe>(
-      net_, pinger, responder, cfg_.probe_interval, 256);
-  st.probe->set_timeout(cfg_.probe_timeout, cfg_.probe_backoff_cap,
-                        cfg_.probe_retries);
+      net_, pinger, responder, kProbeInterval, 256);
+  st.probe->set_timeout(kProbeTimeout, kProbeBackoffCap, kProbeRetries);
   std::weak_ptr<bool> weak = alive_;
   st.probe->set_loss_hook([this, n, weak](std::int64_t) {
     if (auto a = weak.lock(); a && *a) on_probe_loss(n);
@@ -500,14 +488,14 @@ void HealthScanner::on_probe_loss(NodeId n) {
   probes_lost_->inc();
   st.clean_rounds = 0;
   // Probe losses corroborate the audit evidence and take the next rung
-  // without waiting out escalate_rounds. The loss hook fires from the
+  // without waiting out kEscalateRounds. The loss hook fires from the
   // probe's own timeout event on the control queue — never from inside a
   // fabric or drain callback — so escalating directly is re-entry safe.
   if (st.state == NodeHealth::Suspect &&
-      st.probe_losses >= cfg_.degrade_probe_losses) {
+      st.probe_losses >= kDegradeProbeLosses) {
     escalate(n, st.blame);
   } else if (st.state == NodeHealth::Degraded &&
-             st.probe_losses >= 2 * cfg_.degrade_probe_losses) {
+             st.probe_losses >= 2 * kDegradeProbeLosses) {
     escalate(n, st.blame);
   }
 }
@@ -529,7 +517,6 @@ void HealthScanner::readmit(NodeId n) {
   note_transition(n, st.state, NodeHealth::Healthy);
   st.state = NodeHealth::Healthy;
   st.blame = Blame{};
-  st.has_symptom_time = false;
   st.rounds_at_rung = 0;
   st.clean_rounds = 0;
   st.claim_mismatch_rounds = 0;

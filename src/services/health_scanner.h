@@ -40,7 +40,7 @@
 //   Degraded -> Quarantined further losses/evidence; optical egress fenced,
 //                           traffic diverted + queues flushed (hybrid
 //                           fabrics only — otherwise the ladder tops out)
-//   any -> Healthy          readmit_clean_rounds consecutive clean audits
+//   any -> Healthy          four consecutive clean audits
 //
 // Every decision runs on the control queue from boundary-aligned audit
 // events, reading worker-lane counters only at barriers (the invariant-
@@ -58,7 +58,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/stats.h"
 #include "core/network.h"
 #include "transport/udp_probe.h"
 
@@ -70,36 +69,8 @@ namespace oo::services {
 
 class HealthScanner {
  public:
-  struct Config {
-    // Audit cadence; zero derives one audit per slice at start().
-    SimTime audit_interval = SimTime::zero();
-    // EWMA smoothing for per-circuit loss fractions.
-    double ewma_alpha = 0.3;
-    // Loss-fraction score at which a circuit counts as anomalous.
-    double suspect_score = 0.05;
-    // Anomalous audits a circuit must accumulate before it is evidence —
-    // the threshold that keeps clean-but-bursty runs quiet.
-    int min_anomalous_audits = 3;
-    // Circuits carrying fewer bytes than this in a slice are not audited
-    // (a one-packet sample is not evidence).
-    std::int64_t min_audit_bytes = 3000;
-    // Targeted probing once Suspect.
-    SimTime probe_interval = SimTime::micros(20);
-    SimTime probe_timeout = SimTime::micros(60);
-    SimTime probe_backoff_cap = SimTime::micros(480);
-    int probe_retries = 2;
-    // Escalation: probe losses take the next rung immediately; lying faults
-    // (skew, silent install) produce no probe loss, so sustained evidence
-    // rounds escalate instead.
-    int degrade_probe_losses = 3;
-    int escalate_rounds = 4;
-    // Consecutive audit rounds the agent's epoch claim must diverge from
-    // observed forwarding (outside any in-flight transaction) before a
-    // silent install is charged — one apply normally lags one boundary.
-    int claim_mismatch_rounds = 3;
-    // Consecutive clean audit rounds before any rung is re-admitted.
-    int readmit_clean_rounds = 4;
-  };
+  // Loss-fraction score at which a circuit counts as anomalous.
+  static constexpr double kDefaultSuspectScore = 0.05;
 
   // Ladder rungs; numeric order is escalation order (the invariant monitor
   // checks transitions against it).
@@ -119,9 +90,8 @@ class HealthScanner {
     NodeId peer = kInvalidNode;   // blamed far end (LinkLoss)
   };
 
-  HealthScanner(core::Network& net, Config cfg);
-  explicit HealthScanner(core::Network& net)
-      : HealthScanner(net, Config{}) {}
+  explicit HealthScanner(core::Network& net,
+                         double suspect_score = kDefaultSuspectScore);
   HealthScanner(const HealthScanner&) = delete;
   HealthScanner& operator=(const HealthScanner&) = delete;
 
@@ -155,7 +125,6 @@ class HealthScanner {
   const Blame& blame(NodeId n) const {
     return nodes_[static_cast<std::size_t>(n)].blame;
   }
-  std::vector<NodeId> quarantined_nodes() const;
 
   // ---- robustness telemetry ----
   std::int64_t audits() const { return audits_->value(); }
@@ -164,27 +133,16 @@ class HealthScanner {
   std::int64_t quarantines() const { return quarantines_->value(); }
   std::int64_t readmissions() const { return readmissions_->value(); }
   std::int64_t probes_lost() const { return probes_lost_->value(); }
-  // First anomalous observation to Suspect entry, per detection (us).
-  const PercentileSampler& time_to_suspect_us() const {
-    return time_to_suspect_us_;
-  }
-  // Suspect entry to Quarantined entry, per quarantine (us).
-  const PercentileSampler& time_to_quarantine_us() const {
-    return time_to_quarantine_us_;
-  }
 
  private:
   // Per directed circuit (src, port, dst) loss ledger.
   struct CircuitStat {
     double ewma = 0.0;
     int anomalous_audits = 0;
-    SimTime first_anomaly = SimTime::zero();
   };
   struct NodeState {
     NodeHealth state = NodeHealth::Healthy;
     Blame blame;
-    SimTime first_symptom = SimTime::zero();
-    bool has_symptom_time = false;
     int rounds_at_rung = 0;
     int clean_rounds = 0;
     int claim_mismatch_rounds = 0;
@@ -212,7 +170,7 @@ class HealthScanner {
   }
 
   core::Network& net_;
-  Config cfg_;
+  const double suspect_score_;
   const core::Controller* ctl_ = nullptr;
   int num_nodes_ = 0;
   int uplinks_ = 0;
@@ -243,8 +201,6 @@ class HealthScanner {
   telemetry::Counter* quarantines_;
   telemetry::Counter* readmissions_;
   telemetry::Counter* probes_lost_;
-  PercentileSampler time_to_suspect_us_;
-  PercentileSampler time_to_quarantine_us_;
 };
 
 }  // namespace oo::services

@@ -33,7 +33,6 @@ Monitor::Health snapshot(core::Network& net) {
 Monitor::Monitor(core::Network& net, SimTime interval)
     : net_(net),
       interval_(interval),
-      buffers_(static_cast<std::size_t>(net.num_tors())),
       utilization_(static_cast<std::size_t>(net.num_tors())),
       last_tx_bytes_(static_cast<std::size_t>(net.num_tors()), 0) {}
 
@@ -46,9 +45,7 @@ void Monitor::start() {
       [this]() {
         for (NodeId n = 0; n < net_.num_tors(); ++n) {
           auto& tor = net_.tor(n);
-          const auto b = tor.buffer_bytes();
-          buffers_[static_cast<std::size_t>(n)].add(static_cast<double>(b));
-          all_.add(static_cast<double>(b));
+          all_.add(static_cast<double>(tor.buffer_bytes()));
 
           std::int64_t tx = 0;
           for (PortId p = 0; p < tor.num_uplinks(); ++p) {

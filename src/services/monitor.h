@@ -26,11 +26,7 @@ class Monitor {
     return net_.tor(node).peak_buffer_bytes();
   }
 
-  // Sampled series per node: switch buffer occupancy in bytes.
-  const PercentileSampler& buffer_samples(NodeId node) const {
-    return buffers_[static_cast<std::size_t>(node)];
-  }
-  // Aggregate over all nodes.
+  // Sampled switch buffer occupancy in bytes, over all nodes.
   const PercentileSampler& all_buffer_samples() const { return all_; }
 
   // Uplink utilization per node over each interval, as a fraction of the
@@ -61,7 +57,6 @@ class Monitor {
  private:
   core::Network& net_;
   SimTime interval_;
-  std::vector<PercentileSampler> buffers_;
   std::vector<PercentileSampler> utilization_;
   std::vector<std::int64_t> last_tx_bytes_;
   PercentileSampler all_;

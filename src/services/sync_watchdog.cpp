@@ -7,9 +7,23 @@
 
 namespace oo::services {
 
-SyncWatchdog::SyncWatchdog(core::Network& net, Config cfg)
+namespace {
+// Cadence of the staleness / readmission scan.
+constexpr SimTime kCheckInterval = SimTime::micros(50);
+// Symptoms within kViolationWindow needed to take the next rung.
+constexpr int kViolationThreshold = 3;
+constexpr SimTime kViolationWindow = SimTime::micros(200);
+constexpr int kMaxWidenings = 3;
+// Re-probe backoff (doubles per lost probe, capped).
+constexpr SimTime kProbeBackoffInitial = SimTime::micros(50);
+constexpr SimTime kProbeBackoffCap = SimTime::micros(800);
+// Consecutive clean rounds (fresh in-bound beacon, no symptoms) before a
+// widened/quarantined node is restored.
+constexpr int kReadmitCleanRounds = 3;
+}  // namespace
+
+SyncWatchdog::SyncWatchdog(core::Network& net)
     : net_(net),
-      cfg_(cfg),
       desyncs_(&net.sim().metrics().counter("sync.desync_detected")),
       widenings_(&net.sim().metrics().counter("sync.guard_widenings")),
       quarantines_(&net.sim().metrics().counter("sync.quarantines")),
@@ -35,13 +49,11 @@ void SyncWatchdog::start() {
   if (started_) return;
   started_ = true;
   nodes_.assign(static_cast<std::size_t>(net_.num_tors()), NodeState{});
-  for (auto& st : nodes_) st.backoff = cfg_.probe_backoff_initial;
-  widen_step_ = cfg_.widen_step > SimTime::zero()
-                    ? cfg_.widen_step
-                    : net_.config().sync_error * 2;
-  beacon_timeout_ = cfg_.beacon_timeout > SimTime::zero()
-                        ? cfg_.beacon_timeout
-                        : net_.config().resync_interval * 3;
+  for (auto& st : nodes_) st.backoff = kProbeBackoffInitial;
+  // Guard growth per widening, and the beacon staleness before a node is
+  // flagged and re-probed.
+  widen_step_ = net_.config().sync_error * 2;
+  beacon_timeout_ = net_.config().resync_interval * 3;
   alive_ = std::make_shared<bool>(true);
   std::weak_ptr<bool> weak = alive_;
   // Fabric violations name the offending *sender* exactly: full ladder.
@@ -53,7 +65,7 @@ void SyncWatchdog::start() {
     if (auto a = weak.lock(); a && *a) record_symptom(n, at, false);
   });
   check_handle_ = net_.sim().schedule_every(
-      cfg_.check_interval, cfg_.check_interval, [this]() { check_round(); },
+      kCheckInterval, kCheckInterval, [this]() { check_round(); },
       "sync.watchdog");
 }
 
@@ -92,12 +104,12 @@ void SyncWatchdog::record_symptom(NodeId n, SimTime at,
   st.symptom_since_check = true;
   if (!st.detected && st.window.empty()) st.first_symptom = at;
   st.window.push_back(at);
-  const SimTime horizon = at - cfg_.violation_window;
+  const SimTime horizon = at - kViolationWindow;
   st.window.erase(std::remove_if(st.window.begin(), st.window.end(),
                                  [horizon](SimTime t) { return t < horizon; }),
                   st.window.end());
   if (sender_attributed) st.sender_evidence = true;
-  if (static_cast<int>(st.window.size()) >= cfg_.violation_threshold &&
+  if (static_cast<int>(st.window.size()) >= kViolationThreshold &&
       !st.escalate_pending) {
     st.escalate_pending = true;
     // Deferred one event: this path is reached synchronously from inside
@@ -128,7 +140,7 @@ void SyncWatchdog::escalate(NodeId n) {
     }
   }
   st.clean_rounds = 0;
-  if (st.widenings < cfg_.max_widenings) {
+  if (st.widenings < kMaxWidenings) {
     ++st.widenings;
     net_.set_node_guard_extra(n, widen_step_ * st.widenings);
     widenings_->inc();
@@ -163,7 +175,7 @@ void SyncWatchdog::check_round() {
     if (fresh) {
       st.last_seen_resync = last;
       st.stale_flagged = false;
-      st.backoff = cfg_.probe_backoff_initial;
+      st.backoff = kProbeBackoffInitial;
     }
     // Beacon staleness: flag once per outage (widen-only evidence) and keep
     // re-probing with capped exponential backoff until one gets through.
@@ -173,16 +185,7 @@ void SyncWatchdog::check_round() {
         st.stale_flagged = true;
         record_symptom(n, now, false);
       }
-      if (!st.probe_pending) {
-        st.probe_pending = true;
-        std::weak_ptr<bool> weak = alive_;
-        net_.sim().schedule_at(
-            now,
-            [this, n, weak]() {
-              if (auto a = weak.lock(); a && *a) probe(n);
-            },
-            "sync.probe");
-      }
+      if (!st.probe_pending) schedule_probe(n, now);
     }
     // Readmission: a clean round is a fresh beacon that measured the clock
     // back inside the bound, with no symptoms since the last scan.
@@ -190,7 +193,7 @@ void SyncWatchdog::check_round() {
       if (st.symptom_since_check) {
         st.clean_rounds = 0;
       } else if (fresh && clock.within_bound(n, now)) {
-        if (++st.clean_rounds >= cfg_.readmit_clean_rounds) readmit(n);
+        if (++st.clean_rounds >= kReadmitCleanRounds) readmit(n);
       }
     }
     st.symptom_since_check = false;
@@ -213,28 +216,25 @@ void SyncWatchdog::probe(NodeId n) {
        (ctl_->quorum() != nullptr && ctl_->quorum()->started() &&
         !ctl_->quorum()->has_leader()))) {
     probes_suppressed_->inc();
-    st.backoff = std::min(st.backoff * 2, cfg_.probe_backoff_cap);
-    st.probe_pending = true;
-    std::weak_ptr<bool> weak = alive_;
-    net_.sim().schedule_at(
-        now + st.backoff,
-        [this, n, weak]() {
-          if (auto a = weak.lock(); a && *a) probe(n);
-        },
-        "sync.probe");
+    st.backoff = std::min(st.backoff * 2, kProbeBackoffCap);
+    schedule_probe(n, now + st.backoff);
     return;
   }
   if (net_.probe_beacon(n)) {
     probes_ok_->inc();
-    st.backoff = cfg_.probe_backoff_initial;
+    st.backoff = kProbeBackoffInitial;
     return;
   }
   probes_lost_->inc();
-  st.backoff = std::min(st.backoff * 2, cfg_.probe_backoff_cap);
-  st.probe_pending = true;
+  st.backoff = std::min(st.backoff * 2, kProbeBackoffCap);
+  schedule_probe(n, now + st.backoff);
+}
+
+void SyncWatchdog::schedule_probe(NodeId n, SimTime when) {
+  nodes_[static_cast<std::size_t>(n)].probe_pending = true;
   std::weak_ptr<bool> weak = alive_;
   net_.sim().schedule_at(
-      now + st.backoff,
+      when,
       [this, n, weak]() {
         if (auto a = weak.lock(); a && *a) probe(n);
       },

@@ -12,22 +12,22 @@
 //     observer cannot tell whether the sender or its own rotation drifted,
 //     so these only ever widen the observer's guard band — never quarantine
 //     a node on another node's say-so;
-//   - beacon staleness: a node whose last resync is older than the timeout
-//     is re-probed with capped exponential backoff, and flagged (widen-only
-//     evidence) until a beacon gets through.
+//   - beacon staleness: a node whose last resync is older than three resync
+//     intervals is re-probed with capped exponential backoff, and flagged
+//     (widen-only evidence) until a beacon gets through.
 //
 // Response is a three-state per-ToR ladder:
 //   Healthy -> Widened: each time the symptom count inside the sliding
 //     window crosses the threshold, the node's effective guard band grows
-//     by one widen_step on both window edges (duty cycle shrinks, §7
-//     trade), up to max_widenings steps.
+//     by one step of 2 x sync_error on both window edges (duty cycle
+//     shrinks, §7 trade), up to three steps.
 //   Widened -> Quarantined: further sender-attributed evidence past the
 //     last widening fences the node off the optical fabric entirely;
 //     traffic from/to it rides the electrical fabric (hybrid architectures
 //     only — without one the ladder tops out at max widening).
-//   -> Healthy: after readmit_clean_rounds consecutive check rounds with a
-//     fresh in-bound beacon and zero symptoms, the node is re-admitted and
-//     its guard override cleared.
+//   -> Healthy: after three consecutive check rounds with a fresh in-bound
+//     beacon and zero symptoms, the node is re-admitted and its guard
+//     override cleared.
 //
 // All decisions are deferred one simulator event, so escalations triggered
 // from inside fabric/drain callbacks never re-enter the structures that
@@ -50,31 +50,9 @@ namespace oo::services {
 
 class SyncWatchdog {
  public:
-  struct Config {
-    // Cadence of the staleness / readmission scan.
-    SimTime check_interval = SimTime::micros(50);
-    // Symptoms within `violation_window` needed to take the next rung.
-    int violation_threshold = 3;
-    SimTime violation_window = SimTime::micros(200);
-    // Guard growth per widening; zero derives 2 x sync_error at start().
-    SimTime widen_step = SimTime::zero();
-    int max_widenings = 3;
-    // Beacon staleness before the node is flagged and re-probed; zero
-    // derives 3 x resync_interval at start().
-    SimTime beacon_timeout = SimTime::zero();
-    // Re-probe backoff (doubles per lost probe, capped).
-    SimTime probe_backoff_initial = SimTime::micros(50);
-    SimTime probe_backoff_cap = SimTime::micros(800);
-    // Consecutive clean rounds (fresh in-bound beacon, no symptoms) before
-    // a widened/quarantined node is restored.
-    int readmit_clean_rounds = 3;
-  };
-
   enum class TorState { Healthy, Widened, Quarantined };
 
-  SyncWatchdog(core::Network& net, Config cfg);
-  explicit SyncWatchdog(core::Network& net)
-      : SyncWatchdog(net, Config{}) {}
+  explicit SyncWatchdog(core::Network& net);
   SyncWatchdog(const SyncWatchdog&) = delete;
   SyncWatchdog& operator=(const SyncWatchdog&) = delete;
 
@@ -154,13 +132,14 @@ class SyncWatchdog {
   void escalate(NodeId n);
   void check_round();
   void probe(NodeId n);
+  // Schedules probe(n) at `when`, dropped if the watchdog stops first.
+  void schedule_probe(NodeId n, SimTime when);
   void readmit(NodeId n);
   void note_transition(NodeId n, TorState from, TorState to) {
     if (transition_hook_ && from != to) transition_hook_(n, from, to);
   }
 
   core::Network& net_;
-  Config cfg_;
   const core::Controller* ctl_ = nullptr;  // optional leader-awareness
   telemetry::Counter* probes_suppressed_ = nullptr;  // registered on wiring
   std::vector<NodeState> nodes_;

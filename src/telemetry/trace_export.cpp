@@ -201,7 +201,6 @@ std::string chrome_trace_json(
   return trace_json_impl(control, shards);
 }
 
-std::string metrics_csv(const MetricsRegistry& reg) { return reg.csv(); }
 
 std::string post_mortem(const FlightRecorder& rec, std::size_t last_n) {
   const std::size_t n = rec.size() < last_n ? rec.size() : last_n;

@@ -39,9 +39,6 @@ inline constexpr int kControlPid = 9001;
 inline constexpr int kFaultPid = 9002;
 inline constexpr int kProbePid = 9003;
 
-// "metric,value" CSV of every registered metric (sorted by key).
-std::string metrics_csv(const MetricsRegistry& reg);
-
 // Human-readable dump of the newest `last_n` retained events, oldest first:
 // one "ts kind node port a b [reason]" line each. The default asks for more
 // than the ring holds, i.e. everything retained.

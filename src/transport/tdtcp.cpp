@@ -212,7 +212,6 @@ void TdtcpLite::arm_rto() {
 
 void TdtcpLite::on_rto() {
   if (stopped_) return;
-  ++rto_events_;
   net_.sim().metrics().counter("tcp.rto_events").inc();
   const int phase = current_phase();
   ssthresh_[static_cast<std::size_t>(phase)] =

@@ -36,7 +36,6 @@ class TdtcpLite {
   std::int64_t acked_bytes() const { return snd_una_; }
   std::int64_t reorder_events() const { return reorder_events_; }
   std::int64_t fast_retransmits() const { return fast_retx_; }
-  std::int64_t rto_events() const { return rto_events_; }
   int phases() const { return static_cast<int>(cwnd_.size()); }
   double cwnd_of(int phase) const {
     return cwnd_[static_cast<std::size_t>(phase)];
@@ -78,7 +77,6 @@ class TdtcpLite {
   bool started_ = false;
   bool stopped_ = false;
   std::int64_t fast_retx_ = 0;
-  std::int64_t rto_events_ = 0;
 
   // Receiver.
   std::int64_t rcv_next_ = 0;

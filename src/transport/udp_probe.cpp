@@ -118,7 +118,6 @@ void UdpProbe::arm_timeout(std::int64_t seq, int retry, SimTime delay) {
           if (on_loss_) on_loss_(seq);
           return;
         }
-        ++retries_;
         transmit(seq);
         const SimTime next = std::min(delay + delay, backoff_cap_);
         arm_timeout(seq, retry + 1, next);

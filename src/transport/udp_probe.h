@@ -49,7 +49,6 @@ class UdpProbe {
   std::int64_t sent() const { return sent_; }
   std::int64_t received() const { return received_; }
   std::int64_t lost() const { return lost_; }
-  std::int64_t retries() const { return retries_; }
 
  private:
   void send_probe();
@@ -67,7 +66,6 @@ class UdpProbe {
   std::int64_t sent_ = 0;
   std::int64_t received_ = 0;
   std::int64_t lost_ = 0;
-  std::int64_t retries_ = 0;
   std::int64_t next_seq_ = 0;
   SimTime timeout_ = SimTime::zero();   // <= 0: loss detection off
   SimTime backoff_cap_ = SimTime::zero();

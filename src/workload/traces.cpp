@@ -203,15 +203,10 @@ void TraceReplay::schedule_next() {
     if (net_.tor_of(dst) != net_.tor_of(src)) {
       const auto bytes = static_cast<std::int64_t>(
           sample_flow_size(trace_cdf(kind_), rng_));
-      bytes_offered_ += bytes;
       const bool mouse = bytes < 100'000;
       pool_.launch(src, dst, bytes, transfer_,
                    [this, mouse](SimTime fct, std::int64_t) {
-                     if (mouse) {
-                       mice_fct_us_.add(fct.us());
-                     } else {
-                       elephant_fct_us_.add(fct.us());
-                     }
+                     if (mouse) mice_fct_us_.add(fct.us());
                    });
     }
     schedule_next();
@@ -267,7 +262,6 @@ void OpenLoopReplay::schedule_next() {
     if (net_.tor_of(dst) != net_.tor_of(src)) {
       auto remaining = static_cast<std::int64_t>(
           sample_flow_size(trace_cdf(kind_), rng_));
-      bytes_offered_ += remaining;
       const FlowId flow = net_.alloc_flow_id();
       // Packets enter the host stack back-to-back (line rate) or spread at
       // the flow pace; no acks, no windows.
@@ -285,7 +279,6 @@ void OpenLoopReplay::schedule_next() {
         p.dst_host = dst;
         p.payload = len;
         p.size_bytes = len + 64;
-        ++packets_offered_;
         if (gap == SimTime::zero()) {
           net_.host(src).send(std::move(p));
         } else {

@@ -64,14 +64,10 @@ class TraceReplay {
   void start();
   void stop() { running_ = false; }
 
-  // FCT split the way Fig. 8 reports: mice (< 100 KB) vs elephants.
+  // FCT of the mice (< 100 KB), the flows Fig. 8 reports.
   const PercentileSampler& mice_fct_us() const { return mice_fct_us_; }
-  const PercentileSampler& elephant_fct_us() const {
-    return elephant_fct_us_;
-  }
   std::int64_t flows_completed() const { return pool_.completed(); }
   std::int64_t flows_launched() const { return pool_.launched(); }
-  std::int64_t bytes_offered() const { return bytes_offered_; }
 
  private:
   void schedule_next();
@@ -83,8 +79,6 @@ class TraceReplay {
   SimTime mean_interarrival_;
   Rng rng_;
   PercentileSampler mice_fct_us_;
-  PercentileSampler elephant_fct_us_;
-  std::int64_t bytes_offered_ = 0;
   bool running_ = false;
 };
 
@@ -104,9 +98,6 @@ class OpenLoopReplay {
   void start();
   void stop() { running_ = false; }
 
-  std::int64_t packets_offered() const { return packets_offered_; }
-  std::int64_t bytes_offered() const { return bytes_offered_; }
-
  private:
   void schedule_next();
 
@@ -116,8 +107,6 @@ class OpenLoopReplay {
   BitsPerSec flow_pace_bps_;
   SimTime mean_interarrival_;
   Rng rng_;
-  std::int64_t packets_offered_ = 0;
-  std::int64_t bytes_offered_ = 0;
   bool running_ = false;
 };
 

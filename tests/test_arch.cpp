@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "workload/kv.h"
 
 namespace oo::arch {
@@ -156,6 +159,50 @@ TEST(Arch, JupiterReconfiguresWithoutLoss) {
   // Make-before-break: routing updates precede topology swaps, so no-route
   // drops stay zero even across reconfigurations.
   EXPECT_EQ(inst.net->totals().no_route_drops, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Preset validation: a shape no preset can build fails when it is built,
+// with std::invalid_argument, in release builds too (no assert).
+
+TEST(ArchValidation, RotorPresetsRejectOddTorCounts) {
+  Params p = small_params();
+  p.tors = 7;
+  EXPECT_THROW(make_rotornet(p, RotorRouting::Direct), std::invalid_argument);
+  EXPECT_THROW(make_opera(p), std::invalid_argument);
+  EXPECT_THROW(make_semi_oblivious(p), std::invalid_argument);
+}
+
+TEST(ArchValidation, RejectsFewerThanTwoTors) {
+  for (const int tors : {-2, 0, 1}) {
+    Params p = small_params();
+    p.tors = tors;
+    EXPECT_THROW(make_clos(p), std::invalid_argument) << tors;
+    EXPECT_THROW(make_rotornet(p, RotorRouting::Direct),
+                 std::invalid_argument)
+        << tors;
+    EXPECT_THROW(make_opera(p), std::invalid_argument) << tors;
+  }
+}
+
+TEST(ArchValidation, RejectsHostlessTors) {
+  Params p = small_params();
+  p.hosts_per_tor = 0;
+  EXPECT_THROW(make_clos(p), std::invalid_argument);
+  EXPECT_THROW(make_rotornet(p, RotorRouting::Direct), std::invalid_argument);
+}
+
+TEST(ArchValidation, MessageNamesPresetAndParameter) {
+  Params p = small_params();
+  p.tors = 7;
+  try {
+    make_rotornet(p, RotorRouting::Direct);
+    FAIL() << "7 ToRs built a rotor";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rotornet-direct"), std::string::npos) << what;
+    EXPECT_NE(what.find("tors"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

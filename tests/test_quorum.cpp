@@ -382,11 +382,13 @@ TEST_F(QuorumTest, RestartMidElectionDoesNotCompletePartialCommit) {
 // Staleness probes route to the control plane: with no elected leader (and
 // the engine restarted, so this isn't the crashed-controller suppression),
 // the watchdog suppresses and re-schedules them instead of burning probes.
+// The fixture never starts the network, so no resync beacon runs and every
+// node goes stale once 3 x resync_interval (300 us) has passed.
 TEST_F(QuorumTest, WatchdogSuppressesProbesWhileNoLeader) {
   make(3);
-  services::SyncWatchdog::Config wcfg;
-  wcfg.beacon_timeout = 40_us;
-  services::SyncWatchdog wd(*net, wcfg);
+  ASSERT_EQ(net->config().resync_interval, 100_us);
+  ASSERT_FALSE(net->started());
+  services::SyncWatchdog wd(*net);
   wd.set_controller(ctl.get());
   wd.start();
   net->sim().schedule_at(10_us, [&]() {

@@ -1,14 +1,27 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "api/openoptics.h"
 #include "resource/tofino.h"
 #include "routing/to_routing.h"
 #include "topo/round_robin.h"
+#include "workload/kv.h"
 
 namespace oo {
 namespace {
 
 using namespace oo::literals;
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
 
 TEST(Resource, PaperReferenceReproducesTable2) {
   const auto usage =
@@ -154,6 +167,37 @@ TEST(ApiNet, InfeasibleTopoRejected) {
   std::vector<optics::Circuit> bad = {{0, 0, 1, 0, 0}, {0, 0, 2, 0, 0}};
   EXPECT_FALSE(net.deploy_topo(bad, 2));
   EXPECT_FALSE(net.ready());
+}
+
+// The script API's file writers on a sharded net: the Chrome trace stitches
+// the per-shard rings into node tracks labelled with their owning shard.
+TEST(ApiNet, ShardedTraceAndMetricsFiles) {
+  auto net = api::Net::from_json(R"({"node_num": 8, "shards": 2})");
+  net.enable_tracing();
+  ASSERT_TRUE(net.deploy_topo(topo::round_robin_1d(8, 1),
+                              topo::round_robin_period(8)));
+  ASSERT_TRUE(net.deploy_routing(routing::vlb(net.schedule()),
+                                 api::Lookup::PerHop,
+                                 api::Multipath::PerPacket));
+  workload::KvWorkload kv(net.network(), /*server=*/0,
+                          {1, 2, 3, 4, 5, 6, 7}, /*mean_interval=*/500_us);
+  kv.start();
+  net.run_for(5_ms);
+  kv.stop();
+  ASSERT_GT(kv.ops_completed(), 0);
+
+  const std::string dir = ::testing::TempDir();
+  const std::string trace_path = dir + "oo_api_sharded_trace.json";
+  const std::string csv_path = dir + "oo_api_sharded_metrics.csv";
+  net.write_chrome_trace(trace_path);
+  net.write_metrics_csv(csv_path);
+
+  const std::string trace = read_file(trace_path);
+  EXPECT_NE(trace.find("\"node_0 (shard 0)\""), std::string::npos);
+  EXPECT_NE(trace.find("\"node_1 (shard 1)\""), std::string::npos);
+  EXPECT_EQ(read_file(csv_path).rfind("metric,value\n", 0), 0u);
+  std::remove(trace_path.c_str());
+  std::remove(csv_path.c_str());
 }
 
 }  // namespace

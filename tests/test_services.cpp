@@ -270,6 +270,38 @@ TEST(ServiceLifetime, FailureRecoveryMutesScrubListenersAndRetries) {
   EXPECT_EQ(inst.net->sim().metrics().counter_value("recovery.retries"), 1);
 }
 
+// A deploy transaction still in flight on a modeled southbound when the
+// recovery is destroyed resolves into a muted callback: the dead service
+// records no recovery. Covers a started recovery and a bare recover_now().
+TEST(ServiceLifetime, FailureRecoveryMutesInFlightDeployCommit) {
+  arch::Params p;
+  p.tors = 8;
+  p.hosts_per_tor = 1;
+  p.uplinks = 1;
+  auto inst = arch::make_rotornet(p, arch::RotorRouting::Direct);
+  core::SouthboundConfig sb;
+  sb.latency = 50_us;
+  inst.ctl->southbound().configure(sb);
+  const std::uint64_t epoch = inst.ctl->committed_epoch();
+  {
+    FailureRecovery recovery(*inst.net, *inst.ctl, direct_reroute);
+    recovery.start();
+    EXPECT_TRUE(recovery.recover_now());
+    EXPECT_TRUE(inst.ctl->txn_in_flight());
+  }
+  inst.run_for(2_ms);
+  EXPECT_FALSE(inst.ctl->txn_in_flight());
+  EXPECT_EQ(inst.ctl->committed_epoch(), epoch + 1);
+  {
+    FailureRecovery recovery(*inst.net, *inst.ctl, direct_reroute);
+    EXPECT_TRUE(recovery.recover_now());
+    EXPECT_TRUE(inst.ctl->txn_in_flight());
+  }
+  inst.run_for(2_ms);
+  EXPECT_EQ(inst.ctl->committed_epoch(), epoch + 2);
+  EXPECT_EQ(inst.net->sim().metrics().counter_value("recovery.recoveries"), 0);
+}
+
 TEST(ServiceLifetime, MonitorCancelsItsSamplingTimer) {
   const std::int64_t bare = events_after(nullptr);
   EXPECT_EQ(events_after([](arch::Instance& inst) {

@@ -85,27 +85,5 @@ TEST(PercentileSampler, EmptyIsSafe) {
   EXPECT_TRUE(p.cdf().empty());
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bin 0
-  h.add(9.5);   // bin 9
-  h.add(-5.0);  // clamps to bin 0
-  h.add(50.0);  // clamps to bin 9
-  EXPECT_EQ(h.total(), 4);
-  EXPECT_EQ(h.bin_count(0), 2);
-  EXPECT_EQ(h.bin_count(9), 2);
-  EXPECT_EQ(h.bin_count(5), 0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(5), 5.0);
-}
-
-TEST(Histogram, Ascii) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const auto s = h.ascii(10);
-  EXPECT_NE(s.find('#'), std::string::npos);
-}
-
 }  // namespace
 }  // namespace oo
