@@ -4,7 +4,9 @@
 // while the event-driven recovery service masks failures, re-admits
 // repaired circuits, retries deploys through the controller outage, and
 // flips the hybrid steering into degraded mode so elephants lean on the
-// electrical fabric. Prints the robustness telemetry the run produced.
+// electrical fabric. Prints the robustness telemetry the run produced: the
+// fabric.*, recovery.* and tor.* cells of the metrics registry, and the
+// recovery service's MTTR and availability.
 //
 // With --trace=PATH the whole drill is captured in the flight recorder and
 // written as Chrome trace_event JSON (chrome://tracing, Perfetto): circuit
@@ -14,6 +16,7 @@
 // specs of the registered experiments (examples/specs/ci_campaign.json,
 // control_chaos.json, quorum_chaos.json, gray_chaos.json; EXPERIMENTS.md).
 #include <cstdio>
+#include <sstream>
 #include <string>
 
 #include "arch/arch.h"
@@ -23,7 +26,6 @@
 #include "services/failure_recovery.h"
 #include "services/fault_plan.h"
 #include "services/hybrid_steering.h"
-#include "services/monitor.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/trace_export.h"
 #include "workload/kv.h"
@@ -44,9 +46,6 @@ int run_fault_drill(const std::string& trace_path) {
 
   telemetry::FlightRecorder recorder(std::size_t{1} << 16);
   if (!trace_path.empty()) inst.net->sim().set_recorder(&recorder);
-
-  services::Monitor monitor(*inst.net, 1_ms);
-  monitor.start();
 
   // Elephant + mice mix: a KV service plus bulk flows big enough for the
   // flow-aging classifier to steer onto direct circuits.
@@ -98,7 +97,6 @@ int run_fault_drill(const std::string& trace_path) {
   inst.run_for(240_ms);
   kv.stop();
 
-  const auto health = monitor.health();
   std::printf("=== chaos drill: %s, 300 ms, %zu scripted events ===\n",
               inst.name.c_str(), plan.size());
   std::printf("injected: %s\n", plan.summary().c_str());
@@ -107,17 +105,21 @@ int run_fault_drill(const std::string& trace_path) {
   std::printf("elephants steered:      %lld (diverted while degraded: %lld)\n",
               static_cast<long long>(steering->steered_packets()),
               static_cast<long long>(steering->degraded_diverted()));
-  std::printf("fabric drops by class:  failed=%lld corrupt=%lld other=%lld\n",
-              static_cast<long long>(health.failed_drops),
-              static_cast<long long>(health.corrupt_drops),
-              static_cast<long long>(health.fabric_drops -
-                                     health.failed_drops -
-                                     health.corrupt_drops));
   std::printf("deploys rejected:       %lld (recovery retries: %d)\n",
               static_cast<long long>(inst.ctl->deploys_rejected()),
               recovery.retries());
-  std::printf("\n%s\n", services::robustness_csv(
-                            recovery, inst.net->optical()).c_str());
+  std::printf("\n");
+  std::istringstream rows(inst.net->sim().metrics().csv());
+  for (std::string row; std::getline(rows, row);) {
+    if (row == "metric,value" || row.starts_with("fabric.") ||
+        row.starts_with("recovery.") || row.starts_with("tor.")) {
+      std::printf("%s\n", row.c_str());
+    }
+  }
+  const auto& mttr = recovery.mttr_us();
+  std::printf("mttr_us_p50,%.6g\n", mttr.empty() ? 0.0 : mttr.percentile(50));
+  std::printf("mttr_us_p99,%.6g\n", mttr.empty() ? 0.0 : mttr.percentile(99));
+  std::printf("availability,%.6g\n\n", recovery.availability());
 
   if (!trace_path.empty()) {
     services::write_file(trace_path, telemetry::chrome_trace_json(recorder));

@@ -260,7 +260,7 @@ services::HealthScanner& Net::enable_health_scanner() {
   if (!scanner_) {
     scanner_ = std::make_unique<services::HealthScanner>(*net_);
     scanner_->set_controller(ctl_.get());
-    if (monitor_) monitor_->attach_scanner(scanner_.get());
+    if (monitor_) monitor_->attach_ladder(&scanner_->ladder());
     scanner_->start();
   }
   return *scanner_;

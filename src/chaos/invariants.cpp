@@ -6,43 +6,10 @@
 #include "core/controller.h"
 #include "core/quorum.h"
 #include "parallel/sharded.h"
-#include "services/health_scanner.h"
-#include "services/sync_watchdog.h"
+#include "services/ladder.h"
 #include "transport/fluid.h"
 
 namespace oo::chaos {
-
-namespace {
-
-const char* tor_state_name(services::SyncWatchdog::TorState s) {
-  using TorState = services::SyncWatchdog::TorState;
-  switch (s) {
-    case TorState::Healthy:
-      return "healthy";
-    case TorState::Widened:
-      return "widened";
-    case TorState::Quarantined:
-      return "quarantined";
-  }
-  return "?";
-}
-
-const char* health_name(services::HealthScanner::NodeHealth s) {
-  using NodeHealth = services::HealthScanner::NodeHealth;
-  switch (s) {
-    case NodeHealth::Healthy:
-      return "healthy";
-    case NodeHealth::Suspect:
-      return "suspect";
-    case NodeHealth::Degraded:
-      return "degraded";
-    case NodeHealth::Quarantined:
-      return "quarantined";
-  }
-  return "?";
-}
-
-}  // namespace
 
 InvariantMonitor::InvariantMonitor(core::Network& net)
     : net_(net),
@@ -66,54 +33,21 @@ void InvariantMonitor::attach_quorum(const core::ControllerQuorum* quorum) {
   quorum_ = quorum;
 }
 
-void InvariantMonitor::attach_watchdog(services::SyncWatchdog* wd) {
-  using TorState = services::SyncWatchdog::TorState;
-  wd->set_transition_hook([this](NodeId n, TorState from, TorState to) {
-    check_watchdog_transition(n, static_cast<int>(from),
-                              static_cast<int>(to));
+void InvariantMonitor::attach_ladder(services::Ladder* ladder) {
+  ladder->set_transition_hook([this, ladder](NodeId n, int from, int to) {
+    check_ladder_transition(*ladder, n, from, to);
   });
 }
 
-void InvariantMonitor::check_watchdog_transition(NodeId node, int from_i,
-                                                 int to_i) {
-  using TorState = services::SyncWatchdog::TorState;
-  const auto from = static_cast<TorState>(from_i);
-  const auto to = static_cast<TorState>(to_i);
+void InvariantMonitor::check_ladder_transition(const services::Ladder& ladder,
+                                               NodeId node, int from, int to) {
   const bool legal =
-      (from == TorState::Healthy && to == TorState::Widened) ||
-      (from == TorState::Widened && to == TorState::Quarantined) ||
-      (from == TorState::Widened && to == TorState::Healthy) ||
-      (from == TorState::Quarantined && to == TorState::Healthy);
+      (to == from + 1 && to <= ladder.top()) || (to == 0 && from > 0);
   if (!legal) {
-    violate("watchdog_ladder",
-            "node " + std::to_string(node) + ": illegal transition " +
-                tor_state_name(from) + " -> " + tor_state_name(to));
-  }
-}
-
-void InvariantMonitor::attach_scanner(services::HealthScanner* hs) {
-  using NodeHealth = services::HealthScanner::NodeHealth;
-  hs->set_transition_hook([this](NodeId n, NodeHealth from, NodeHealth to) {
-    check_scanner_transition(n, static_cast<int>(from), static_cast<int>(to));
-  });
-}
-
-void InvariantMonitor::check_scanner_transition(NodeId node, int from_i,
-                                                int to_i) {
-  using NodeHealth = services::HealthScanner::NodeHealth;
-  const auto from = static_cast<NodeHealth>(from_i);
-  const auto to = static_cast<NodeHealth>(to_i);
-  const bool legal =
-      (from == NodeHealth::Healthy && to == NodeHealth::Suspect) ||
-      (from == NodeHealth::Suspect && to == NodeHealth::Degraded) ||
-      (from == NodeHealth::Suspect && to == NodeHealth::Healthy) ||
-      (from == NodeHealth::Degraded && to == NodeHealth::Quarantined) ||
-      (from == NodeHealth::Degraded && to == NodeHealth::Healthy) ||
-      (from == NodeHealth::Quarantined && to == NodeHealth::Healthy);
-  if (!legal) {
-    violate("scanner_ladder",
-            "node " + std::to_string(node) + ": illegal transition " +
-                health_name(from) + " -> " + health_name(to));
+    violate(ladder.name(), "node " + std::to_string(node) +
+                               ": illegal transition " +
+                               ladder.rung_name(from) + " -> " +
+                               ladder.rung_name(to));
   }
 }
 

@@ -14,9 +14,11 @@
 //   - fluid-solver byte conservation: every active flow's remaining bytes
 //     stay inside [0, total] at a legal rate;
 //   - no event scheduled into the past (via sim::InvariantSink);
-//   - watchdog ladder legality: Healthy -> Widened -> Quarantined ->
-//     Healthy only — a node must never skip a rung (e.g. Healthy ->
-//     Quarantined) or be re-widened without readmission;
+//   - remediation ladder legality, one rule for the sync watchdog's and the
+//     health scanner's services::Ladder: a node moves one rung up, or from
+//     above rung 0 back to it — never skipping a rung either way (e.g.
+//     Healthy -> Quarantined, or Quarantined -> Widened). A violation
+//     carries its ladder's name, "watchdog_ladder" or "scanner_ladder";
 //   - queue-depth bounds: per-port buffered bytes stay inside
 //     [0, calendar + FIFO capacity].
 //
@@ -45,9 +47,8 @@ class Controller;
 class ControllerQuorum;
 }  // namespace oo::core
 namespace oo::services {
-class HealthScanner;
-class SyncWatchdog;
-}  // namespace oo::services
+class Ladder;
+}
 namespace oo::transport {
 class FluidSolver;
 }
@@ -77,8 +78,7 @@ class InvariantMonitor : public sim::InvariantSink {
   // the monitor must be destroyed first — the usual stack order).
   void attach_controller(const core::Controller* ctl);
   void attach_quorum(const core::ControllerQuorum* quorum);
-  void attach_watchdog(services::SyncWatchdog* wd);  // installs its hook
-  void attach_scanner(services::HealthScanner* hs);  // installs its hook
+  void attach_ladder(services::Ladder* ladder);  // installs its tap
   void attach_fluid(const transport::FluidSolver* fluid);
   // Sharded engine: routes its barrier-time violations (cross-shard packet
   // conservation, lane past-schedule reports, custom barrier checks) into
@@ -87,16 +87,11 @@ class InvariantMonitor : public sim::InvariantSink {
   // needed here.
   void attach_parallel(parallel::ShardedEngine* engine);
 
-  // The ladder-legality check behind attach_watchdog's hook, public so the
-  // legality table itself is unit-testable without staging a real
-  // quarantine. from/to are services::SyncWatchdog::TorState values.
-  void check_watchdog_transition(NodeId node, int from, int to);
-
-  // Health-scanner ladder legality (attach_scanner's hook): rungs escalate
-  // one at a time (Healthy -> Suspect -> Degraded -> Quarantined) and only
-  // readmission returns to Healthy — no rung-skipping in either direction.
-  // from/to are services::HealthScanner::NodeHealth values.
-  void check_scanner_transition(NodeId node, int from, int to);
+  // The legality check behind attach_ladder's tap, public so the rule is
+  // unit-testable without staging a real quarantine. from/to are rungs of
+  // `ladder`.
+  void check_ladder_transition(const services::Ladder& ladder, NodeId node,
+                               int from, int to);
 
   // Custom invariant: `fn` returns an empty string while the invariant
   // holds, a description once it breaks. Evaluated on every poll round and

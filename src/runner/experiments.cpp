@@ -134,7 +134,7 @@ json::Object run_sync_resilience(RunContext& ctx) {
   services::SyncWatchdog watchdog(*net);
   std::int64_t wrong_at_quarantine = -1;
   if (watchdog_on) {
-    watchdog.set_quarantine_hook(
+    watchdog.ladder().set_steering_hook(
         [net, &wrong_at_quarantine](NodeId, bool quarantined) {
           if (quarantined && wrong_at_quarantine < 0) {
             wrong_at_quarantine = net->optical().wrong_slice();
@@ -222,7 +222,7 @@ json::Object run_gray_detection(RunContext& ctx) {
   scanner.set_controller(ctl);
   if (inst.steering) {
     auto steering = inst.steering;
-    scanner.set_degrade_hook([steering](NodeId n, bool degraded) {
+    scanner.ladder().set_steering_hook([steering](NodeId n, bool degraded) {
       steering->set_node_degraded(n, degraded);
     });
   }
@@ -237,10 +237,10 @@ json::Object run_gray_detection(RunContext& ctx) {
   HealthScanner::Blame first_blame;
   HealthScanner::Blame final_blame;
   std::int64_t off_target_suspects = 0;
-  scanner.set_transition_hook([&, net, target](NodeId n,
-                                               HealthScanner::NodeHealth,
-                                               HealthScanner::NodeHealth to) {
-    if (to == HealthScanner::NodeHealth::Suspect) {
+  using NodeHealth = HealthScanner::NodeHealth;
+  scanner.ladder().set_transition_hook([&, net, target](NodeId n, int,
+                                                        int to) {
+    if (to == static_cast<int>(NodeHealth::Suspect)) {
       if (n == target) {
         if (suspect_at == SimTime::zero()) {
           suspect_at = net->sim().now();
@@ -250,7 +250,7 @@ json::Object run_gray_detection(RunContext& ctx) {
         ++off_target_suspects;
       }
     }
-    if (n == target && to == HealthScanner::NodeHealth::Quarantined) {
+    if (n == target && to == static_cast<int>(NodeHealth::Quarantined)) {
       if (quarantine_at == SimTime::zero()) quarantine_at = net->sim().now();
       // Keep the last quarantine's verdict: a sticky fault oscillates
       // through quarantine/readmit cycles, and each re-detection classifies
@@ -618,17 +618,17 @@ std::int64_t chaos_run_once(RunContext& ctx,
   recovery.start();
 
   services::SyncWatchdog watchdog(*net);
-  monitor.attach_watchdog(&watchdog);
+  monitor.attach_ladder(&watchdog.ladder());
   watchdog.start();
 
   // The health scanner rides every fuzz run: the gray fault kinds exercise
   // its evidence ladder, and the monitor checks each transition's legality.
   services::HealthScanner scanner(*net);
   scanner.set_controller(ctl);
-  monitor.attach_scanner(&scanner);
+  monitor.attach_ladder(&scanner.ladder());
   if (inst.steering) {
     auto steering = inst.steering;
-    scanner.set_degrade_hook([steering](NodeId n, bool degraded) {
+    scanner.ladder().set_steering_hook([steering](NodeId n, bool degraded) {
       steering->set_node_degraded(n, degraded);
     });
   }

@@ -37,6 +37,9 @@ constexpr int kReadmitCleanRounds = 4;
 HealthScanner::HealthScanner(core::Network& net, double suspect_score)
     : net_(net),
       suspect_score_(suspect_score),
+      ladder_(net, "scanner_ladder",
+              {"healthy", "suspect", "degraded", "quarantined"},
+              kReadmitCleanRounds),
       audits_(&net.sim().metrics().counter("health.audits")),
       symptoms_loss_(
           &net.sim().metrics().counter("health.symptoms", {{"kind", "loss"}})),
@@ -154,10 +157,7 @@ void HealthScanner::audit(std::int64_t boundary_abs) {
         // far end would cascade one quarantine into many. Administrative
         // loss is not evidence.
         const bool administrative =
-            nodes_[static_cast<std::size_t>(src)].state ==
-                NodeHealth::Quarantined ||
-            nodes_[static_cast<std::size_t>(peer->node)].state ==
-                NodeHealth::Quarantined;
+            ladder_.fenced(src) || ladder_.fenced(peer->node);
         if (administrative || dtx < kMinAuditBytes) {
           // An idle circuit is not evidence either way, but held evidence
           // must decay — a quarantined node carries no optical traffic, and
@@ -207,8 +207,7 @@ void HealthScanner::classify(std::int64_t slice_abs) {
   // as audit() does for fresh deltas.
   std::vector<char> fenced(static_cast<std::size_t>(num_nodes_), 0);
   for (NodeId n = 0; n < num_nodes_; ++n) {
-    fenced[static_cast<std::size_t>(n)] =
-        nodes_[static_cast<std::size_t>(n)].state == NodeHealth::Quarantined;
+    fenced[static_cast<std::size_t>(n)] = ladder_.fenced(n);
   }
   // Per-node tomography aggregates over circuits that crossed the evidence
   // threshold. A positive EWMA is real loss on the circuit; a negative one
@@ -373,32 +372,33 @@ void HealthScanner::classify(std::int64_t slice_abs) {
         st.probe != nullptr && st.probe->lost() > st.probe_losses;
     if (probe_evidence) st.probe_losses = static_cast<int>(st.probe->lost());
     if (why.cause != Cause::None) {
-      st.clean_rounds = 0;
-      if (st.state == NodeHealth::Healthy) {
+      ladder_.reset_clean(n);
+      if (state(n) == NodeHealth::Healthy) {
         st.rounds_at_rung = 0;
         escalate(n, why);
       } else if (++st.rounds_at_rung >= kEscalateRounds) {
         st.rounds_at_rung = 0;
         escalate(n, why);
       }
-    } else if (st.state != NodeHealth::Healthy) {
-      if (probe_evidence) {
-        st.clean_rounds = 0;
-      } else if (++st.clean_rounds >= kReadmitCleanRounds) {
-        readmit(n);
-      }
+    } else if (probe_evidence) {
+      ladder_.reset_clean(n);
+    } else if (ladder_.clean_round(n)) {
+      readmit(n);
     }
   }
 }
 
 void HealthScanner::escalate(NodeId n, const Blame& why) {
+  // Quarantine needs an electrical fabric to divert onto; without one the
+  // ladder tops out at Degraded.
+  if (!ladder_.can_climb(n)) return;
   NodeState& st = nodes_[static_cast<std::size_t>(n)];
   const SimTime now = net_.sim().now();
   const std::int64_t blamed_port =
       why.port == kInvalidPort ? -1 : static_cast<std::int64_t>(why.port);
-  switch (st.state) {
-    case NodeHealth::Healthy: {
-      st.blame = why;
+  st.blame = why;
+  switch (state(n)) {
+    case NodeHealth::Healthy:
       st.suspect_at = now;
       st.probe_losses = 0;
       suspects_->inc();
@@ -406,40 +406,27 @@ void HealthScanner::escalate(NodeId n, const Blame& why) {
         tr->health_suspect(now, n, static_cast<std::int64_t>(why.cause),
                            blamed_port);
       }
-      note_transition(n, NodeHealth::Healthy, NodeHealth::Suspect);
-      st.state = NodeHealth::Suspect;
+      ladder_.climb(n);
       start_probe(n);
       break;
-    }
-    case NodeHealth::Suspect: {
-      st.blame = why;
+    case NodeHealth::Suspect:
       degrades_->inc();
       if (auto* tr = net_.sim().recorder()) {
         tr->health_degrade(now, n, st.probe_losses, blamed_port);
       }
-      note_transition(n, NodeHealth::Suspect, NodeHealth::Degraded);
-      st.state = NodeHealth::Degraded;
-      if (degrade_hook_) degrade_hook_(n, true);
+      ladder_.climb(n);
       break;
-    }
-    case NodeHealth::Degraded: {
-      // Quarantine needs an electrical fabric to divert onto; without one
-      // the ladder tops out at Degraded.
-      if (net_.electrical() == nullptr) break;
-      st.blame = why;
-      net_.set_node_quarantined(n, true);
+    case NodeHealth::Degraded:
       quarantines_->inc();
       if (auto* tr = net_.sim().recorder()) {
         tr->health_quarantine(now, n, static_cast<std::int64_t>(why.cause),
                               blamed_port);
       }
-      note_transition(n, NodeHealth::Degraded, NodeHealth::Quarantined);
-      st.state = NodeHealth::Quarantined;
+      ladder_.climb(n);
       // The node is off the optical fabric; probes would only measure the
       // healthy electrical path now.
       st.probe.reset();
       break;
-    }
     case NodeHealth::Quarantined:
       break;
   }
@@ -462,8 +449,7 @@ void HealthScanner::start_probe(NodeId n) {
   } else {
     NodeId src = kInvalidNode;
     for (NodeId m = 0; m < num_nodes_; ++m) {
-      if (m != n && nodes_[static_cast<std::size_t>(m)].state ==
-                        NodeHealth::Healthy) {
+      if (m != n && state(m) == NodeHealth::Healthy) {
         src = m;
         break;
       }
@@ -486,15 +472,15 @@ void HealthScanner::on_probe_loss(NodeId n) {
   NodeState& st = nodes_[static_cast<std::size_t>(n)];
   ++st.probe_losses;
   probes_lost_->inc();
-  st.clean_rounds = 0;
+  ladder_.reset_clean(n);
   // Probe losses corroborate the audit evidence and take the next rung
   // without waiting out kEscalateRounds. The loss hook fires from the
   // probe's own timeout event on the control queue — never from inside a
   // fabric or drain callback — so escalating directly is re-entry safe.
-  if (st.state == NodeHealth::Suspect &&
+  if (state(n) == NodeHealth::Suspect &&
       st.probe_losses >= kDegradeProbeLosses) {
     escalate(n, st.blame);
-  } else if (st.state == NodeHealth::Degraded &&
+  } else if (state(n) == NodeHealth::Degraded &&
              st.probe_losses >= 2 * kDegradeProbeLosses) {
     escalate(n, st.blame);
   }
@@ -503,22 +489,13 @@ void HealthScanner::on_probe_loss(NodeId n) {
 void HealthScanner::readmit(NodeId n) {
   NodeState& st = nodes_[static_cast<std::size_t>(n)];
   const SimTime now = net_.sim().now();
-  if (st.state == NodeHealth::Quarantined) {
-    net_.set_node_quarantined(n, false);
-  }
-  if (st.state == NodeHealth::Degraded ||
-      st.state == NodeHealth::Quarantined) {
-    if (degrade_hook_) degrade_hook_(n, false);
-  }
   readmissions_->inc();
   if (auto* tr = net_.sim().recorder()) {
     tr->health_readmit(now, n, (now - st.suspect_at).ns());
   }
-  note_transition(n, st.state, NodeHealth::Healthy);
-  st.state = NodeHealth::Healthy;
+  ladder_.readmit(n);
   st.blame = Blame{};
   st.rounds_at_rung = 0;
-  st.clean_rounds = 0;
   st.claim_mismatch_rounds = 0;
   st.probe_losses = 0;
   st.probe.reset();

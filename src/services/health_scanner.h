@@ -31,11 +31,12 @@
 //     backoff) are sent only once a node is Suspect — a clean run schedules
 //     no probes and is byte-identical to a scanner-less run.
 //
-// Remediation ladder, per node:
+// Remediation ladder, a four-rung services::Ladder per node:
 //   Healthy -> Suspect      evidence threshold crossed; targeted probing
 //                           starts across the blamed component
-//   Suspect -> Degraded     probe losses or sustained evidence; the degrade
-//                           hook (HybridSteering::set_node_degraded) shifts
+//   Suspect -> Degraded     probe losses or sustained evidence; the
+//                           ladder's steering hook
+//                           (HybridSteering::set_node_degraded) shifts
 //                           elephant flows off the node
 //   Degraded -> Quarantined further losses/evidence; optical egress fenced,
 //                           traffic diverted + queues flushed (hybrid
@@ -54,11 +55,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/network.h"
+#include "services/ladder.h"
 #include "transport/udp_probe.h"
 
 namespace oo::core {
@@ -72,8 +73,7 @@ class HealthScanner {
   // Loss-fraction score at which a circuit counts as anomalous.
   static constexpr double kDefaultSuspectScore = 0.05;
 
-  // Ladder rungs; numeric order is escalation order (the invariant monitor
-  // checks transitions against it).
+  // Ladder rungs; numeric order is escalation order.
   enum class NodeHealth { Healthy = 0, Suspect, Degraded, Quarantined };
 
   // What the tomography pass localized.
@@ -100,18 +100,10 @@ class HealthScanner {
   // simply cannot charge silent installs.
   void set_controller(const core::Controller* ctl) { ctl_ = ctl; }
 
-  // Invoked on Degraded entry (true) / exit (false) — the wiring point for
-  // HybridSteering::set_node_degraded.
-  using DegradeFn = std::function<void(NodeId, bool)>;
-  void set_degrade_hook(DegradeFn fn) { degrade_hook_ = std::move(fn); }
-
-  // Invoked on every ladder transition (from != to) — the invariant
-  // monitor's legality tap.
-  using TransitionFn =
-      std::function<void(NodeId, NodeHealth from, NodeHealth to)>;
-  void set_transition_hook(TransitionFn fn) {
-    transition_hook_ = std::move(fn);
-  }
+  // The per-node ladder; rungs are NodeHealth values. Its steering hook
+  // fires on Degraded entry (true) and on readmission from Degraded or
+  // Quarantined (false).
+  Ladder& ladder() { return ladder_; }
 
   // Start boundary-aligned audits. Stop drops timers and probes but leaves
   // in-effect degradations/quarantines as they are.
@@ -120,7 +112,7 @@ class HealthScanner {
   bool running() const { return started_; }
 
   NodeHealth state(NodeId n) const {
-    return nodes_[static_cast<std::size_t>(n)].state;
+    return static_cast<NodeHealth>(ladder_.rung(n));
   }
   const Blame& blame(NodeId n) const {
     return nodes_[static_cast<std::size_t>(n)].blame;
@@ -141,10 +133,8 @@ class HealthScanner {
     int anomalous_audits = 0;
   };
   struct NodeState {
-    NodeHealth state = NodeHealth::Healthy;
     Blame blame;
     int rounds_at_rung = 0;
-    int clean_rounds = 0;
     int claim_mismatch_rounds = 0;
     int probe_losses = 0;
     SimTime suspect_at = SimTime::zero();
@@ -165,9 +155,6 @@ class HealthScanner {
   void start_probe(NodeId n);
   void on_probe_loss(NodeId n);
   void readmit(NodeId n);
-  void note_transition(NodeId n, NodeHealth from, NodeHealth to) {
-    if (transition_hook_ && from != to) transition_hook_(n, from, to);
-  }
 
   core::Network& net_;
   const double suspect_score_;
@@ -175,6 +162,7 @@ class HealthScanner {
   int num_nodes_ = 0;
   int uplinks_ = 0;
   SimTime rx_delay_ = SimTime::zero();  // latency_max + 1ns
+  Ladder ladder_;
   std::vector<NodeState> nodes_;
   std::vector<CircuitStat> circuits_;
   // Peak disagreement breadth per node, held until every circuit touching
@@ -189,8 +177,6 @@ class HealthScanner {
   bool have_baseline_ = false;
   std::shared_ptr<bool> alive_;
   sim::ScopedEventHandle boundary_handle_;
-  DegradeFn degrade_hook_;
-  TransitionFn transition_hook_;
   bool started_ = false;
   telemetry::Counter* audits_;
   telemetry::Counter* symptoms_loss_;

@@ -29,7 +29,8 @@ class HybridSteering {
   // Elephant packets that stayed electrical because of degraded mode.
   std::int64_t degraded_diverted() const { return diverted_; }
 
-  // Per-node degraded mode (the sync watchdog's quarantine hook): elephants
+  // Per-node degraded mode (a remediation ladder's steering hook: the sync
+  // watchdog's on quarantine, the health scanner's on Degraded): elephants
   // from or to a degraded ToR stay on the electrical route, without pulling
   // the whole fabric out of steering. Lazily sized on first use.
   void set_node_degraded(NodeId n, bool d);

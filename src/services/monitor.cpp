@@ -2,34 +2,6 @@
 
 namespace oo::services {
 
-namespace {
-
-Monitor::Health snapshot(core::Network& net) {
-  Monitor::Health h;
-  for (NodeId n = 0; n < net.num_tors(); ++n) {
-    const auto& tor = net.tor(n);
-    h.congestion_drops += tor.drops_congestion();
-    h.no_route_drops += tor.drops_no_route();
-    h.slice_misses += tor.slice_misses();
-    h.deferrals += tor.deferrals();
-  }
-  // Per-fault-class fabric drops come straight from the shared registry
-  // cells the fabric increments — one source of truth, no parallel counter
-  // plumbing between Monitor and OpticalFabric.
-  const auto& m = net.sim().metrics();
-  h.failed_drops = m.counter_value("fabric.drops", {{"class", "failed"}});
-  h.corrupt_drops = m.counter_value("fabric.drops", {{"class", "corrupt"}});
-  h.no_circuit_drops =
-      m.counter_value("fabric.drops", {{"class", "no_circuit"}});
-  h.guard_drops = m.counter_value("fabric.drops", {{"class", "guard"}});
-  h.boundary_drops = m.counter_value("fabric.drops", {{"class", "boundary"}});
-  h.fabric_drops = h.failed_drops + h.corrupt_drops + h.no_circuit_drops +
-                   h.guard_drops + h.boundary_drops;
-  return h;
-}
-
-}  // namespace
-
 Monitor::Monitor(core::Network& net, SimTime interval)
     : net_(net),
       interval_(interval),
@@ -39,7 +11,6 @@ Monitor::Monitor(core::Network& net, SimTime interval)
 void Monitor::start() {
   if (started_) return;
   started_ = true;
-  baseline_ = snapshot(net_);
   timer_ = net_.sim().schedule_every(
       net_.sim().now() + interval_, interval_,
       [this]() {
@@ -63,22 +34,6 @@ void Monitor::start() {
         }
       },
       "monitor");
-}
-
-Monitor::Health Monitor::health() const {
-  const auto now = snapshot(net_);
-  Health d;
-  d.congestion_drops = now.congestion_drops - baseline_.congestion_drops;
-  d.no_route_drops = now.no_route_drops - baseline_.no_route_drops;
-  d.slice_misses = now.slice_misses - baseline_.slice_misses;
-  d.deferrals = now.deferrals - baseline_.deferrals;
-  d.fabric_drops = now.fabric_drops - baseline_.fabric_drops;
-  d.failed_drops = now.failed_drops - baseline_.failed_drops;
-  d.corrupt_drops = now.corrupt_drops - baseline_.corrupt_drops;
-  d.no_circuit_drops = now.no_circuit_drops - baseline_.no_circuit_drops;
-  d.guard_drops = now.guard_drops - baseline_.guard_drops;
-  d.boundary_drops = now.boundary_drops - baseline_.boundary_drops;
-  return d;
 }
 
 }  // namespace oo::services

@@ -1,5 +1,7 @@
 // Monitoring APIs (§4.2): buffer_usage() and bw_usage() telemetry sampled
-// on an interval — network-health visibility beyond traffic volume.
+// on an interval. Drop and slice-miss counters are the metrics registry's
+// fabric.* and tor.* cells (and Network::totals()); deferrals are
+// TorSwitch::deferrals().
 #pragma once
 
 #include <vector>
@@ -35,32 +37,12 @@ class Monitor {
     return utilization_[static_cast<std::size_t>(node)];
   }
 
-  // Network-health counters (§4.1 "monitor network health"): deltas of the
-  // switch drop/miss/deferral counters since monitoring began. Fabric drops
-  // are also broken out per fault class so robustness studies can tell a
-  // dark transceiver (failed) from a degraded one (corrupt) from ordinary
-  // schedule misses (no_circuit/guard/boundary).
-  struct Health {
-    std::int64_t congestion_drops = 0;
-    std::int64_t no_route_drops = 0;
-    std::int64_t slice_misses = 0;
-    std::int64_t deferrals = 0;
-    std::int64_t fabric_drops = 0;
-    std::int64_t failed_drops = 0;    // loss-of-signal (dark port) drops
-    std::int64_t corrupt_drops = 0;   // BER-induced corruption drops
-    std::int64_t no_circuit_drops = 0;
-    std::int64_t guard_drops = 0;
-    std::int64_t boundary_drops = 0;
-  };
-  Health health() const;
-
  private:
   core::Network& net_;
   SimTime interval_;
   std::vector<PercentileSampler> utilization_;
   std::vector<std::int64_t> last_tx_bytes_;
   PercentileSampler all_;
-  Health baseline_;
   sim::ScopedEventHandle timer_;
   bool started_ = false;
 };

@@ -24,6 +24,8 @@ constexpr int kReadmitCleanRounds = 3;
 
 SyncWatchdog::SyncWatchdog(core::Network& net)
     : net_(net),
+      ladder_(net, "watchdog_ladder", {"healthy", "widened", "quarantined"},
+              kReadmitCleanRounds),
       desyncs_(&net.sim().metrics().counter("sync.desync_detected")),
       widenings_(&net.sim().metrics().counter("sync.guard_widenings")),
       quarantines_(&net.sim().metrics().counter("sync.quarantines")),
@@ -77,16 +79,6 @@ void SyncWatchdog::stop() {
   check_handle_.cancel();
 }
 
-std::vector<NodeId> SyncWatchdog::quarantined_nodes() const {
-  std::vector<NodeId> out;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].state == TorState::Quarantined) {
-      out.push_back(static_cast<NodeId>(i));
-    }
-  }
-  return out;
-}
-
 void SyncWatchdog::record_symptom(NodeId n, SimTime at,
                                   bool sender_attributed) {
   if (!started_) return;
@@ -99,7 +91,7 @@ void SyncWatchdog::record_symptom(NodeId n, SimTime at,
   auto& st = nodes_[static_cast<std::size_t>(n)];
   // A quarantined node is already off the optical fabric; stray symptoms
   // (in-flight launches racing the flush) must not poison its clean count.
-  if (st.state == TorState::Quarantined) return;
+  if (ladder_.fenced(n)) return;
   wrong_slice_seen_->inc();
   st.symptom_since_check = true;
   if (!st.detected && st.window.empty()) st.first_symptom = at;
@@ -127,7 +119,7 @@ void SyncWatchdog::record_symptom(NodeId n, SimTime at,
 void SyncWatchdog::escalate(NodeId n) {
   auto& st = nodes_[static_cast<std::size_t>(n)];
   st.escalate_pending = false;
-  if (st.state == TorState::Quarantined) return;
+  if (ladder_.fenced(n)) return;
   const SimTime now = net_.sim().now();
   const auto symptoms = static_cast<std::int64_t>(st.window.size());
   if (!st.detected) {
@@ -139,7 +131,7 @@ void SyncWatchdog::escalate(NodeId n) {
       tr->desync(now, n, symptoms, ttd.ns());
     }
   }
-  st.clean_rounds = 0;
+  ladder_.reset_clean(n);
   if (st.widenings < kMaxWidenings) {
     ++st.widenings;
     net_.set_node_guard_extra(n, widen_step_ * st.widenings);
@@ -147,16 +139,12 @@ void SyncWatchdog::escalate(NodeId n) {
     if (auto* tr = net_.sim().recorder()) {
       tr->guard_widen(now, n, net_.node_guard_extra(n).ns(), st.widenings);
     }
-    note_transition(n, st.state, TorState::Widened);
-    st.state = TorState::Widened;
-  } else if (st.sender_evidence && net_.electrical() != nullptr) {
-    net_.set_node_quarantined(n, true);
+    if (state(n) == TorState::Healthy) ladder_.climb(n);
+  } else if (st.sender_evidence && ladder_.can_climb(n)) {
     quarantines_->inc();
     if (auto* tr = net_.sim().recorder()) tr->quarantine(now, n, symptoms);
-    note_transition(n, st.state, TorState::Quarantined);
-    st.state = TorState::Quarantined;
     st.quarantined_at = now;
-    if (quarantine_hook_) quarantine_hook_(n, true);
+    ladder_.climb(n);
   }
   // Each rung of the ladder demands fresh evidence.
   st.window.clear();
@@ -189,12 +177,11 @@ void SyncWatchdog::check_round() {
     }
     // Readmission: a clean round is a fresh beacon that measured the clock
     // back inside the bound, with no symptoms since the last scan.
-    if (st.state != TorState::Healthy) {
-      if (st.symptom_since_check) {
-        st.clean_rounds = 0;
-      } else if (fresh && clock.within_bound(n, now)) {
-        if (++st.clean_rounds >= kReadmitCleanRounds) readmit(n);
-      }
+    if (st.symptom_since_check) {
+      ladder_.reset_clean(n);
+    } else if (fresh && clock.within_bound(n, now) &&
+               ladder_.clean_round(n)) {
+      readmit(n);
     }
     st.symptom_since_check = false;
   }
@@ -244,20 +231,16 @@ void SyncWatchdog::schedule_probe(NodeId n, SimTime when) {
 void SyncWatchdog::readmit(NodeId n) {
   auto& st = nodes_[static_cast<std::size_t>(n)];
   const SimTime now = net_.sim().now();
-  if (st.state == TorState::Quarantined) {
-    net_.set_node_quarantined(n, false);
+  if (ladder_.fenced(n)) {
     readmissions_->inc();
     const SimTime held = now - st.quarantined_at;
     quarantine_us_.add(held.us());
     if (auto* tr = net_.sim().recorder()) tr->readmit(now, n, held.ns());
-    if (quarantine_hook_) quarantine_hook_(n, false);
   }
   net_.set_node_guard_extra(n, SimTime::zero());
-  note_transition(n, st.state, TorState::Healthy);
-  st.state = TorState::Healthy;
+  ladder_.readmit(n);
   st.widenings = 0;
   st.detected = false;
-  st.clean_rounds = 0;
   st.window.clear();
   st.sender_evidence = false;
 }

@@ -16,7 +16,7 @@
 //     intervals is re-probed with capped exponential backoff, and flagged
 //     (widen-only evidence) until a beacon gets through.
 //
-// Response is a three-state per-ToR ladder:
+// Response is a three-rung services::Ladder per ToR:
 //   Healthy -> Widened: each time the symptom count inside the sliding
 //     window crosses the threshold, the node's effective guard band grows
 //     by one step of 2 x sync_error on both window edges (duty cycle
@@ -24,7 +24,8 @@
 //   Widened -> Quarantined: further sender-attributed evidence past the
 //     last widening fences the node off the optical fabric entirely;
 //     traffic from/to it rides the electrical fabric (hybrid architectures
-//     only — without one the ladder tops out at max widening).
+//     only — without one the ladder tops out at max widening). The
+//     ladder's steering hook fires here.
 //   -> Healthy: after three consecutive check rounds with a fresh in-bound
 //     beacon and zero symptoms, the node is re-admitted and its guard
 //     override cleared.
@@ -35,12 +36,12 @@
 // sets, and traces.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/stats.h"
 #include "core/network.h"
+#include "services/ladder.h"
 
 namespace oo::core {
 class Controller;
@@ -56,23 +57,9 @@ class SyncWatchdog {
   SyncWatchdog(const SyncWatchdog&) = delete;
   SyncWatchdog& operator=(const SyncWatchdog&) = delete;
 
-  // Invoked on quarantine entry (true) and re-admission (false) — the wiring
-  // point for services that shift load off a fenced node, e.g.
-  // HybridSteering::set_node_degraded so elephant flows stop targeting the
-  // optical calendar of a quarantined ToR at the *source host*.
-  using QuarantineFn = std::function<void(NodeId, bool)>;
-  void set_quarantine_hook(QuarantineFn fn) {
-    quarantine_hook_ = std::move(fn);
-  }
-
-  // Invoked on every ladder transition (from != to) — the invariant
-  // monitor's tap for checking ladder legality (a node may only move
-  // Healthy->Widened, Widened->Quarantined, or {Widened,Quarantined}->
-  // Healthy via re-admission). Null (the default) costs one branch.
-  using TransitionFn = std::function<void(NodeId, TorState from, TorState to)>;
-  void set_transition_hook(TransitionFn fn) {
-    transition_hook_ = std::move(fn);
-  }
+  // The per-ToR ladder; rungs are TorState values. Its steering hook fires
+  // on quarantine entry (true) and re-admission from it (false).
+  Ladder& ladder() { return ladder_; }
 
   // Wire the watchdog to the control plane so staleness probes route to the
   // current quorum leader: while the controller is crashed or no leader is
@@ -89,9 +76,8 @@ class SyncWatchdog {
   bool running() const { return started_; }
 
   TorState state(NodeId n) const {
-    return nodes_[static_cast<std::size_t>(n)].state;
+    return static_cast<TorState>(ladder_.rung(n));
   }
-  std::vector<NodeId> quarantined_nodes() const;
 
   // ---- robustness telemetry ----
   std::int64_t desyncs_detected() const { return desyncs_->value(); }
@@ -109,7 +95,6 @@ class SyncWatchdog {
 
  private:
   struct NodeState {
-    TorState state = TorState::Healthy;
     std::vector<SimTime> window;  // recent symptom timestamps
     SimTime first_symptom = SimTime::zero();
     bool detected = false;
@@ -119,7 +104,6 @@ class SyncWatchdog {
     bool sender_evidence = false;
     bool symptom_since_check = false;
     int widenings = 0;
-    int clean_rounds = 0;
     SimTime quarantined_at = SimTime::zero();
     // Beacon staleness tracking.
     SimTime last_seen_resync = SimTime::zero();
@@ -135,20 +119,16 @@ class SyncWatchdog {
   // Schedules probe(n) at `when`, dropped if the watchdog stops first.
   void schedule_probe(NodeId n, SimTime when);
   void readmit(NodeId n);
-  void note_transition(NodeId n, TorState from, TorState to) {
-    if (transition_hook_ && from != to) transition_hook_(n, from, to);
-  }
 
   core::Network& net_;
   const core::Controller* ctl_ = nullptr;  // optional leader-awareness
   telemetry::Counter* probes_suppressed_ = nullptr;  // registered on wiring
+  Ladder ladder_;
   std::vector<NodeState> nodes_;
   SimTime widen_step_ = SimTime::zero();
   SimTime beacon_timeout_ = SimTime::zero();
   std::shared_ptr<bool> alive_;  // gates the fabric/network subscriptions
   sim::ScopedEventHandle check_handle_;
-  QuarantineFn quarantine_hook_;
-  TransitionFn transition_hook_;
   bool started_ = false;
   telemetry::Counter* desyncs_;
   telemetry::Counter* widenings_;

@@ -1,7 +1,7 @@
 // Chaos tooling: FaultPlan JSON round-trip over every FaultKind, loud
 // rejection of unknown keys/kinds, fuzz-plan determinism, ddmin shrinking
 // (50-event plan -> <=3-event reproducer), and the invariant monitor —
-// clean runs stay clean, planted bugs are caught, the watchdog ladder
+// clean runs stay clean, planted bugs are caught, the remediation ladders'
 // legality table holds, past-scheduled events are detected, and an
 // attached monitor never perturbs simulation results.
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "runner/experiments.h"
 #include "runner/runner.h"
 #include "services/fault_plan.h"
+#include "services/health_scanner.h"
 #include "services/sync_watchdog.h"
 
 namespace oo::chaos {
@@ -261,24 +262,66 @@ TEST(ChaosMonitor, PlantedCustomCheckIsCaught) {
             mon.total_violations());
 }
 
-TEST(ChaosMonitor, WatchdogLadderLegalityTable) {
-  using TorState = services::SyncWatchdog::TorState;
-  const auto H = static_cast<int>(TorState::Healthy);
-  const auto W = static_cast<int>(TorState::Widened);
-  const auto Q = static_cast<int>(TorState::Quarantined);
+struct LadderMove {
+  const services::Ladder* ladder;
+  int from;
+  int to;
+};
+
+template <typename Rung>
+LadderMove ladder_move(const services::Ladder& ladder, Rung from, Rung to) {
+  return {&ladder, static_cast<int>(from), static_cast<int>(to)};
+}
+
+TEST(ChaosMonitor, LadderLegalityTable) {
+  using W = services::SyncWatchdog::TorState;
+  using S = services::HealthScanner::NodeHealth;
   auto net = small_net();
+  services::SyncWatchdog watchdog(*net);
+  services::HealthScanner scanner(*net);
+  const services::Ladder& wd = watchdog.ladder();
+  const services::Ladder& hs = scanner.ladder();
   InvariantMonitor mon(*net);
-  // Every legal rung of the ladder.
-  mon.check_watchdog_transition(0, H, W);
-  mon.check_watchdog_transition(0, W, Q);
-  mon.check_watchdog_transition(0, W, H);
-  mon.check_watchdog_transition(0, Q, H);
+  // Every legal move of both ladders: one rung up, or back to Healthy.
+  const LadderMove legal[] = {
+      ladder_move(wd, W::Healthy, W::Widened),
+      ladder_move(wd, W::Widened, W::Quarantined),
+      ladder_move(wd, W::Widened, W::Healthy),
+      ladder_move(wd, W::Quarantined, W::Healthy),
+      ladder_move(hs, S::Healthy, S::Suspect),
+      ladder_move(hs, S::Suspect, S::Degraded),
+      ladder_move(hs, S::Degraded, S::Quarantined),
+      ladder_move(hs, S::Suspect, S::Healthy),
+      ladder_move(hs, S::Degraded, S::Healthy),
+      ladder_move(hs, S::Quarantined, S::Healthy),
+  };
+  for (const auto& m : legal) {
+    mon.check_ladder_transition(*m.ladder, 0, m.from, m.to);
+  }
   EXPECT_TRUE(mon.ok()) << mon.report();
-  // Skipping a rung (or re-widening a quarantined node) is a bug.
-  mon.check_watchdog_transition(1, H, Q);
-  mon.check_watchdog_transition(1, Q, W);
-  EXPECT_EQ(mon.total_violations(), 2);
-  EXPECT_EQ(mon.violations()[0].invariant, "watchdog_ladder");
+  // Skipping a rung in either direction is a bug, charged to its ladder.
+  const LadderMove illegal[] = {
+      ladder_move(hs, S::Healthy, S::Degraded),
+      ladder_move(hs, S::Healthy, S::Quarantined),
+      ladder_move(hs, S::Suspect, S::Quarantined),
+      ladder_move(hs, S::Degraded, S::Suspect),
+      ladder_move(hs, S::Quarantined, S::Suspect),
+      ladder_move(wd, W::Healthy, W::Quarantined),
+      ladder_move(wd, W::Quarantined, W::Widened),
+  };
+  for (const auto& m : illegal) {
+    mon.check_ladder_transition(*m.ladder, 1, m.from, m.to);
+  }
+  ASSERT_EQ(mon.total_violations(), std::ssize(illegal));
+  for (std::size_t i = 0; i < std::size(illegal); ++i) {
+    EXPECT_EQ(mon.violations()[i].invariant,
+              illegal[i].ladder == &wd ? "watchdog_ladder" : "scanner_ladder")
+        << i;
+  }
+  EXPECT_EQ(mon.violations()[0].detail,
+            "node 1: illegal transition healthy -> degraded");
+  EXPECT_EQ(mon.violations()[6].detail,
+            "node 1: illegal transition quarantined -> widened");
 }
 
 TEST(ChaosMonitor, PastScheduledEventDetected) {

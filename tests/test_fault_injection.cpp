@@ -6,7 +6,6 @@
 
 #include "arch/arch.h"
 #include "routing/to_routing.h"
-#include "services/export.h"
 #include "services/failure_recovery.h"
 #include "services/fault_plan.h"
 
@@ -142,6 +141,19 @@ TEST(FaultPlan, IdlePortFailureDetectedByLosWithoutTraffic) {
   EXPECT_TRUE(readmitted);
   EXPECT_LT(recovery.availability(), 1.0);
   EXPECT_GT(recovery.availability(), 0.0);
+
+  // The registry publishes the recovery's transition counters and every
+  // fabric drop class.
+  const std::string csv = inst.net->sim().metrics().csv();
+  for (const char* cell :
+       {"recovery.port_downs,1", "recovery.port_ups,1",
+        "recovery.recoveries,2", "fabric.delivered,",
+        "fabric.drops{class=failed},", "fabric.drops{class=corrupt},",
+        "fabric.drops{class=no_circuit},", "fabric.drops{class=guard},",
+        "fabric.drops{class=boundary},", "fabric.drops{class=gray},",
+        "fabric.reconfig_stalls,"}) {
+    EXPECT_NE(csv.find(cell), std::string::npos) << cell;
+  }
 }
 
 TEST(FaultPlan, BerCorruptionDropsAreCountedSeparately) {
@@ -159,6 +171,14 @@ TEST(FaultPlan, BerCorruptionDropsAreCountedSeparately) {
             fab.drops_no_circuit() + fab.drops_guard() +
                 fab.drops_boundary() + fab.drops_failed() +
                 fab.drops_corrupt());
+  // The registry's per-class cells add up to the same total.
+  const auto& m = inst.net->sim().metrics();
+  std::int64_t cells = 0;
+  for (const char* c :
+       {"no_circuit", "guard", "boundary", "failed", "corrupt", "gray"}) {
+    cells += m.counter_value("fabric.drops", {{"class", c}});
+  }
+  EXPECT_EQ(cells, fab.total_drops());
 }
 
 TEST(FaultPlan, ControlPlaneOutageRetriedWithBackoff) {
@@ -309,24 +329,6 @@ TEST(FailureRecovery, StopSilencesDetectionAndScrub) {
   // A drained-down service reacts to nothing: no recoveries, no counters.
   EXPECT_EQ(recovery.recoveries(), 0);
   EXPECT_EQ(recovery.port_downs(), 0);
-}
-
-TEST(FailureRecovery, RobustnessCsvHasEveryMetric) {
-  auto inst = rotor_instance();
-  services::FailureRecovery recovery(*inst.net, *inst.ctl, direct_reroute(),
-                                     500_us);
-  recovery.start();
-  services::FaultPlan plan(*inst.net, 1);
-  plan.fail_port(2_ms, 0, 0).repair_port(6_ms, 0, 0);
-  plan.arm();
-  inst.run_for(10_ms);
-  const auto csv = services::robustness_csv(recovery, inst.net->optical());
-  for (const char* metric :
-       {"drops_failed", "drops_corrupt", "port_downs", "port_ups",
-        "recoveries", "deploy_retries", "detect_latency_us_p50",
-        "mttr_us_p50", "availability"}) {
-    EXPECT_NE(csv.find(metric), std::string::npos) << metric;
-  }
 }
 
 }  // namespace

@@ -177,12 +177,12 @@ TEST(HealthScanner, LadderIsLegalAndReadmitsAfterHeal) {
 
   HealthScanner scanner(*net);
   scanner.set_controller(inst.ctl.get());
-  scanner.set_degrade_hook([steering](NodeId n, bool degraded) {
+  scanner.ladder().set_steering_hook([steering](NodeId n, bool degraded) {
     steering->set_node_degraded(n, degraded);
   });
   chaos::InvariantMonitor monitor(*net);
   monitor.attach_controller(inst.ctl.get());
-  monitor.attach_scanner(&scanner);
+  monitor.attach_ladder(&scanner.ladder());
   scanner.start();
 
   net->sim().schedule_every(5_us, 10_us, [net]() {

@@ -1,10 +1,9 @@
-// Extended monitoring: utilization series and health counters.
+// Extended monitoring: utilization series.
 #include <gtest/gtest.h>
 
 #include "arch/arch.h"
 #include "services/monitor.h"
 #include "workload/kv.h"
-#include "workload/traces.h"
 
 namespace oo::services {
 namespace {
@@ -40,39 +39,6 @@ TEST(Monitor2, IdleFabricShowsZeroUtilization) {
   for (NodeId n = 0; n < 4; ++n) {
     EXPECT_DOUBLE_EQ(mon.utilization_samples(n).max(), 0.0);
   }
-}
-
-TEST(Monitor2, HealthCountersDelta) {
-  arch::Params p;
-  p.tors = 4;
-  p.slice = 100_us;
-  p.queue_capacity = 64 << 10;  // shallow: force congestion activity
-  auto inst = arch::make_rotornet(p, arch::RotorRouting::Direct);
-
-  // Pre-monitor noise (must not appear in the monitored delta).
-  workload::OpenLoopReplay warm(*inst.net, workload::TraceKind::KvStore, 0.5);
-  warm.start();
-  inst.run_for(5_ms);
-  warm.stop();
-  inst.run_for(2_ms);
-
-  Monitor mon(*inst.net, 100_us);
-  mon.start();
-  const auto clean = mon.health();
-  EXPECT_EQ(clean.congestion_drops, 0);
-  EXPECT_EQ(clean.fabric_drops, 0);
-
-  workload::OpenLoopReplay replay(*inst.net, workload::TraceKind::KvStore,
-                                  0.9);
-  replay.start();
-  inst.run_for(10_ms);
-  replay.stop();
-  const auto stressed = mon.health();
-  // Under overload on shallow queues, some counters must move.
-  EXPECT_GT(stressed.congestion_drops + stressed.slice_misses +
-                stressed.deferrals,
-            0);
-  EXPECT_EQ(stressed.no_route_drops, 0);
 }
 
 }  // namespace

@@ -197,6 +197,14 @@ TEST(Network, CongestionDropWhenQueueOverCommitted) {
   });
   net->sim().run_until(3_ms);
   EXPECT_GT(net->tor(0).drops_congestion(), 0);
+  // Network::totals() and the registry's per-ToR cell count the same drops,
+  // and a routed overload never drops for want of a route.
+  const auto t = net->totals();
+  EXPECT_EQ(t.congestion_drops, net->tor(0).drops_congestion());
+  EXPECT_EQ(t.no_route_drops, 0);
+  EXPECT_EQ(net->sim().metrics().counter_value(
+                "tor.drops", {{"class", "congestion"}, {"node", "0"}}),
+            net->tor(0).drops_congestion());
 }
 
 TEST(Network, DeferMovesPacketsToLaterSlices) {

@@ -195,6 +195,19 @@ TEST(FailureRecovery, NoFalseRecoveriesWhenHealthy) {
       *inst.net, *inst.ctl,
       [](const optics::Schedule& s) { return routing::direct_to(s); },
       500_us);
+  // Never started, nothing ran: every counter is zero, nothing is sampled,
+  // and availability is exactly 1 over the empty horizon.
+  EXPECT_EQ(recovery.port_downs(), 0);
+  EXPECT_EQ(recovery.port_ups(), 0);
+  EXPECT_EQ(recovery.recoveries(), 0);
+  EXPECT_EQ(recovery.retries(), 0);
+  EXPECT_TRUE(recovery.detect_latency_us().empty());
+  EXPECT_TRUE(recovery.mttr_us().empty());
+  EXPECT_EQ(recovery.degraded_time(), SimTime::zero());
+  EXPECT_EQ(recovery.availability(), 1.0);
+  EXPECT_EQ(inst.net->optical().delivered(), 0);
+  EXPECT_EQ(inst.net->optical().total_drops(), 0);
+  EXPECT_EQ(inst.net->optical().reconfig_stalls(), 0);
   recovery.start();
   inst.run_for(20_ms);
   EXPECT_EQ(recovery.recoveries(), 0);

@@ -68,10 +68,12 @@ TEST(SyncWatchdog, WalksTheLadderAndReadmits) {
   EXPECT_GE(watchdog.desyncs_detected(), 1);
   EXPECT_GE(watchdog.guard_widenings(), 1);
   EXPECT_EQ(watchdog.quarantines(), 1);
-  EXPECT_EQ(watchdog.state(kDriftNode),
-            services::SyncWatchdog::TorState::Quarantined);
-  EXPECT_EQ(watchdog.quarantined_nodes(),
-            std::vector<NodeId>{kDriftNode});
+  for (NodeId n = 0; n < inst.net->num_tors(); ++n) {
+    EXPECT_EQ(
+        watchdog.state(n) == services::SyncWatchdog::TorState::Quarantined,
+        n == kDriftNode)
+        << n;
+  }
   EXPECT_TRUE(inst.net->node_quarantined(kDriftNode));
   const std::int64_t wrong_at_fence = inst.net->optical().wrong_slice();
   EXPECT_GT(wrong_at_fence, 0);  // the silent hazard happened before the fence
@@ -83,7 +85,6 @@ TEST(SyncWatchdog, WalksTheLadderAndReadmits) {
   EXPECT_EQ(watchdog.readmissions(), 1);
   EXPECT_EQ(watchdog.state(kDriftNode),
             services::SyncWatchdog::TorState::Healthy);
-  EXPECT_TRUE(watchdog.quarantined_nodes().empty());
   EXPECT_FALSE(inst.net->node_quarantined(kDriftNode));
   EXPECT_EQ(inst.net->node_guard_extra(kDriftNode), SimTime::zero());
   EXPECT_EQ(inst.net->optical().wrong_slice(), wrong_at_fence);
@@ -119,7 +120,7 @@ TEST(SyncWatchdog, QuarantineHookDrivesPerNodeDegradedSteering) {
                                     /*idle_reset=*/50_ms);
   services::SyncWatchdog watchdog(*inst.net);
   std::vector<std::pair<NodeId, bool>> transitions;
-  watchdog.set_quarantine_hook([&](NodeId n, bool q) {
+  watchdog.ladder().set_steering_hook([&](NodeId n, bool q) {
     steering.set_node_degraded(n, q);
     transitions.emplace_back(n, q);
   });
@@ -192,7 +193,11 @@ LadderTimeline run_ladder(std::uint64_t seed) {
   const auto plan = silent_drift(inst, 1_ms, 4_ms);
   inst.run_for(4_ms);
   LadderTimeline t;
-  t.quarantined_mid = watchdog.quarantined_nodes();
+  for (NodeId n = 0; n < inst.net->num_tors(); ++n) {
+    if (watchdog.state(n) == services::SyncWatchdog::TorState::Quarantined) {
+      t.quarantined_mid.push_back(n);
+    }
+  }
   inst.run_for(4_ms);
   t.desyncs = watchdog.desyncs_detected();
   t.widenings = watchdog.guard_widenings();
