@@ -113,6 +113,51 @@ void BM_EventEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_EventEngine);
 
+// rotor128's queue shape: ~160K far-future timers armed (every waiting
+// flow's 5 ms RTO) under a few hundred near-term events, each of which
+// cancels one timer and re-arms it 5 ms out, as an advancing ack re-arms
+// an RTO. Items are dispatched events.
+struct TimerChurn {
+  static constexpr std::size_t kTimers = 160'000;
+  static constexpr int kNear = 700;
+
+  TimerChurn() {
+    timers.reserve(kTimers);
+    for (std::size_t i = 0; i < kTimers; ++i) {
+      timers.push_back(s.schedule_at(
+          5_ms + SimTime::nanos(static_cast<std::int64_t>(i) * 31), []() {},
+          "tcp.rto"));
+    }
+    for (int i = 0; i < kNear; ++i) {
+      s.schedule_at(SimTime::nanos(i * 3), [this]() { near(); }, "link");
+    }
+  }
+  void near() {
+    sim::EventHandle& t = timers[next];
+    t.cancel();
+    t = s.schedule_in(5_ms, []() {}, "tcp.rto");
+    next = (next + 1) % kTimers;
+    s.schedule_in(SimTime::nanos(1000 + static_cast<std::int64_t>(next % 2000)),
+                  [this]() { near(); }, "link");
+  }
+
+  sim::Simulator s;
+  std::vector<sim::EventHandle> timers;
+  std::size_t next = 0;
+};
+
+void BM_EventTimerChurn(benchmark::State& state) {
+  TimerChurn churn;
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    const std::int64_t before = churn.s.events_executed();
+    churn.s.run_until(churn.s.now() + 100_us);
+    events += churn.s.events_executed() - before;
+  }
+  state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_EventTimerChurn);
+
 void BM_EarliestArrivalPerDestination(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   optics::Schedule sched(n, 1, topo::round_robin_period(n), 100_us);

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
               "run length in simulated microseconds (default 3000)")
       .option("--shards", &shards,
               "worker shards for the parallel engine (default 0 = legacy "
-              "single-heap engine)")
+              "single-queue engine)")
       .flag("--plant-bug", &plant_bug,
             "register a deliberately broken invariant (demo/CI)")
       .flag("--no-minimize", &no_minimize,

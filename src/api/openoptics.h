@@ -77,7 +77,7 @@ struct Config {
   double heartbeat_us = 100.0;
 
   // Sharded parallel engine workers (src/parallel/). 0 keeps the legacy
-  // single-heap engine bit-for-bit; >= 1 runs the windowed lane engine,
+  // single-queue engine bit-for-bit; >= 1 runs the windowed lane engine,
   // whose results are byte-identical at any worker count.
   int shards = 0;
 

@@ -39,7 +39,7 @@ struct Params {
   SimTime guardband = SimTime::zero();
   // Per-calendar-queue byte capacity override (0 = default).
   std::int64_t queue_capacity = 0;
-  // Sharded parallel engine workers (0 = legacy single-heap engine,
+  // Sharded parallel engine workers (0 = legacy single-queue engine,
   // bit-for-bit; >= 1 = windowed lane engine, byte-identical at any
   // count). See src/parallel/sharded.h.
   int shards = 0;

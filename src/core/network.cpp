@@ -32,7 +32,7 @@ void Host::bind_flow(FlowId flow, ReceiveFn sink) {
   net_.sim().run_on(
       tor_,
       [this, flow, s = std::move(sink)]() mutable {
-        flows_[flow] = std::move(s);
+        flows_.assign(flow, std::move(s));
       },
       "host.bind");
 }
@@ -230,8 +230,8 @@ void Host::deliver(Packet&& p) {
   if (p.type == PacketType::Data && net_.delivery_probe()) {
     net_.delivery_probe()(p);
   }
-  if (auto it = flows_.find(p.flow); it != flows_.end()) {
-    it->second(std::move(p));
+  if (ReceiveFn* sink = flows_.find(p.flow)) {
+    (*sink)(std::move(p));
   } else if (default_sink_) {
     default_sink_(std::move(p));
   }

@@ -9,7 +9,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -17,6 +16,7 @@
 #include "common/time.h"
 #include "core/calendar_queue.h"
 #include "core/eqo.h"
+#include "core/flow_table.h"
 #include "core/path.h"
 #include "core/sync.h"
 #include "core/time_flow_table.h"
@@ -203,7 +203,7 @@ class Host {
   NodeId tor_;
   std::unique_ptr<net::Link> up_link_;  // host -> ToR, wired by Network
   std::vector<DstState> dsts_;
-  std::unordered_map<FlowId, ReceiveFn> flows_;
+  FlowSinkTable flows_;
   ReceiveFn default_sink_;
   UnblockFn unblock_;
   std::function<void(Packet&)> send_hook_;

@@ -1,6 +1,7 @@
 #include "eventsim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <memory>
@@ -42,19 +43,187 @@ bool Simulator::cross_lane(int lane) const {
   return cur != kControlLane && cur != lane;
 }
 
-void Simulator::push(Queue& q, Event ev) {
-  q.heap.push_back(std::move(ev));
-  std::push_heap(q.heap.begin(), q.heap.end(), std::greater<>{});
-  if (profiler_ != nullptr && &q == &control_) {
-    profiler_->sample_queue_depth(q.heap.size());
+// A queue's cancel table: one generation word per arena slot, shared by the
+// queue and every handle to its events. A slot's word is even while its
+// event is live (the generation its keys and handles carry), odd once a
+// worker lane marked it cancelled, and moves to the next even value when
+// the slot is released (a stale handle could alias a live event only after
+// 2^31 reuses of its slot). Only the owning context grows the vector or
+// releases slots; another lane only sets the mark bit, and only on the
+// control queue, which is idle during the parallel phase.
+struct EventHandle::Table {
+  Simulator* sim = nullptr;  // nulled when the simulator dies
+  int lane = Simulator::kControlLane;
+  std::vector<std::uint32_t> state;
+  // Dead keys still queued: cancelled events not yet popped or compacted.
+  std::atomic<std::int64_t> dead{0};
+};
+
+void EventHandle::cancel() {
+  if (table_ != nullptr && table_->sim != nullptr) {
+    table_->sim->cancel(*table_, slot_, gen_);
   }
+}
+
+Simulator::Simulator() { attach_table(control_, kControlLane); }
+
+Simulator::~Simulator() {
+  // Handles may outlive the simulator; their cancels become no-ops, also
+  // those the closures destroyed below make.
+  control_.table->sim = nullptr;
+  for (Lane& ln : lanes_) ln.table->sim = nullptr;
+}
+
+void Simulator::attach_table(Queue& q, int lane) {
+  q.table = std::make_shared<EventHandle::Table>();
+  q.table->sim = this;
+  q.table->lane = lane;
+}
+
+std::uint32_t Simulator::alloc(Queue& q, EventFn fn, const char* tag,
+                               SimTime period) {
+  if (!q.free_slots.empty()) {
+    const std::uint32_t slot = q.free_slots.back();
+    q.free_slots.pop_back();
+    q.slots[slot] = Slot{std::move(fn), tag, period};
+    return slot;
+  }
+  q.slots.push_back(Slot{std::move(fn), tag, period});
+  q.table->state.push_back(0);
+  return static_cast<std::uint32_t>(q.slots.size() - 1);
+}
+
+void Simulator::release(Queue& q, std::uint32_t slot) {
+  std::uint32_t& st = q.table->state[slot];
+  st = (st | 1u) + 1u;
+  q.free_slots.push_back(slot);
+  const EventFn doomed = std::move(q.slots[slot].fn);
+}
+
+void Simulator::place(Queue& q, const Key& k) {
+  const std::int64_t b = k.when.ns() >> kBucketShift;
+  if (b <= q.bucket) {
+    q.near.push_back(k);
+    std::push_heap(q.near.begin(), q.near.end(), Later{});
+  } else if (b - q.bucket < static_cast<std::int64_t>(kRingBuckets)) {
+    const auto i = static_cast<std::size_t>(b) % kRingBuckets;
+    auto& chunk = q.ring[i / kRingChunk];
+    if (!chunk) chunk = std::make_unique<std::vector<Key>[]>(kRingChunk);
+    chunk[i % kRingChunk].push_back(k);
+    q.ring_used[i / 64] |= std::uint64_t{1} << (i % 64);
+    ++q.ring_keys;
+  } else {
+    q.far.push_back(k);
+    std::push_heap(q.far.begin(), q.far.end(), Later{});
+  }
+}
+
+void Simulator::push(Queue& q, const Key& k) {
+  place(q, k);
+  ++q.keys;
+  if (profiler_ != nullptr && &q == &control_) {
+    profiler_->sample_queue_depth(q.keys);
+  }
+}
+
+bool Simulator::fill_near(Queue& q) {
+  if (q.ring_keys > 0) {
+    // The first used ring bucket after `bucket`, scanning the bitmap a
+    // word at a time from there and wrapping once.
+    const std::size_t start =
+        static_cast<std::size_t>(q.bucket + 1) % kRingBuckets;
+    std::size_t pos = start;
+    for (;;) {
+      const std::uint64_t bits = q.ring_used[pos / 64] >> (pos % 64);
+      if (bits != 0) {
+        pos += static_cast<std::size_t>(std::countr_zero(bits));
+        break;
+      }
+      pos = (pos / 64 + 1) * 64 % kRingBuckets;
+    }
+    q.bucket += 1 + static_cast<std::int64_t>((pos - start) % kRingBuckets);
+    q.ring_used[pos / 64] &= ~(std::uint64_t{1} << (pos % 64));
+    std::vector<Key>& due = q.ring[pos / kRingChunk][pos % kRingChunk];
+    q.ring_keys -= due.size();
+    q.near.swap(due);
+    std::make_heap(q.near.begin(), q.near.end(), Later{});
+  } else if (!q.far.empty()) {
+    q.bucket = q.far.front().when.ns() >> kBucketShift;
+  } else {
+    return false;
+  }
+  // Far keys the ring now spans move in; those in the new bucket go to the
+  // near heap.
+  while (!q.far.empty() &&
+         (q.far.front().when.ns() >> kBucketShift) - q.bucket <
+             static_cast<std::int64_t>(kRingBuckets)) {
+    std::pop_heap(q.far.begin(), q.far.end(), Later{});
+    const Key k = q.far.back();
+    q.far.pop_back();
+    place(q, k);
+  }
+  return true;
+}
+
+void Simulator::compact(Queue& q) {
+  const std::vector<std::uint32_t>& state = q.table->state;
+  std::vector<std::uint32_t> marked;
+  std::size_t removed = 0;
+  const auto dead = [&](const Key& k) {
+    const std::uint32_t st = state[k.slot];
+    if (st == k.gen) return false;
+    if (st == (k.gen | 1u)) marked.push_back(k.slot);
+    return true;
+  };
+  removed += std::erase_if(q.near, dead);
+  std::make_heap(q.near.begin(), q.near.end(), Later{});
+  for (std::size_t i = 0; i < kRingBuckets; ++i) {
+    if (!q.ring[i / kRingChunk]) continue;
+    std::vector<Key>& keys = q.ring[i / kRingChunk][i % kRingChunk];
+    const std::size_t n = std::erase_if(keys, dead);
+    removed += n;
+    q.ring_keys -= n;
+    if (keys.empty()) q.ring_used[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+  }
+  removed += std::erase_if(q.far, dead);
+  std::make_heap(q.far.begin(), q.far.end(), Later{});
+  q.keys -= removed;
+  q.table->dead.fetch_sub(static_cast<std::int64_t>(removed),
+                          std::memory_order_relaxed);
+  ++q.compactions;
+  for (const std::uint32_t slot : marked) release(q, slot);
+}
+
+void Simulator::cancel(EventHandle::Table& t, std::uint32_t slot,
+                       std::uint32_t gen) {
+  if (cross_lane(t.lane)) {
+    // A worker cancelling a control-queue timer: mark it; the control
+    // queue releases the slot when it pops or compacts the key.
+    std::atomic_ref<std::uint32_t> st(t.state[slot]);
+    std::uint32_t expected = gen;
+    if (st.compare_exchange_strong(expected, gen | 1u,
+                                   std::memory_order_relaxed)) {
+      t.dead.fetch_add(1, std::memory_order_relaxed);
+    }
+    return;
+  }
+  if (t.state[slot] != gen) return;  // fired, cancelled or marked already
+  Queue& q = queue(t.lane);
+  if (slot == q.firing) {
+    // Its own callback (or one it called) cancels the running event: the
+    // closure is mid-call, and its key is no longer queued.
+    q.firing_cancelled = true;
+    return;
+  }
+  t.dead.fetch_add(1, std::memory_order_relaxed);
+  release(q, slot);
 }
 
 EventHandle Simulator::insert(Queue& q, SimTime when, EventFn fn,
                               const char* tag, SimTime period) {
   if (when < q.now) {
     // Scheduling into the past would make virtual time run backwards when
-    // the event pops (the run loop sets now = ev.when). Clamp to now so
+    // the event pops (the run loop sets now = its when). Clamp to now so
     // behaviour stays defined, count it, and tell the invariant monitor —
     // a legal program never takes this branch, so the clamp cannot change
     // any correct run. Workers can't call the single-threaded sink, so a
@@ -67,20 +236,17 @@ EventHandle Simulator::insert(Queue& q, SimTime when, EventFn fn,
     }
     when = q.now;
   }
-  auto flag = std::make_shared<bool>(false);
-  push(q, Event{when, q.next_seq++, std::move(fn), flag, tag, period});
-  // Compact when cancelled events are (at least) the majority of a
-  // non-trivial queue: filter them out and re-heapify. O(n), amortised by
-  // the >=50% trigger.
-  if (q.heap.size() >= kCompactMinQueue &&
-      q.cancelled_pending->load(std::memory_order_relaxed) * 2 >
-          static_cast<std::int64_t>(q.heap.size())) {
-    std::erase_if(q.heap, [](const Event& ev) { return *ev.cancelled; });
-    std::make_heap(q.heap.begin(), q.heap.end(), std::greater<>{});
-    q.cancelled_pending->store(0, std::memory_order_relaxed);
-    ++q.compactions;
+  const std::uint32_t slot = alloc(q, std::move(fn), tag, period);
+  const std::uint32_t gen = q.table->state[slot];
+  push(q, Key{when, q.next_seq++, slot, gen});
+  // Compact when dead keys are the majority of a non-trivial queue. O(n),
+  // amortised by the >50% trigger; the dead count is exact.
+  if (q.keys >= kCompactMinQueue &&
+      q.table->dead.load(std::memory_order_relaxed) * 2 >
+          static_cast<std::int64_t>(q.keys)) {
+    compact(q);
   }
-  return EventHandle{std::move(flag), q.cancelled_pending};
+  return EventHandle{q.table, slot, gen};
 }
 
 EventHandle Simulator::schedule_at(SimTime when, EventFn fn, const char* tag) {
@@ -116,37 +282,58 @@ EventHandle Simulator::schedule_every(SimTime start, SimTime period,
 
 void Simulator::run_due(Queue& q, SimTime last) {
   const bool control = &q == &control_;
-  while (!q.heap.empty() && q.heap.front().when <= last) {
+  EventHandle::Table& table = *q.table;
+  for (;;) {
+    if (q.near.empty() && !fill_near(q)) return;
+    if (q.near.front().when > last) return;
     // stop() and the profiler act on the control queue only: a lane always
     // finishes its window, or results would depend on the worker count.
     if (control && stop_requested()) return;
-    std::pop_heap(q.heap.begin(), q.heap.end(), std::greater<>{});
-    Event ev = std::move(q.heap.back());
-    q.heap.pop_back();
-    q.now = ev.when;
-    if (*ev.cancelled) {
-      if (q.cancelled_pending->load(std::memory_order_relaxed) > 0) {
-        q.cancelled_pending->fetch_sub(1, std::memory_order_relaxed);
-      }
+    std::pop_heap(q.near.begin(), q.near.end(), Later{});
+    const Key k = q.near.back();
+    q.near.pop_back();
+    --q.keys;
+    // A dead key still moves the clock: the clock after run() and the
+    // sharded window grid (min_pending_time) see every queued key.
+    q.now = k.when;
+    const std::uint32_t st = table.state[k.slot];
+    if (st != k.gen) {
+      if (st == (k.gen | 1u)) release(q, k.slot);  // marked by a lane
+      table.dead.fetch_sub(1, std::memory_order_relaxed);
       continue;
     }
-    if (control && profiler_ != nullptr) {
-      const auto t0 = std::chrono::steady_clock::now();
-      ev.fn();
-      const auto t1 = std::chrono::steady_clock::now();
-      profiler_->add(ev.tag,
-                     std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         t1 - t0).count());
-    } else {
-      ev.fn();
+    // The callback may grow the arena, so it runs from a local; the slot
+    // stays allocated (and its handle live) until it returns.
+    EventFn fn = std::move(q.slots[k.slot].fn);
+    q.firing = k.slot;
+    q.firing_cancelled = false;
+    try {
+      if (control && profiler_ != nullptr) {
+        const auto t0 = std::chrono::steady_clock::now();
+        fn();
+        const auto t1 = std::chrono::steady_clock::now();
+        profiler_->add(q.slots[k.slot].tag,
+                       std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           t1 - t0).count());
+      } else {
+        fn();
+      }
+    } catch (...) {
+      q.firing = kNoSlot;
+      release(q, k.slot);
+      throw;
     }
+    q.firing = kNoSlot;
     ++q.executed;
-    // A periodic timer re-arms unless its own callback cancelled it. The
-    // re-arm is never clamped (it is in the future) nor compacted.
-    if (ev.period > SimTime::zero() && !*ev.cancelled) {
-      ev.when += ev.period;
-      ev.seq = q.next_seq++;
-      push(q, std::move(ev));
+    // A periodic timer re-arms in its slot, keeping its handle live, unless
+    // its own callback cancelled it. The re-arm is never clamped (it is in
+    // the future) nor compacted.
+    const SimTime period = q.slots[k.slot].period;
+    if (period > SimTime::zero() && !q.firing_cancelled) {
+      q.slots[k.slot].fn = std::move(fn);
+      push(q, Key{k.when + period, q.next_seq++, k.slot, k.gen});
+    } else {
+      release(q, k.slot);
     }
   }
 }
@@ -160,7 +347,7 @@ void Simulator::run_until(SimTime until) {
   run_due(control_, until);
   // The clock parks at the horizon, never moving back on a drained queue,
   // unless stop() ended the run with events still queued.
-  if (control_.heap.empty() ? control_.now < until : !stop_requested()) {
+  if (control_.keys == 0 ? control_.now < until : !stop_requested()) {
     control_.now = until;
   }
 }
@@ -180,7 +367,11 @@ void Simulator::configure_lanes(int num_lanes) {
   assert(lanes_.empty() && "configure_lanes is one-shot");
   assert(num_lanes > 0);
   lanes_.resize(static_cast<std::size_t>(num_lanes));
-  for (Lane& ln : lanes_) ln.now = control_.now;
+  for (int i = 0; i < num_lanes; ++i) {
+    Lane& ln = lanes_[static_cast<std::size_t>(i)];
+    ln.now = control_.now;
+    attach_table(ln, i);
+  }
 }
 
 void Simulator::run_control_until_exclusive(SimTime end) {
@@ -195,14 +386,13 @@ void Simulator::run_lane_until_exclusive(int lane, SimTime end,
   t_lane_ctx = saved;
 }
 
-SimTime Simulator::min_pending_time() const {
-  SimTime m =
-      control_.heap.empty() ? SimTime::max() : control_.heap.front().when;
-  for (const Lane& ln : lanes_) {
-    if (!ln.heap.empty() && ln.heap.front().when < m) {
-      m = ln.heap.front().when;
-    }
-  }
+SimTime Simulator::min_pending_time() {
+  const auto front = [this](Queue& q) {
+    return q.near.empty() && !fill_near(q) ? SimTime::max()
+                                           : q.near.front().when;
+  };
+  SimTime m = front(control_);
+  for (Lane& ln : lanes_) m = std::min(m, front(ln));
   return m;
 }
 
@@ -242,8 +432,8 @@ Simulator::MergeStats Simulator::merge_outboxes(SimTime next_start) {
       ++stats.clamped;
     }
     Queue& q = queue(m.target);
-    push(q, Event{m.when, q.next_seq++, std::move(m.fn),
-                  std::make_shared<bool>(false), m.tag, SimTime::zero()});
+    const std::uint32_t slot = alloc(q, std::move(m.fn), m.tag, SimTime::zero());
+    push(q, Key{m.when, q.next_seq++, slot, q.table->state[slot]});
     ++stats.delivered;
   }
   return stats;
@@ -266,8 +456,8 @@ std::int64_t Simulator::events_executed() const {
 }
 
 std::size_t Simulator::events_pending() const {
-  std::size_t n = control_.heap.size();
-  for (const Lane& ln : lanes_) n += ln.heap.size();
+  std::size_t n = control_.keys;
+  for (const Lane& ln : lanes_) n += ln.keys;
   return n;
 }
 

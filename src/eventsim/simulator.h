@@ -8,24 +8,33 @@
 // per dispatched event, bucketed by the tag given at scheduling time). All
 // three are off by default and cost a null-check when unused.
 //
-// Every event lives in a Queue: a (when, seq)-ordered heap with its own
-// clock, sequence counter, and cancelled-event accounting. The legacy engine
-// is the control queue alone. Sharded mode (src/parallel/sharded.h):
-// configure_lanes(N) adds N lane queues (one per ToR) beside it, and one
-// insert/compact/pop-due path serves them all, so a lane's execution order
-// is a pure function of the events delivered to it — independent of how
-// many worker threads drive the lanes. Only stop() and the profiler act on
-// the control queue alone: a lane always finishes its window. Cross-lane
-// scheduling goes through schedule_at_lane(): same-lane and serial-context
-// calls push directly; calls from a worker during the parallel phase are
-// staged in the source lane's outbox and merged at the next window barrier
-// in canonical (when, src_lane, src_seq) order, which is what makes results
-// byte-identical at any shard count >= 1. run_on() is the hand-off for state
-// one lane owns: inline when the caller may touch it, posted through the
-// barrier otherwise.
+// Every event lives in a Queue with its own clock and sequence counter. A
+// queue keeps each event's closure, tag and period in a slot arena and
+// orders only 24-byte (when, seq, slot, generation) keys in two tiers: a
+// small binary heap for the current 2^kBucketShift ns time bucket, and
+// beyond it a ring of kRingBuckets buckets whose keys are appended unsorted
+// and heapified only when their bucket comes due (keys past the ring wait
+// in a far heap). Far-future timers such as RTOs therefore wait unsorted
+// until their bucket is due, near-term events sift through a heap of one
+// bucket's keys, and dispatch order is still exactly (when, seq). The
+// legacy engine is the control queue alone.
+// Sharded mode (src/parallel/sharded.h): configure_lanes(N) adds N lane
+// queues (one per ToR) beside it, and one insert/compact/pop-due path
+// serves them all, so a lane's execution order is a pure function of the
+// events delivered to it — independent of how many worker threads drive
+// the lanes. Only stop() and the profiler act on the control queue alone:
+// a lane always finishes its window. Cross-lane scheduling goes through
+// schedule_at_lane(): same-lane and serial-context calls push directly;
+// calls from a worker during the parallel phase are staged in the source
+// lane's outbox and merged at the next window barrier in canonical
+// (when, src_lane, src_seq) order, which is what makes results
+// byte-identical at any shard count >= 1. run_on() is the hand-off for
+// state one lane owns: inline when the caller may touch it, posted through
+// the barrier otherwise.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -41,32 +50,31 @@ namespace oo::sim {
 
 using EventFn = std::function<void()>;
 
-// Handle for cancelling a scheduled event. Cancellation is lazy: the event
-// stays queued but is skipped when popped. The simulator tracks how many
-// cancelled events are still queued and compacts the heap when they are the
-// majority, so mass-cancelled timers don't grow the queue without bound.
+// Handle for cancelling a scheduled event: the event's slot in its queue
+// and the slot's generation when the event was scheduled. Every handle to a
+// queue's events shares that queue's cancel table, so scheduling allocates
+// nothing per event. Cancelling an event that already fired or was already
+// cancelled is a no-op (the slot's generation has moved on), and so is
+// cancelling after the Simulator is destroyed (the table outlives it). A
+// cancel from the context that owns the queue frees the closure at once;
+// its key stays queued, dead, until popped or compacted. A worker lane
+// cancelling a control-queue event only marks it in the table, and the
+// control queue frees it when it next sees the key.
 class EventHandle {
  public:
   EventHandle() = default;
-  bool valid() const { return cancelled_ != nullptr; }
-  void cancel() {
-    if (cancelled_ && !*cancelled_) {
-      *cancelled_ = true;
-      // The pending counter is queue-wide, so in sharded mode two lanes
-      // cancelling events of the same queue (control-armed timers) can
-      // race on it — hence the relaxed atomic. It is bookkeeping for the
-      // compaction heuristic only and self-heals at compaction.
-      if (pending_) pending_->fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  bool valid() const { return table_ != nullptr; }
+  void cancel();
 
  private:
   friend class Simulator;
-  EventHandle(std::shared_ptr<bool> flag,
-              std::shared_ptr<std::atomic<std::int64_t>> pending)
-      : cancelled_(std::move(flag)), pending_(std::move(pending)) {}
-  std::shared_ptr<bool> cancelled_;
-  std::shared_ptr<std::atomic<std::int64_t>> pending_;
+  struct Table;  // defined in simulator.cpp
+  EventHandle(std::shared_ptr<Table> table, std::uint32_t slot,
+              std::uint32_t gen)
+      : table_(std::move(table)), slot_(slot), gen_(gen) {}
+  std::shared_ptr<Table> table_;
+  std::uint32_t slot_ = 0;
+  std::uint32_t gen_ = 0;
 };
 
 // RAII wrapper over EventHandle: cancels on destruction and on
@@ -136,7 +144,14 @@ class Simulator {
   // schedule_at_lane() and current_lane().
   static constexpr int kControlLane = -1;
 
-  Simulator() = default;
+  // A queue's time buckets are 2^kBucketShift ns (16.4 us) wide, and its
+  // ring holds the kRingBuckets buckets after the current one: 8.4 ms, past
+  // a 5 ms RTO armed anywhere in the current bucket.
+  static constexpr int kBucketShift = 14;
+  static constexpr std::size_t kRingBuckets = 512;
+
+  Simulator();
+  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -194,8 +209,9 @@ class Simulator {
   void stop() { stopped_.store(true, std::memory_order_relaxed); }
 
   std::int64_t events_executed() const;
+  // Queued keys, cancelled ones not yet popped or compacted included.
   std::size_t events_pending() const;
-  // Times the queue was compacted to shed lazily-cancelled events.
+  // Times a queue was compacted to shed the keys of cancelled events.
   std::int64_t compactions() const;
 
   // ---- telemetry ----
@@ -250,9 +266,11 @@ class Simulator {
                                 telemetry::FlightRecorder* rec);
   void begin_parallel_phase() { in_parallel_ = true; }
   void end_parallel_phase() { in_parallel_ = false; }
-  // Earliest pending event across the control queue and every lane
-  // (SimTime::max() when fully drained).
-  SimTime min_pending_time() const;
+  // Earliest queued key across the control queue and every lane, cancelled
+  // ones included, exactly as the run loops will pop them (SimTime::max()
+  // when fully drained). Not const: it may bring a queue's next ring bucket
+  // into its near heap, which changes no pending event.
+  SimTime min_pending_time();
   void advance_all_to(SimTime t);
 
   struct MergeStats {
@@ -281,17 +299,29 @@ class Simulator {
   std::int64_t cross_staged() const;
 
  private:
-  struct Event {
+  friend class EventHandle;
+
+  // One queued event as the ordering structures see it: dispatch order is
+  // (when, seq); (slot, gen) names the event in the queue's arena. The key
+  // is dead once the slot's generation in the cancel table moved on or was
+  // marked.
+  struct Key {
     SimTime when;
     std::int64_t seq;
-    EventFn fn;
-    std::shared_ptr<bool> cancelled;
-    const char* tag;
-    SimTime period;  // > 0: periodic timer, re-armed after each firing
-    bool operator>(const Event& o) const {
-      if (when != o.when) return when > o.when;
-      return seq > o.seq;
+    std::uint32_t slot;
+    std::uint32_t gen;
+  };
+  // Greater-than on (when, seq), for std::push_heap/pop_heap min-heaps.
+  struct Later {
+    bool operator()(const Key& a, const Key& b) const {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
+  };
+  // An event's payload, held in the arena until it fires or is cancelled.
+  struct Slot {
+    EventFn fn;
+    const char* tag = nullptr;
+    SimTime period;  // > 0: periodic timer, re-armed after each firing
   };
 
   // One cross-lane message staged during a parallel phase, exchanged at
@@ -306,22 +336,41 @@ class Simulator {
     std::int64_t src_seq;
   };
 
-  // The control queue and every lane. Min-heap over `heap`
-  // (std::push_heap/pop_heap with operator>), kept as a plain vector so
-  // compaction can filter cancelled events in place — std::priority_queue
-  // hides its container.
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  static constexpr std::size_t kRingChunk = 64;
+
+  // The control queue and every lane. Keys whose time bucket
+  // (when >> kBucketShift) is at most `bucket` sit in the `near` min-heap;
+  // keys fewer than kRingBuckets buckets ahead are appended to ring bucket
+  // (b % kRingBuckets), whose bit in `ring_used` is set while it holds keys;
+  // keys further out sit in the `far` min-heap. The near heap's top is thus
+  // the earliest key whenever the heap is non-empty; when it empties,
+  // fill_near() moves `bucket` to the next used ring bucket (or to the far
+  // heap's first bucket) and heapifies that bucket's keys.
   struct Queue {
-    std::vector<Event> heap;
+    std::vector<Key> near;
+    // Ring buckets, allocated kRingChunk at a time on first use, so a
+    // queue pays only for the part of the ring its keys reach.
+    std::unique_ptr<std::vector<Key>[]> ring[kRingBuckets / kRingChunk];
+    std::uint64_t ring_used[kRingBuckets / 64] = {};
+    std::size_t ring_keys = 0;
+    std::vector<Key> far;
+    std::int64_t bucket = 0;
+    std::size_t keys = 0;  // near + ring + far, dead keys included
+    // The arena: slot i's payload; free slots are reused last-in first-out.
+    std::vector<Slot> slots;
+    std::vector<std::uint32_t> free_slots;
+    // Shared with every EventHandle to this queue's events.
+    std::shared_ptr<EventHandle::Table> table;
+    // The slot whose callback is running, and whether that callback
+    // cancelled its own event: the slot is released only once it returns.
+    std::uint32_t firing = kNoSlot;
+    bool firing_cancelled = false;
     SimTime now = SimTime::zero();
     std::int64_t next_seq = 0;
     std::int64_t executed = 0;
     std::int64_t compactions = 0;
     std::int64_t past_schedules = 0;
-    // Shared with every EventHandle: count of cancelled events still
-    // queued. May over-count when an already-fired event is cancelled;
-    // compaction resets it, so drift self-heals.
-    std::shared_ptr<std::atomic<std::int64_t>> cancelled_pending =
-        std::make_shared<std::atomic<std::int64_t>>(0);
     // Past-schedule reports awaiting the barrier. Lanes only: the control
     // queue reports to the invariant sink directly.
     std::vector<PastScheduleRecord> past_log;
@@ -346,11 +395,28 @@ class Simulator {
                                 : lanes_[static_cast<std::size_t>(lane)];
   }
   telemetry::FlightRecorder* recorder_sharded() const;
-  // The one scheduling path: past-time clamp, push, compaction check.
-  // `period` > 0 arms a periodic timer.
+  // Give `q` a cancel table naming it as `lane`.
+  void attach_table(Queue& q, int lane);
+  // The one scheduling path: past-time clamp, slot, push, compaction
+  // check. `period` > 0 arms a periodic timer.
   EventHandle insert(Queue& q, SimTime when, EventFn fn, const char* tag,
                      SimTime period);
-  void push(Queue& q, Event ev);
+  // Take a free slot (or a new one) for an event's payload.
+  std::uint32_t alloc(Queue& q, EventFn fn, const char* tag, SimTime period);
+  // Bump the slot's generation, so its keys and handles go dead, free it,
+  // and destroy its closure last: that may cancel other events.
+  void release(Queue& q, std::uint32_t slot);
+  // Queue one key (counted, and sampled by the profiler on control).
+  void push(Queue& q, const Key& k);
+  // File a key into the near heap, the ring or the far heap by its bucket.
+  void place(Queue& q, const Key& k);
+  // Refill an empty near heap from the next bucket that holds keys; false
+  // when the queue holds none.
+  bool fill_near(Queue& q);
+  // Drop every dead key, freeing the slots other lanes marked.
+  void compact(Queue& q);
+  // Cancel from a handle; see EventHandle.
+  void cancel(EventHandle::Table& t, std::uint32_t slot, std::uint32_t gen);
   // Dispatch q's events due at or before `last`, in (when, seq) order.
   void run_due(Queue& q, SimTime last);
 

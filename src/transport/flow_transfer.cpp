@@ -16,8 +16,7 @@ FlowTransfer::FlowTransfer(core::Network& net, HostId src, HostId dst,
       flow_(net.alloc_flow_id()),
       total_bytes_(bytes),
       cfg_(cfg),
-      done_(std::move(done)),
-      alive_(std::make_shared<bool>(true)) {
+      done_(std::move(done)) {
   net_.host(src_).bind_flow(flow_, [this](Packet&& p) {
     on_sender_packet(std::move(p));
   });
@@ -27,7 +26,6 @@ FlowTransfer::FlowTransfer(core::Network& net, HostId src, HostId dst,
 }
 
 FlowTransfer::~FlowTransfer() {
-  *alive_ = false;
   rto_timer_.cancel();
   net_.host(src_).unbind_flow(flow_);
   net_.host(dst_).unbind_flow(flow_);
@@ -116,12 +114,9 @@ void FlowTransfer::on_sender_packet(Packet&& p) {
 
 void FlowTransfer::arm_rto() {
   rto_timer_.cancel();
-  auto alive = alive_;
-  rto_timer_ = net_.sim().schedule_in(
-      cfg_.rto, [this, alive]() {
-        if (*alive) on_rto();
-      },
-      "tcp.rto");
+  // The destructor cancels the timer, so the closure needs only `this`.
+  rto_timer_ = net_.sim().schedule_in(cfg_.rto, [this]() { on_rto(); },
+                                      "tcp.rto");
 }
 
 void FlowTransfer::on_rto() {

@@ -8,7 +8,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 
 #include "common/ids.h"
 #include "common/time.h"
@@ -72,7 +71,6 @@ class FlowTransfer {
   // reordering with loss).
   std::int64_t rcv_next_ = 0;
   std::map<std::int64_t, std::int64_t> ooo_;  // start -> end
-  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace oo::transport

@@ -3,6 +3,11 @@
 // and traffic accounting.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.h"
 #include "core/controller.h"
 #include "core/network.h"
 #include "routing/to_routing.h"
@@ -177,6 +182,107 @@ TEST(Host, DefaultSinkCatchesUnboundFlows) {
   });
   net->sim().run_until(2_ms);
   EXPECT_EQ(caught, 1);
+}
+
+// Flow ids as the allocators hand them out: sequential unsharded, and
+// lane-prefixed ((lane + 2) << 40 | seq) sharded.
+std::vector<FlowId> flow_id_universe(int per_kind) {
+  std::vector<FlowId> ids;
+  for (int kind = 0; kind < 4; ++kind) {
+    for (FlowId seq = 1; seq <= per_kind; ++seq) {
+      ids.push_back(kind == 0 ? seq : (FlowId{kind + 1} << 40) | seq);
+    }
+  }
+  return ids;
+}
+
+TEST(FlowSinkTable, ChurnMatchesUnorderedMap) {
+  // Bind 6000 flows (16 -> 8192 entries: nine doublings), then random
+  // rebind / unbind / lookup churn against std::unordered_map. At up to 75%
+  // load most erases land inside a probe run, which the backward shift must
+  // close without losing a later entry.
+  FlowSinkTable table;
+  std::unordered_map<FlowId, int> ref;
+  const std::vector<FlowId> ids = flow_id_universe(2000);
+  Rng rng(11);
+  int called = -1;
+  const auto bind = [&](FlowId id, int v) {
+    table.assign(id, [&called, v](Packet&&) { called = v; });
+    ref[id] = v;
+  };
+  const auto matches = [&](FlowId id) {
+    FlowSinkTable::Sink* sink = table.find(id);
+    const auto it = ref.find(id);
+    if ((sink != nullptr) != (it != ref.end())) return false;
+    if (sink == nullptr) return true;
+    called = -1;
+    (*sink)(Packet{});
+    return called == it->second;
+  };
+  for (int i = 0; i < 6000; ++i) bind(ids[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(table.capacity(), 8192u);
+  for (int step = 0; step < 200'000; ++step) {
+    const FlowId id = ids[rng.uniform(static_cast<std::uint32_t>(ids.size()))];
+    switch (rng.uniform(3)) {
+      case 0:
+        bind(id, step);
+        break;
+      case 1:
+        table.erase(id);
+        ref.erase(id);
+        break;
+      default:
+        break;
+    }
+    ASSERT_TRUE(matches(id)) << "step " << step << " flow " << id;
+    if (step % 20'000 == 0) {
+      for (const FlowId any : ids) ASSERT_TRUE(matches(any)) << any;
+    }
+  }
+  EXPECT_EQ(table.size(), ref.size());
+  EXPECT_LE(table.size() * 4, table.capacity() * 3);
+  for (const FlowId any : ids) EXPECT_TRUE(matches(any)) << any;
+  // Neither the Packet default (0) nor the minimum id is ever found.
+  EXPECT_EQ(table.find(0), nullptr);
+  EXPECT_EQ(table.find(std::numeric_limits<FlowId>::min()), nullptr);
+}
+
+TEST(Host, FlowSinkChurnDeliversLikeAnUnorderedMap) {
+  // bind/rebind/unbind/deliver on one host; unbound flows and packets with
+  // the default flow id 0 reach the default sink.
+  auto net = make_net();
+  Host& h = net->host(0);
+  std::unordered_map<FlowId, int> ref;
+  std::vector<FlowId> ids = flow_id_universe(300);
+  ids.push_back(0);
+  int got = 0;
+  h.bind_default([&got](Packet&&) { got = -1; });
+  Rng rng(5);
+  for (int step = 0; step < 50'000; ++step) {
+    const FlowId id = ids[rng.uniform(static_cast<std::uint32_t>(ids.size()))];
+    switch (rng.uniform(4)) {
+      case 0:
+        if (id != 0) {
+          h.bind_flow(id, [&got, step](Packet&&) { got = step; });
+          ref[id] = step;
+        }
+        break;
+      case 1:
+        h.unbind_flow(id);
+        ref.erase(id);
+        break;
+      default: {
+        got = -2;
+        h.deliver(data(0, 100, id));
+        const auto it = ref.find(id);
+        ASSERT_EQ(got, it == ref.end() ? -1 : it->second)
+            << "step " << step << " flow " << id;
+      }
+    }
+  }
+  got = -2;
+  h.deliver(Packet{});
+  EXPECT_EQ(got, -1);
 }
 
 TEST(Host, KernelStackSlowerThanLibvma) {

@@ -81,7 +81,7 @@ TEST(ShardedEngine, LoadSweepByteIdenticalAtAnyShardCount) {
 }
 
 // The synthesized flow stream is a pure function of the spec — the legacy
-// single-heap engine (shards=0) and the windowed lane engine emit the
+// single-queue engine (shards=0) and the windowed lane engine emit the
 // identical stream even though their delivery dynamics differ (cross-lane
 // hops quantize to window starts only in the lane engine).
 TEST(ShardedEngine, EmissionStreamMatchesLegacyEngine) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 
 #include "arch/arch.h"
 #include "core/controller.h"
@@ -14,7 +15,9 @@
 #include "services/hybrid_steering.h"
 #include "services/monitor.h"
 #include "services/sync_watchdog.h"
+#include "telemetry/profiler.h"
 #include "topo/round_robin.h"
+#include "transport/flow_transfer.h"
 
 namespace oo::services {
 namespace {
@@ -309,6 +312,49 @@ TEST(ServiceLifetime, MonitorCancelsItsSamplingTimer) {
               monitor.start();
             }),
             bare);
+}
+
+// A transfer destroyed from a control-queue event while its RTO is armed,
+// unsharded and at shards=1, then run past the 5 ms RTO. The timer's
+// closure holds only `this`; the destructor's cancel must keep it from
+// ever running (asan flags a callback into the dead transfer). Destroyed at
+// 2 us the RTO is still the one start() armed on the control queue, which
+// the profiler watches: it dispatches no tcp.rto event. Destroyed at
+// 300 us, acks have re-armed it, on the sender's lane when sharded.
+TEST(ServiceLifetime, FlowTransferDestroyedWithArmedRtoFiresNothing) {
+  for (int shards : {0, 1}) {
+    for (SimTime life : {2_us, 300_us}) {
+      arch::Params p;
+      p.tors = 8;
+      p.hosts_per_tor = 1;
+      p.uplinks = 1;
+      p.seed = 7;
+      p.shards = shards;
+      auto inst = arch::make_rotornet(p, arch::RotorRouting::Direct);
+      sim::Simulator& sim = inst.net->sim();
+      telemetry::EventProfiler prof;
+      sim.set_profiler(&prof);
+      int done = 0;
+      std::unique_ptr<transport::FlowTransfer> transfer;
+      sim.schedule_at(10_us, [&]() {
+        transfer = std::make_unique<transport::FlowTransfer>(
+            *inst.net, 0, 5, 8 << 20, transport::FlowTransferConfig{},
+            [&done](SimTime, std::int64_t) { ++done; });
+        transfer->start();
+      });
+      sim.schedule_at(10_us + life, [&]() {
+        EXPECT_FALSE(transfer->finished());
+        transfer.reset();
+      });
+      inst.run_for(10_ms);
+      sim.set_profiler(nullptr);
+      EXPECT_EQ(transfer, nullptr);
+      EXPECT_EQ(done, 0);
+      for (const auto& b : prof.buckets()) {
+        EXPECT_NE(b.tag, "tcp.rto") << "shards " << shards << " life " << life.ns();
+      }
+    }
+  }
 }
 
 TEST(ServiceLifetime, CollectorCancelsItsCollectionTimer) {

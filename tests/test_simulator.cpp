@@ -227,6 +227,66 @@ TEST(Simulator, DoubleCancelIsCountedOnce) {
   EXPECT_EQ(s.events_executed(), 1);
 }
 
+TEST(Simulator, CancelsOfFiredEventsAreNotCounted) {
+  // Only a queued event's cancel leaves a dead key. Cancelling 100 handles
+  // whose events already fired must not push the 100 live timers queued
+  // next into a compaction.
+  Simulator s;
+  std::vector<EventHandle> fired;
+  for (int i = 0; i < 100; ++i) {
+    fired.push_back(s.schedule_at(SimTime::micros(i), []() {}));
+  }
+  s.run();
+  for (auto& h : fired) h.cancel();
+  for (int i = 0; i < 100; ++i) {
+    s.schedule_at(SimTime::millis(1 + i), []() {});
+  }
+  EXPECT_EQ(s.compactions(), 0);
+  EXPECT_EQ(s.events_pending(), 100u);
+}
+
+TEST(Simulator, CancellingTheFiringEventKeepsItsClosureAlive) {
+  // The closure owns state it reads after cancelling its own event; the
+  // slot is freed only once the callback returns (asan checks the read).
+  Simulator s;
+  EventHandle self;
+  std::vector<int> seen;
+  auto owned = std::make_shared<std::vector<int>>(64, 7);
+  self = s.schedule_at(1_us, [&self, &seen, owned]() {
+    self.cancel();
+    seen.push_back((*owned)[63]);
+  });
+  owned.reset();
+  // A periodic timer that cancels itself from its third firing is not
+  // re-armed, and its handle stays harmless afterwards.
+  int ticks = 0;
+  EventHandle every;
+  every = s.schedule_every(10_us, 10_us, [&]() {
+    if (++ticks == 3) every.cancel();
+  });
+  s.run_until(100_us);
+  EXPECT_EQ(seen, std::vector<int>{7});
+  EXPECT_EQ(ticks, 3);
+  EXPECT_EQ(s.events_pending(), 0u);
+  every.cancel();
+  self.cancel();
+  EXPECT_EQ(s.events_executed(), 4);
+}
+
+TEST(Simulator, HandleCancelledAfterSimulatorDestroyedIsNoop) {
+  EventHandle pending;
+  EventHandle fired;
+  {
+    Simulator s;
+    fired = s.schedule_at(1_us, []() {});
+    pending = s.schedule_at(1_ms, []() {});
+    s.run_until(10_us);
+  }
+  pending.cancel();
+  fired.cancel();
+  EXPECT_TRUE(pending.valid());
+}
+
 TEST(Simulator, CancelledPeriodicTimersCompactAway) {
   Simulator s;
   std::vector<EventHandle> timers;
