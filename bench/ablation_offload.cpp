@@ -2,12 +2,18 @@
 // only the next K calendar days; everything later parks on hosts. Sweeping
 // K trades switch buffer against host-link offload traffic — the paper's
 // claim is that even buffer-hungry VLB stays far below the switch limit
-// once offloading engages.
+// once offloading engages. Traffic is an open-loop TrafficSpec (RPC trace,
+// line rate).
+//
+// Gates (exit 2 on failure): as K shrinks from the period P to 2, the
+// p99.9 switch buffer never rises and offloaded packets never fall.
+#include <cmath>
 #include <cstdio>
 
 #include "arch/arch.h"
 #include "bench/bench_util.h"
 #include "services/monitor.h"
+#include "traffic/engine.h"
 #include "workload/traces.h"
 
 using namespace oo;
@@ -35,10 +41,16 @@ Point run(int horizon) {
   auto inst = arch::make_rotornet(p, arch::RotorRouting::Vlb);
   services::Monitor mon(*inst.net, 50_us);
   mon.start();
-  workload::OpenLoopReplay replay(*inst.net, workload::TraceKind::Rpc, 0.4);
-  replay.start();
+  traffic::TrafficSpec spec;
+  spec.sources = inst.net->num_hosts();  // one arrival stream per host
+  spec.load = 0.4;
+  spec.size.base = workload::trace_cdf(workload::TraceKind::Rpc);
+  spec.transfer.mss = 8936;
+  spec.open_loop = true;
+  traffic::TrafficEngine traffic(*inst.net, std::move(spec));
+  traffic.start();
   inst.run_for(15_ms);
-  replay.stop();
+  traffic.stop();
   std::int64_t offloads = 0;
   for (NodeId n = 0; n < inst.net->num_tors(); ++n) {
     offloads += inst.net->tor(n).offloads();
@@ -58,15 +70,30 @@ int main() {
 
   std::printf("  %-14s %-16s %-14s %-12s\n", "horizon K", "p99.9 buffer",
               "offloaded pkts", "delivered");
-  const auto full = run(0);  // offloading disabled (K = period)
+  Point prev = run(0);  // offloading disabled (K = period)
   std::printf("  %-14s %13.0f KB %-14lld %-12lld\n", "off (K=P)",
-              full.p999_kb, static_cast<long long>(full.offloads),
-              static_cast<long long>(full.delivered));
+              prev.p999_kb, static_cast<long long>(prev.offloads),
+              static_cast<long long>(prev.delivered));
+  bool ok = true;
   for (int k : {12, 8, 5, 3, 2}) {
     const auto pt = run(k);
     std::printf("  %-14d %13.0f KB %-14lld %-12lld\n", k, pt.p999_kb,
                 static_cast<long long>(pt.offloads),
                 static_cast<long long>(pt.delivered));
+    // Judged on the whole KB the row prints: at K <= 3 the p99.9 sits on a
+    // floor of a few dozen queued packets, where the percentile's
+    // interpolation moves by fractions of a KB.
+    if (std::round(pt.p999_kb) > std::round(prev.p999_kb)) {
+      std::printf("FAILED: K=%d: p99.9 buffer rose as K shrank\n", k);
+      ok = false;
+    }
+    if (pt.offloads < prev.offloads) {
+      std::printf("FAILED: K=%d: offloaded packets fell as K shrank\n", k);
+      ok = false;
+    }
+    prev = pt;
   }
+  if (!ok) return 2;
+  std::printf("offload ablation bench passed\n");
   return 0;
 }

@@ -11,7 +11,9 @@
 //   --hosts N       hosts per ToR (default 1)
 //   --slice US      slice duration in microseconds (default 100)
 //   --uplinks N     optical uplinks per ToR (default 1)
-//   --workload W    kv | rpc | hadoop | kvstore-trace (default kv)
+//   --workload W    kv | rpc | hadoop | kvstore (default kv): the KV
+//                   request/response app, or closed-loop flows drawn from
+//                   a trace's flow-size CDF (traffic::TrafficEngine)
 //   --load F        offered load fraction for trace workloads (default 0.3)
 //   --ms N          simulated milliseconds (default 100)
 //   --seed N        RNG seed (default 1)
@@ -28,6 +30,7 @@
 #include "services/export.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/trace_export.h"
+#include "traffic/engine.h"
 #include "workload/kv.h"
 #include "workload/traces.h"
 
@@ -67,7 +70,8 @@ int main(int argc, char** argv) {
                 inst.net->schedule().summary().c_str());
 
     std::unique_ptr<workload::KvWorkload> kv;
-    std::unique_ptr<workload::TraceReplay> trace;
+    std::unique_ptr<traffic::TrafficEngine> trace;
+    PercentileSampler trace_fct;
     const PercentileSampler* fct = nullptr;
     if (workload == "kv") {
       std::vector<HostId> clients;
@@ -77,24 +81,39 @@ int main(int argc, char** argv) {
       kv->start();
       fct = &kv->fct_us();
     } else {
-      workload::TraceKind kind;
-      if (workload == "rpc") kind = workload::TraceKind::Rpc;
-      else if (workload == "hadoop") kind = workload::TraceKind::Hadoop;
-      else if (workload == "kvstore") kind = workload::TraceKind::KvStore;
-      else throw std::runtime_error("unknown workload: " + workload);
-      trace = std::make_unique<workload::TraceReplay>(*inst.net, kind, load);
+      if (workload != "rpc" && workload != "hadoop" && workload != "kvstore") {
+        throw std::runtime_error("unknown workload: " + workload);
+      }
+      traffic::TrafficSpec spec;
+      spec.sources = inst.net->num_hosts();  // one arrival stream per host
+      spec.load = load;
+      spec.seed = p.seed;
+      spec.size.base = workload::trace_cdf_by_name(workload);
+      trace = std::make_unique<traffic::TrafficEngine>(*inst.net,
+                                                       std::move(spec));
       trace->start();
-      fct = &trace->mice_fct_us();
+      fct = &trace_fct;
     }
 
     inst.run_for(SimTime::millis(ms));
     if (kv) kv->stop();
-    if (trace) trace->stop();
+    auto n = static_cast<long long>(fct->count());
+    double max = fct->max();
+    if (trace) {
+      trace->stop();
+      // Mice FCT percentiles come from the engine's bounded reservoir
+      // (every mouse up to its 65,536-sample cap, a uniform subsample
+      // beyond); n and max cover every completed mouse.
+      const auto& mice = trace->mice_fct_us();
+      for (double us : mice.samples()) trace_fct.add(us);
+      n = mice.count();
+      max = mice.max();
+    }
 
     std::printf("\nflow completion times (us):\n");
-    std::printf("  n=%zu  p50=%.1f  p90=%.1f  p99=%.1f  max=%.1f\n",
-                fct->count(), fct->percentile(50), fct->percentile(90),
-                fct->percentile(99), fct->max());
+    std::printf("  n=%lld  p50=%.1f  p90=%.1f  p99=%.1f  max=%.1f\n", n,
+                fct->percentile(50), fct->percentile(90),
+                fct->percentile(99), max);
     const auto t = inst.net->totals();
     std::printf(
         "delivered=%lld  fabric_drops=%lld  congestion_drops=%lld  "

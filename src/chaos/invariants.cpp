@@ -204,7 +204,7 @@ void InvariantMonitor::check_queues() {
   const std::int64_t bound =
       static_cast<std::int64_t>(net_.schedule().period()) *
           cfg.queue_capacity +
-      cfg.fifo_capacity;
+      core::kFifoCapacity;
   for (NodeId node = 0; node < net_.num_tors(); ++node) {
     const auto& tor = net_.tor(node);
     for (PortId p = 0; p < tor.num_uplinks(); ++p) {

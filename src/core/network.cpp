@@ -5,6 +5,21 @@
 
 namespace oo::core {
 
+namespace {
+
+// Parallel electrical fabric: ToR-to-ToR transit time and per-egress
+// backlog capacity.
+constexpr SimTime kElectricalTransit = SimTime::micros(1);
+constexpr std::int64_t kElectricalBacklog = 16 << 20;
+// EQO (congestion detection) update interval.
+constexpr SimTime kEqoInterval = SimTime::nanos(50);
+// Control-plane latency of a traffic push-back (§5.2).
+constexpr SimTime kPushbackDelay = SimTime::micros(2);
+// How early an offloaded packet returns before its slice starts (§5.2).
+constexpr SimTime kOffloadLead = SimTime::micros(10);
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Host
 
@@ -206,8 +221,7 @@ void Host::deliver(Packet&& p) {
     ++offload_stored_packets_;
     const SimTime slice_begin =
         net_.schedule().slice_start(p.offload_abs_slice);
-    const SimTime lead = net_.config().offload_lead +
-                         net_.config().host_link_delay + stack_delay();
+    const SimTime lead = kOffloadLead + kHostLinkDelay + stack_delay();
     const SimTime return_at =
         std::max(net_.sim().now(), slice_begin - lead);
     net_.sim().schedule_at(
@@ -256,7 +270,7 @@ TorSwitch::TorSwitch(Network& net, NodeId id)
   if (k <= 0) k = std::min<int>(sched.period(), 128);
   uplinks_.resize(static_cast<std::size_t>(sched.uplinks()));
   for (auto& u : uplinks_) {
-    u.fifo = net::FifoQueue{cfg.fifo_capacity};
+    u.fifo = net::FifoQueue{kFifoCapacity};
     if (cfg.calendar_mode) {
       u.cal = std::make_unique<CalendarQueuePort>(
           k, cfg.queue_capacity,
@@ -264,7 +278,7 @@ TorSwitch::TorSwitch(Network& net, NodeId id)
           &metrics.counter("calendar.full_rejects"));
       if (cfg.congestion_detection) {
         u.eqo = std::make_unique<QueueOccupancyEstimator>(
-            k, cfg.optical_bw, cfg.eqo_interval);
+            k, cfg.optical_bw, kEqoInterval);
       }
     }
   }
@@ -414,11 +428,7 @@ std::int64_t TorSwitch::admissible_bytes(PortId port, int rank) const {
     usable = window_end() - std::max(now, window_start());
     if (usable < SimTime::zero()) usable = SimTime::zero();
   }
-  std::int64_t adm = bytes_in_ns(usable.ns(), cfg.optical_bw);
-  if (cfg.congestion_threshold > 0) {
-    adm = std::min(adm, cfg.congestion_threshold);
-  }
-  return adm;
+  return bytes_in_ns(usable.ns(), cfg.optical_bw);
 }
 
 void TorSwitch::enqueue_optical(Packet&& p, PortId port, SliceId dep,
@@ -624,10 +634,10 @@ void TorSwitch::send_pushback(const Packet& p, SliceId dep) {
   const NodeId congested_dst = p.dst_node;
   const NodeId src_tor = p.src_node;
   // Control-plane broadcast to every host under the sender ToR (§5.2).
-  // The hosts live on src_tor's lane; pushback_delay participates in the
+  // The hosts live on src_tor's lane; kPushbackDelay participates in the
   // engine's sync-window minimum, so the hop never needs clamping.
   net_.sim().schedule_at_lane(
-      src_tor, net_.sim().now() + net_.config().pushback_delay,
+      src_tor, net_.sim().now() + kPushbackDelay,
       [this, congested_dst, src_tor, abs_dep]() {
         for (int i = 0; i < net_.config().hosts_per_tor; ++i) {
           Packet msg;
@@ -893,7 +903,7 @@ Network::Network(NetworkConfig cfg, optics::Schedule schedule,
   tail_margin_ = cfg_.sync_error;
   guard_extra_.assign(static_cast<std::size_t>(cfg_.num_tors),
                       SimTime::zero());
-  quarantined_.assign(static_cast<std::size_t>(cfg_.num_tors), 0);
+  quarantine_holds_.assign(static_cast<std::size_t>(cfg_.num_tors), 0);
   beacons_ok_ = &sim_.metrics().counter("sync.beacons", {{"result", "ok"}});
   beacons_lost_ =
       &sim_.metrics().counter("sync.beacons", {{"result", "lost"}});
@@ -905,8 +915,8 @@ Network::Network(NetworkConfig cfg, optics::Schedule schedule,
       sim_, schedule_, profile, master_rng_.fork());
   if (cfg_.electrical_bw > 0) {
     electrical_ = std::make_unique<net::ElectricalFabric>(
-        sim_, cfg_.num_tors, cfg_.electrical_bw, cfg_.electrical_transit,
-        cfg_.electrical_backlog);
+        sim_, cfg_.num_tors, cfg_.electrical_bw, kElectricalTransit,
+        kElectricalBacklog);
   }
 
   tors_.reserve(static_cast<std::size_t>(cfg_.num_tors));
@@ -931,10 +941,10 @@ Network::Network(NetworkConfig cfg, optics::Schedule schedule,
       hosts_.push_back(std::make_unique<Host>(*this, h, n));
       auto* host = hosts_.back().get();
       host->up_link_ = std::make_unique<net::Link>(
-          sim_, cfg_.host_bw, cfg_.host_link_delay,
+          sim_, cfg_.host_bw, kHostLinkDelay,
           [tor](Packet&& p) { tor->from_host(std::move(p)); });
       tor->downlinks_.push_back(std::make_unique<net::Link>(
-          sim_, cfg_.host_bw, cfg_.host_link_delay,
+          sim_, cfg_.host_bw, kHostLinkDelay,
           [host](Packet&& p) { host->deliver(std::move(p)); }));
     }
   }
@@ -953,9 +963,9 @@ void Network::enable_sharding(int workers) {
   // affect each other inside it — the conservative-sync lookahead.
   SimTime window = optical_->profile().latency_min;
   if (cfg_.electrical_bw > 0) {
-    window = std::min(window, cfg_.electrical_transit);
+    window = std::min(window, kElectricalTransit);
   }
-  if (cfg_.pushback) window = std::min(window, cfg_.pushback_delay);
+  if (cfg_.pushback) window = std::min(window, kPushbackDelay);
   assert(window > SimTime::zero() && "zero-lookahead topology can't shard");
   sim_.configure_lanes(cfg_.num_tors);
   lane_packet_seq_.assign(static_cast<std::size_t>(cfg_.num_tors) + 1, 0);
@@ -1107,18 +1117,19 @@ void Network::set_node_guard_extra(NodeId n, SimTime extra) {
 }
 
 void Network::set_node_quarantined(NodeId n, bool q) {
-  auto& slot = quarantined_[static_cast<std::size_t>(n)];
-  if ((slot != 0) == q) return;
-  slot = q ? 1 : 0;
-  if (q) {
-    // Deferred one event: quarantine is decided inside watchdog/fabric
-    // callbacks that may sit under a drain loop of the very queues the
-    // flush walks.
-    auto* tor = tors_[static_cast<std::size_t>(n)].get();
-    sim_.schedule_at(
-        sim_.now(), [tor]() { tor->flush_and_reroute(); },
-        "tor.quarantine_flush");
+  int& holds = quarantine_holds_[static_cast<std::size_t>(n)];
+  if (!q) {
+    if (holds > 0) --holds;
+    return;
   }
+  if (++holds > 1) return;
+  // Deferred one event: quarantine is decided inside watchdog/fabric
+  // callbacks that may sit under a drain loop of the very queues the flush
+  // walks.
+  auto* tor = tors_[static_cast<std::size_t>(n)].get();
+  sim_.schedule_at(
+      sim_.now(), [tor]() { tor->flush_and_reroute(); },
+      "tor.quarantine_flush");
 }
 
 void Network::reconfigure(optics::Schedule next, SimTime delay) {

@@ -46,24 +46,24 @@ enum class CongestionResponse {
 // userspace libvma path vs. the kernel path.
 enum class HostStack { Libvma, Kernel };
 
+// Propagation delay of each host <-> ToR link.
+inline constexpr SimTime kHostLinkDelay = SimTime::nanos(600);
+// Classical-FIFO capacity per uplink for TA/static (wildcard) operation.
+inline constexpr std::int64_t kFifoCapacity = 8 << 20;
+
 struct NetworkConfig {
   int num_tors = 8;
   int hosts_per_tor = 1;
   BitsPerSec optical_bw = 100e9;
   BitsPerSec host_bw = 100e9;
-  SimTime host_link_delay = SimTime::nanos(600);
 
   // Parallel electrical fabric; 0 bandwidth = absent.
   BitsPerSec electrical_bw = 0;
-  SimTime electrical_transit = SimTime::micros(1);
-  std::int64_t electrical_backlog = 16 << 20;
 
   // Calendar queues: count per uplink port (the offload horizon N of §5.2
   // when smaller than the schedule period) and per-queue byte capacity.
   int calendar_queues = 0;  // 0 = match the schedule period (capped at 128)
   std::int64_t queue_capacity = 2 << 20;
-  // Classical-FIFO capacity per uplink for TA/static (wildcard) operation.
-  std::int64_t fifo_capacity = 8 << 20;
 
   // TO mode runs slice rotation + calendar queues; TA/static mode drains
   // FIFOs continuously. Set by the architecture preset.
@@ -84,20 +84,13 @@ struct NetworkConfig {
 
   // Congestion detection (EQO-based) and response.
   bool congestion_detection = true;
-  SimTime eqo_interval = SimTime::nanos(50);
   CongestionResponse congestion_response = CongestionResponse::Drop;
-  // Optional CC threshold in bytes on top of the admissible-bytes test;
-  // 0 disables it.
-  std::int64_t congestion_threshold = 0;
 
   // Traffic push-back (§5.2): last-resort sender throttling.
   bool pushback = false;
-  SimTime pushback_delay = SimTime::micros(2);  // control-plane latency
 
   // Buffer offloading (§5.2): rank-overflow packets parked on hosts.
   bool offload = false;
-  // Offloaded packets return this early relative to their slice start.
-  SimTime offload_lead = SimTime::micros(10);
 
   HostStack host_stack = HostStack::Libvma;
   // Per-destination segment queue capacity in the host stack (libvma
@@ -410,10 +403,13 @@ class Network {
   // Quarantine: gate the node's optical egress entirely and divert traffic
   // from/to it onto the electrical fabric (when one exists). Entering
   // quarantine evacuates the node's calendar queues via a deferred flush so
-  // parked packets re-route instead of rotting until re-admission.
+  // parked packets re-route instead of rotting until re-admission. Each
+  // `true` is one hold and each `false` releases one: the node stays fenced
+  // while any holder (the sync watchdog's or the health scanner's ladder)
+  // still holds it, so the flush runs on the first hold only.
   void set_node_quarantined(NodeId n, bool q);
   bool node_quarantined(NodeId n) const {
-    return quarantined_[static_cast<std::size_t>(n)] != 0;
+    return quarantine_holds_[static_cast<std::size_t>(n)] != 0;
   }
 
   // Telemetry-skew gray fault (services::FaultPlan): node n self-reports
@@ -560,7 +556,7 @@ class Network {
   SimTime tail_margin_ = SimTime::zero();
   // Per-node safe-mode state (sync watchdog).
   std::vector<SimTime> guard_extra_;
-  std::vector<char> quarantined_;
+  std::vector<int> quarantine_holds_;  // per node
   SymptomHook arrival_hook_;
   telemetry::Counter* beacons_ok_ = nullptr;
   telemetry::Counter* beacons_lost_ = nullptr;

@@ -4,10 +4,15 @@ namespace oo::services {
 
 void HybridSteering::set_node_degraded(NodeId n, bool d) {
   const auto i = static_cast<std::size_t>(n);
-  if (i >= node_degraded_.size()) {
-    node_degraded_.resize(static_cast<std::size_t>(net_.num_tors()), 0);
+  if (i >= degraded_holds_.size()) {
+    degraded_holds_.resize(static_cast<std::size_t>(net_.num_tors()), 0);
   }
-  node_degraded_[i] = d ? 1 : 0;
+  int& holds = degraded_holds_[i];
+  if (d) {
+    ++holds;
+  } else if (holds > 0) {
+    --holds;
+  }
 }
 
 void HybridSteering::prepare(core::Packet& p, NodeId src_tor) {

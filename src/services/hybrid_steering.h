@@ -32,11 +32,13 @@ class HybridSteering {
   // Per-node degraded mode (a remediation ladder's steering hook: the sync
   // watchdog's on quarantine, the health scanner's on Degraded): elephants
   // from or to a degraded ToR stay on the electrical route, without pulling
-  // the whole fabric out of steering. Lazily sized on first use.
+  // the whole fabric out of steering. Each `true` is one hold and each
+  // `false` releases one, so a node both ladders degraded stays degraded
+  // until both readmit it. Lazily sized on first use.
   void set_node_degraded(NodeId n, bool d);
   bool node_degraded(NodeId n) const {
     const auto i = static_cast<std::size_t>(n);
-    return i < node_degraded_.size() && node_degraded_[i] != 0;
+    return i < degraded_holds_.size() && degraded_holds_[i] != 0;
   }
 
   FlowAging& aging() { return aging_; }
@@ -48,7 +50,7 @@ class HybridSteering {
   std::int64_t steered_ = 0;
   std::int64_t diverted_ = 0;
   bool degraded_ = false;
-  std::vector<char> node_degraded_;
+  std::vector<int> degraded_holds_;  // per node
 };
 
 }  // namespace oo::services

@@ -4,10 +4,11 @@
 // or straight back to rung 0 (readmit), never any other way. The services
 // keep their own evidence and decide when to move; the ladder owns what a
 // move does:
-//   - the fence: entering the top rung quarantines the node
-//     (Network::set_node_quarantined) and readmission from it lifts the
-//     fence. Quarantine needs an electrical fabric to divert onto, so
-//     without one the ladder tops out one rung below;
+//   - the fence: entering the top rung takes a quarantine hold on the node
+//     (Network::set_node_quarantined) and readmission from it releases the
+//     hold; the node stays fenced while the other ladder still holds it.
+//     Quarantine needs an electrical fabric to divert onto, so without one
+//     the ladder tops out one rung below;
 //   - the steering hook: fired with true on entering rung 2 and with false
 //     on readmission from rung 2 or above;
 //   - the clean-round count: a node off rung 0 is due for readmission after

@@ -11,7 +11,7 @@ namespace oo::traffic {
 
 namespace {
 
-constexpr std::int64_t kMiceThreshold = 100'000;  // matches TraceReplay
+constexpr std::int64_t kMiceThreshold = 100'000;  // Fig. 8's mice cut
 
 std::int64_t ceil_ns(double ns) {
   const double c = std::ceil(ns);
@@ -242,8 +242,47 @@ void TrafficEngine::emit(std::size_t slot, Source& s) {
     ++le.emitted_packet;
     flows_packet_ctr_->inc();
     bytes_packet_ctr_->inc(bytes);
-    le.pool->launch(src, dst, bytes, spec_.transfer,
-                    [record](SimTime fct, std::int64_t) { record(fct); });
+    if (spec_.open_loop) {
+      send_train(src, dst, bytes);
+    } else {
+      le.pool->launch(src, dst, bytes, spec_.transfer,
+                      [record](SimTime fct, std::int64_t) { record(fct); });
+    }
+  }
+}
+
+void TrafficEngine::send_train(HostId src, HostId dst, std::int64_t bytes) {
+  const FlowId flow = net_.alloc_flow_id();
+  const std::int64_t mss = spec_.transfer.mss;
+  // Packets enter the host stack back to back (line rate) or spread at the
+  // flow pace. Sharded, the source host lives on the emitting lane, so the
+  // paced sends land on that lane's queue. They hold the network, not the
+  // engine, so an engine destroyed mid-train leaves nothing dangling.
+  const SimTime gap =
+      spec_.flow_pace_bps > 0
+          ? SimTime::nanos(
+                serialization_ns(mss + transport::kHeaderBytes,
+                                 spec_.flow_pace_bps))
+          : SimTime::zero();
+  SimTime at = net_.sim().now();
+  for (std::int64_t remaining = bytes; remaining > 0; remaining -= mss) {
+    core::Packet p;
+    p.type = core::PacketType::Data;
+    p.flow = flow;
+    p.dst_host = dst;
+    p.payload = std::min(remaining, mss);
+    p.size_bytes = p.payload + transport::kHeaderBytes;
+    if (gap == SimTime::zero()) {
+      net_.host(src).send(std::move(p));
+    } else {
+      net_.sim().schedule_at(
+          at,
+          [net = &net_, src, pkt = std::move(p)]() mutable {
+            net->host(src).send(std::move(pkt));
+          },
+          "traffic.paced_send");
+      at += gap;
+    }
   }
 }
 

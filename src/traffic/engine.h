@@ -22,10 +22,12 @@
 // via TransferPool — circuit waits, queueing, drops, retransmission);
 // sizes at or above it run on the fluid flow-level solver
 // (transport::FluidSolver — analytic rate shares recomputed at slice
-// boundaries). FCT aggregates are kept per class (mice/elephant, split at
-// 100 KB like TraceReplay) with a running mean plus a bounded
-// deterministic reservoir for percentiles, so long runs stay sublinear in
-// flow count.
+// boundaries). An open-loop spec sends the packet-level flows as raw
+// packet trains instead (at line rate or at the spec's per-flow pace, no
+// acks), which buffer and loss studies need; those flows never complete.
+// FCT aggregates are kept per class (mice/elephant, split at 100 KB, the
+// Fig. 8 mice cut) with a running mean plus a bounded deterministic
+// reservoir for percentiles, so long runs stay sublinear in flow count.
 //
 // Determinism: every source draws from derive_rng(spec.seed, source_idx),
 // a pure function of the spec — the synthesized stream is byte-identical
@@ -65,6 +67,7 @@ class FctAggregate {
   // Percentile over the reservoir (exact until `cap` samples, then a
   // uniform subsample).
   double percentile(double p) const;
+  const std::vector<double>& samples() const { return reservoir_; }
 
  private:
   RunningStats stats_;
@@ -166,6 +169,8 @@ class TrafficEngine {
   void arm(std::size_t slot);
   void fire(std::size_t slot);
   void emit(std::size_t slot, Source& s);
+  // Open loop: the flow as a raw packet train from the emitting lane.
+  void send_train(HostId src, HostId dst, std::int64_t bytes);
   // Next arrival strictly after `from`, honoring the ON/OFF process and
   // the piecewise-constant load curve (exact inhomogeneous-Poisson
   // inversion: draw per constant-rate segment, restart at boundaries).

@@ -86,6 +86,14 @@ void validate(const TrafficSpec& spec) {
     throw std::invalid_argument(
         "traffic spec: transfer.window must be positive");
   }
+  if (spec.flow_pace_bps < 0) {
+    throw std::invalid_argument(
+        "traffic spec: transfer.pace_bps must be non-negative");
+  }
+  if (spec.flow_pace_bps > 0 && !spec.open_loop) {
+    throw std::invalid_argument(
+        "traffic spec: transfer.pace_bps needs open_loop transfer");
+  }
 }
 
 double curve_scale(const std::vector<LoadPoint>& curve, double t_sec) {
@@ -174,6 +182,8 @@ TrafficSpec spec_from_json(const json::Value& v) {
     spec.transfer.mss = t.get_int("mss", spec.transfer.mss);
     spec.transfer.window =
         static_cast<int>(t.get_int("window", spec.transfer.window));
+    spec.open_loop = t.get_bool("open_loop", spec.open_loop);
+    spec.flow_pace_bps = t.get_double("pace_bps", spec.flow_pace_bps);
   }
 
   validate(spec);

@@ -2,10 +2,11 @@
 // client sources exist, how hot the rack-to-rack skew is, how bursty each
 // source's ON/OFF process is, what the flow sizes look like (base CDF plus
 // an optional heavy-hitter mixture), how offered load moves over time
-// (diurnal / load-sweep curves), and where the hybrid packet/fluid
-// fidelity threshold sits. Parsed from JSON so campaigns and examples can
-// ship traffic shapes as data, validated eagerly so malformed specs fail
-// with a message instead of simulating garbage.
+// (diurnal / load-sweep curves), where the hybrid packet/fluid fidelity
+// threshold sits, and whether packet flows run closed loop (reliable
+// transfers) or open loop (raw packet trains). Parsed from JSON so
+// campaigns and examples can ship traffic shapes as data, validated eagerly
+// so malformed specs fail with a message instead of simulating garbage.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/ids.h"
 #include "common/json.h"
 #include "common/time.h"
 #include "transport/flow_transfer.h"
@@ -67,7 +69,7 @@ struct TrafficSpec {
   // synthesized lazily, so the flow count per source is unbounded.
   std::int64_t sources = 1024;
   // Long-run offered fraction of aggregate host bandwidth at curve
-  // scale 1.0 (same convention as TraceReplay).
+  // scale 1.0 (0.4 = the paper's 40% core utilization).
   double load = 0.4;
   SizeSpec size;
   SkewSpec skew;
@@ -82,6 +84,18 @@ struct TrafficSpec {
   std::uint64_t seed = 1;
   // Transport knobs for the packet-fidelity flows.
   transport::FlowTransferConfig transfer;
+  // Open loop: packet-fidelity flows go out as raw packet trains of
+  // transfer.mss payloads with no acks, windows or retransmission, so no
+  // transport backpressure throttles the schemes with long circuit waits
+  // and masks their buffering (the paper's §7 replay methodology, Tab. 3/4).
+  // Open-loop flows never complete. Closed loop (the default) runs each
+  // flow as a reliable FlowTransfer.
+  bool open_loop = false;
+  // Open loop only: spread each flow's packets at this rate instead of
+  // handing them to the host stack back to back at line rate (0). Long
+  // flows in the replayed traces are paced by their applications, not
+  // NIC-speed bursts.
+  BitsPerSec flow_pace_bps = 0;
 };
 
 // Throws std::invalid_argument on out-of-range fields or malformed CDFs.
@@ -107,7 +121,8 @@ double mean_size(const SizeSpec& size);
 //    "burst": {"on_us": 200, "off_us": 800},
 //    "curve": [[t_sec, scale], ...],
 //    "hybrid_threshold": 100000,
-//    "transfer": {"mss": 8900, "window": 64}}
+//    "transfer": {"mss": 8900, "window": 64,
+//                 "open_loop": true, "pace_bps": 3e9}}
 TrafficSpec spec_from_json(const json::Value& v);
 TrafficSpec spec_from_json_text(const std::string& text);
 

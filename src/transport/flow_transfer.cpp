@@ -59,7 +59,7 @@ void FlowTransfer::send_segment(std::int64_t seq) {
   p.dst_host = dst_;
   p.seq = seq;
   p.payload = std::min(cfg_.mss, total_bytes_ - seq);
-  p.size_bytes = p.payload + 64;  // headers
+  p.size_bytes = p.payload + kHeaderBytes;
   if (!net_.host(src_).send(std::move(p))) {
     // Segment queue full: rewind and wait for RTO (coarse but safe).
     blocked_ = true;

@@ -1,9 +1,10 @@
 // Reliable message transfer: the workhorse under the FCT workloads
-// (Memcached SETs, allreduce steps, trace replay). Fixed-window,
-// per-packet cumulative acks, timeout retransmission — reliability without
-// congestion-control dynamics, so flow completion time reflects the fabric
-// (circuit waits, queueing, drops), which is what the architecture
-// comparisons in §6 measure. For transport-protocol studies use TcpLite.
+// (Memcached SETs, allreduce steps, closed-loop TrafficEngine flows).
+// Fixed-window, per-packet cumulative acks, timeout retransmission —
+// reliability without congestion-control dynamics, so flow completion time
+// reflects the fabric (circuit waits, queueing, drops), which is what the
+// architecture comparisons in §6 measure. For transport-protocol studies
+// use TcpLite.
 #pragma once
 
 #include <functional>
@@ -14,6 +15,9 @@
 #include "core/network.h"
 
 namespace oo::transport {
+
+// Header bytes each data packet carries on top of its payload.
+inline constexpr std::int64_t kHeaderBytes = 64;
 
 struct FlowTransferConfig {
   std::int64_t mss = 8900;           // jumbo-frame payload

@@ -5,6 +5,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "transport/flow_transfer.h"
+
 namespace oo::transport {
 
 namespace {
@@ -16,7 +18,6 @@ inline std::uint64_t pair_key(NodeId a, NodeId b) {
 }
 
 constexpr double kDoneEps = 0.5;  // bytes; < one bit of serialization time
-constexpr std::int64_t kHeaderBytes = 64;  // matches FlowTransfer's framing
 
 }  // namespace
 
@@ -41,7 +42,7 @@ FluidSolver::FluidSolver(core::Network& net, std::int64_t mss)
   // forward delivery (host link, fabric cut-through, host link) plus the
   // ack's return trip over the same path.
   const SimTime one_way =
-      cfg.host_link_delay * 2 + net_.optical().profile().latency_min;
+      core::kHostLinkDelay * 2 + net_.optical().profile().latency_min;
   tail_latency_ = one_way * 2;
 
   auto& m = net_.sim().metrics();

@@ -1,6 +1,6 @@
 #include "workload/traces.h"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -157,141 +157,6 @@ double cdf_byte_fraction_above(const std::vector<CdfPoint>& cdf,
   }
   const double mean = mean_flow_size(cdf);
   return mean > 0.0 ? tail / mean : 0.0;
-}
-
-TraceReplay::TraceReplay(core::Network& net, TraceKind kind, double load,
-                         transport::FlowTransferConfig transfer)
-    : net_(net),
-      pool_(net),
-      kind_(kind),
-      transfer_(transfer),
-      rng_(net.fork_rng()) {
-  validate_load(load, "TraceReplay");
-  validate_cdf(trace_cdf(kind_));
-  const double mean = mean_flow_size(trace_cdf(kind_));
-  // Offered bits/s = load x aggregate host bandwidth; arrivals are Poisson
-  // with rate lambda = offered / (8 x mean flow size).
-  const double offered_bps = load * net_.config().host_bw *
-                             static_cast<double>(net_.num_hosts());
-  const double lambda = offered_bps / (kBitsPerByte * mean);
-  mean_interarrival_ = SimTime::nanos(
-      static_cast<std::int64_t>(1e9 / lambda));
-  if (mean_interarrival_ <= SimTime::zero()) {
-    mean_interarrival_ = SimTime::nanos(1);
-  }
-}
-
-void TraceReplay::start() {
-  running_ = true;
-  schedule_next();
-}
-
-void TraceReplay::schedule_next() {
-  const SimTime wait = SimTime::nanos(static_cast<std::int64_t>(
-      rng_.exponential(static_cast<double>(mean_interarrival_.ns()))));
-  net_.sim().schedule_in(wait, [this]() {
-    if (!running_) return;
-    const int nh = net_.num_hosts();
-    const HostId src = static_cast<HostId>(
-        rng_.uniform(static_cast<std::uint32_t>(nh)));
-    HostId dst = src;
-    // Inter-ToR destination (core-link traffic).
-    for (int tries = 0; tries < 64 && net_.tor_of(dst) == net_.tor_of(src);
-         ++tries) {
-      dst = static_cast<HostId>(rng_.uniform(static_cast<std::uint32_t>(nh)));
-    }
-    if (net_.tor_of(dst) != net_.tor_of(src)) {
-      const auto bytes = static_cast<std::int64_t>(
-          sample_flow_size(trace_cdf(kind_), rng_));
-      const bool mouse = bytes < 100'000;
-      pool_.launch(src, dst, bytes, transfer_,
-                   [this, mouse](SimTime fct, std::int64_t) {
-                     if (mouse) mice_fct_us_.add(fct.us());
-                   });
-    }
-    schedule_next();
-  });
-}
-
-OpenLoopReplay::OpenLoopReplay(core::Network& net, TraceKind kind,
-                               double load, std::int64_t mss,
-                               BitsPerSec flow_pace_bps)
-    : net_(net),
-      kind_(kind),
-      mss_(mss),
-      flow_pace_bps_(flow_pace_bps),
-      rng_(net.fork_rng()) {
-  validate_load(load, "OpenLoopReplay");
-  validate_cdf(trace_cdf(kind_));
-  if (mss <= 0) {
-    throw std::invalid_argument("OpenLoopReplay: mss must be positive");
-  }
-  if (flow_pace_bps < 0) {
-    throw std::invalid_argument(
-        "OpenLoopReplay: flow_pace_bps must be non-negative");
-  }
-  const double mean = mean_flow_size(trace_cdf(kind_));
-  const double offered_bps = load * net_.config().host_bw *
-                             static_cast<double>(net_.num_hosts());
-  const double lambda = offered_bps / (kBitsPerByte * mean);
-  mean_interarrival_ =
-      SimTime::nanos(static_cast<std::int64_t>(1e9 / lambda));
-  if (mean_interarrival_ <= SimTime::zero()) {
-    mean_interarrival_ = SimTime::nanos(1);
-  }
-}
-
-void OpenLoopReplay::start() {
-  running_ = true;
-  schedule_next();
-}
-
-void OpenLoopReplay::schedule_next() {
-  const SimTime wait = SimTime::nanos(static_cast<std::int64_t>(
-      rng_.exponential(static_cast<double>(mean_interarrival_.ns()))));
-  net_.sim().schedule_in(wait, [this]() {
-    if (!running_) return;
-    const int nh = net_.num_hosts();
-    const HostId src = static_cast<HostId>(
-        rng_.uniform(static_cast<std::uint32_t>(nh)));
-    HostId dst = src;
-    for (int tries = 0; tries < 64 && net_.tor_of(dst) == net_.tor_of(src);
-         ++tries) {
-      dst = static_cast<HostId>(rng_.uniform(static_cast<std::uint32_t>(nh)));
-    }
-    if (net_.tor_of(dst) != net_.tor_of(src)) {
-      auto remaining = static_cast<std::int64_t>(
-          sample_flow_size(trace_cdf(kind_), rng_));
-      const FlowId flow = net_.alloc_flow_id();
-      // Packets enter the host stack back-to-back (line rate) or spread at
-      // the flow pace; no acks, no windows.
-      SimTime at = net_.sim().now();
-      const SimTime gap =
-          flow_pace_bps_ > 0
-              ? SimTime::nanos(serialization_ns(mss_ + 64, flow_pace_bps_))
-              : SimTime::zero();
-      while (remaining > 0) {
-        const std::int64_t len = std::min(remaining, mss_);
-        remaining -= len;
-        core::Packet p;
-        p.type = core::PacketType::Data;
-        p.flow = flow;
-        p.dst_host = dst;
-        p.payload = len;
-        p.size_bytes = len + 64;
-        if (gap == SimTime::zero()) {
-          net_.host(src).send(std::move(p));
-        } else {
-          net_.sim().schedule_at(at, [this, src,
-                                      pkt = std::move(p)]() mutable {
-            net_.host(src).send(std::move(pkt));
-          });
-          at += gap;
-        }
-      }
-    }
-    schedule_next();
-  });
 }
 
 }  // namespace oo::workload

@@ -1,18 +1,15 @@
 // Production DCN trace models (§7 experimental setup): flow-size CDFs
 // shaped after the published distributions of the Homa RPC workload, the
-// Facebook Hadoop cluster, and the Facebook Memcached KV store, replayed as
-// Poisson flow arrivals scaled to a target core-link utilization. The
-// benches use these where the paper replays the real traces (Tab. 3/4).
+// Facebook Hadoop cluster, and the Facebook Memcached KV store.
+// traffic::TrafficSpec draws Poisson flow arrivals from them, scaled to a
+// target core-link utilization; the benches use that where the paper
+// replays the real traces (Tab. 3/4, open loop).
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "common/ids.h"
 #include "common/rng.h"
-#include "common/stats.h"
-#include "core/network.h"
-#include "workload/transfer_pool.h"
 
 namespace oo::workload {
 
@@ -52,62 +49,5 @@ void validate_load(double load, const char* what);
 double cdf_fraction_above(const std::vector<CdfPoint>& cdf, double bytes);
 double cdf_byte_fraction_above(const std::vector<CdfPoint>& cdf,
                                double bytes);
-
-// Poisson open-loop flow generator across random inter-ToR host pairs.
-// `load` is the fraction of aggregate host bandwidth offered (0.4 = the
-// paper's 40% core utilization).
-class TraceReplay {
- public:
-  TraceReplay(core::Network& net, TraceKind kind, double load,
-              transport::FlowTransferConfig transfer = {});
-
-  void start();
-  void stop() { running_ = false; }
-
-  // FCT of the mice (< 100 KB), the flows Fig. 8 reports.
-  const PercentileSampler& mice_fct_us() const { return mice_fct_us_; }
-  std::int64_t flows_completed() const { return pool_.completed(); }
-  std::int64_t flows_launched() const { return pool_.launched(); }
-
- private:
-  void schedule_next();
-
-  core::Network& net_;
-  TransferPool pool_;
-  TraceKind kind_;
-  transport::FlowTransferConfig transfer_;
-  SimTime mean_interarrival_;
-  Rng rng_;
-  PercentileSampler mice_fct_us_;
-  bool running_ = false;
-};
-
-// Open-loop trace replay: flows are emitted as raw packet trains with no
-// transport backpressure — the paper's §7 methodology (replayed traces at a
-// target utilization). Use this for buffer-occupancy and loss studies
-// (Tab. 3/4) where closed-loop windows would throttle exactly the schemes
-// with long circuit waits and mask their buffering.
-class OpenLoopReplay {
- public:
-  // `flow_pace_bps` spreads each flow's packets at the given rate instead
-  // of dumping them at host line rate (0 = line rate). Long flows in the
-  // replayed traces are paced by their applications, not NIC-speed bursts.
-  OpenLoopReplay(core::Network& net, TraceKind kind, double load,
-                 std::int64_t mss = 8936, BitsPerSec flow_pace_bps = 0);
-
-  void start();
-  void stop() { running_ = false; }
-
- private:
-  void schedule_next();
-
-  core::Network& net_;
-  TraceKind kind_;
-  std::int64_t mss_;
-  BitsPerSec flow_pace_bps_;
-  SimTime mean_interarrival_;
-  Rng rng_;
-  bool running_ = false;
-};
 
 }  // namespace oo::workload

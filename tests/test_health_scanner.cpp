@@ -13,6 +13,7 @@
 #include "services/fault_plan.h"
 #include "services/health_scanner.h"
 #include "services/hybrid_steering.h"
+#include "services/sync_watchdog.h"
 
 namespace oo {
 namespace {
@@ -32,6 +33,24 @@ runner::RunSpec gray_spec(const std::string& fault, std::uint64_t seed) {
   spec.params["duration_ms"] = static_cast<std::int64_t>(30);
   spec.params["severity"] = 0.5;
   return spec;
+}
+
+// Every host sends 1500 B to every other host each 10 us (the
+// gray_detection experiment's load).
+void all_to_all_load(core::Network* net) {
+  net->sim().schedule_every(5_us, 10_us, [net]() {
+    for (HostId src = 0; src < net->num_hosts(); ++src) {
+      for (HostId dst = 0; dst < net->num_hosts(); ++dst) {
+        if (dst == src) continue;
+        core::Packet pkt;
+        pkt.type = core::PacketType::Data;
+        pkt.flow = 100 + src;
+        pkt.dst_host = dst;
+        pkt.size_bytes = 1500;
+        net->host(src).send(std::move(pkt));
+      }
+    }
+  });
 }
 
 // ---- clean seeds: the scanner must stay silent ----
@@ -70,19 +89,7 @@ FabricDigest run_clean(bool with_scanner) {
   scanner.set_controller(inst.ctl.get());
   if (with_scanner) scanner.start();
 
-  net->sim().schedule_every(5_us, 10_us, [net]() {
-    for (HostId src = 0; src < net->num_hosts(); ++src) {
-      for (HostId dst = 0; dst < net->num_hosts(); ++dst) {
-        if (dst == src) continue;
-        core::Packet pkt;
-        pkt.type = core::PacketType::Data;
-        pkt.flow = 100 + src;
-        pkt.dst_host = dst;
-        pkt.size_bytes = 1500;
-        net->host(src).send(std::move(pkt));
-      }
-    }
-  });
+  all_to_all_load(net);
   inst.run_for(20_ms);
 
   EXPECT_EQ(scanner.suspects(), 0);
@@ -185,19 +192,7 @@ TEST(HealthScanner, LadderIsLegalAndReadmitsAfterHeal) {
   monitor.attach_ladder(&scanner.ladder());
   scanner.start();
 
-  net->sim().schedule_every(5_us, 10_us, [net]() {
-    for (HostId src = 0; src < net->num_hosts(); ++src) {
-      for (HostId dst = 0; dst < net->num_hosts(); ++dst) {
-        if (dst == src) continue;
-        core::Packet pkt;
-        pkt.type = core::PacketType::Data;
-        pkt.flow = 100 + src;
-        pkt.dst_host = dst;
-        pkt.size_bytes = 1500;
-        net->host(src).send(std::move(pkt));
-      }
-    }
-  });
+  all_to_all_load(net);
 
   // A dirty pair that heals when its window closes at 10 ms: the ladder must
   // climb rung by rung, then clean audits must walk the node back to Healthy.
@@ -211,6 +206,73 @@ TEST(HealthScanner, LadderIsLegalAndReadmitsAfterHeal) {
   EXPECT_GE(scanner.readmissions(), 1);
   EXPECT_EQ(scanner.state(2), HealthScanner::NodeHealth::Healthy);
   EXPECT_TRUE(monitor.ok()) << monitor.report();
+}
+
+// ---- two ladders, one node: the fence is held per ladder ----
+
+// The sync watchdog fences node 2 for its clock drift and the scanner
+// fences it for its gray circuit toward node 5. The quarantine fence and
+// the elephant diversion must hold until both ladders have readmitted the
+// node, not lift at the first readmission.
+TEST(HealthScanner, FenceHeldUntilBothLaddersReadmit) {
+  constexpr NodeId kNode = 2;
+  arch::Params p;
+  p.tors = 8;
+  p.hosts_per_tor = 1;
+  p.uplinks = 1;
+  p.slice = 20_us;
+  p.seed = 7;
+  auto inst = arch::make_rotornet(p, arch::RotorRouting::Direct,
+                                  /*hybrid=*/true);
+  auto* net = inst.net.get();
+  services::HybridSteering steering(*net, 256 << 10, 50_ms);
+  services::SyncWatchdog watchdog(*net);
+  HealthScanner scanner(*net);
+  scanner.set_controller(inst.ctl.get());
+  for (services::Ladder* ladder : {&watchdog.ladder(), &scanner.ladder()}) {
+    ladder->set_steering_hook([&steering](NodeId n, bool degraded) {
+      steering.set_node_degraded(n, degraded);
+    });
+  }
+  watchdog.start();
+  scanner.start();
+  all_to_all_load(net);
+
+  services::FaultPlan plan(*net, 2024);
+  plan.drift_clock(1_ms, kNode, 8000.0, 4_ms);
+  plan.lose_beacons(1_ms, kNode, 4_ms);
+  plan.gray_pair(1_ms, kNode, /*port=*/0, /*peer=*/5, /*prob=*/0.6, 6_ms);
+  plan.arm();
+
+  // Sampled every microsecond: fenced and diverted exactly while some
+  // ladder holds the node there.
+  int both_fenced_us = 0, one_fenced_after_both_us = 0;
+  int fence_mismatch_us = 0, divert_mismatch_us = 0;
+  net->sim().schedule_every(1_us, 1_us, [&]() {
+    const bool wd = watchdog.ladder().fenced(kNode);
+    const bool hs = scanner.ladder().fenced(kNode);
+    if (wd && hs) {
+      ++both_fenced_us;
+    } else if (both_fenced_us > 0 && (wd || hs)) {
+      ++one_fenced_after_both_us;
+    }
+    if (net->node_quarantined(kNode) != (wd || hs)) ++fence_mismatch_us;
+    const bool divert = watchdog.ladder().rung(kNode) >= 2 ||
+                        scanner.ladder().rung(kNode) >= 2;
+    if (steering.node_degraded(kNode) != divert) ++divert_mismatch_us;
+  });
+  inst.run_for(20_ms);
+
+  // The run reaches the double fence and outlives one readmission.
+  EXPECT_GT(both_fenced_us, 0);
+  EXPECT_GT(one_fenced_after_both_us, 0);
+  EXPECT_EQ(fence_mismatch_us, 0);
+  EXPECT_EQ(divert_mismatch_us, 0);
+  // Both ladders readmit the node, and then nothing holds it.
+  EXPECT_EQ(watchdog.ladder().rung(kNode), 0);
+  EXPECT_EQ(scanner.ladder().rung(kNode), 0);
+  EXPECT_FALSE(net->node_quarantined(kNode));
+  EXPECT_FALSE(steering.node_degraded(kNode));
 }
 
 }  // namespace

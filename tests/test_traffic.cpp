@@ -1,12 +1,13 @@
 // Streaming traffic engine + hybrid packet/fluid fidelity.
 //
-// Covers the contracts the subsystem advertises: workload generators
-// reject malformed inputs loudly; the synthesized flow stream is a pure
-// function of the spec (byte-identical fingerprints across runs, worker
-// counts, and cohabiting workloads); heavy-hitter tail mass matches the
-// analytic CDF mixture; the load curve's zero windows are silent; and the
-// fluid solver agrees with packet-level transport on Fig. 8-shaped
-// mice/elephant mixes while doing far fewer simulator events.
+// Covers the contracts the subsystem advertises: specs reject malformed
+// inputs loudly; the synthesized flow stream is a pure function of the
+// spec (byte-identical fingerprints across runs, worker counts, shard
+// counts, cohabiting workloads, and closed vs. open loop); heavy-hitter
+// tail mass matches the analytic CDF mixture; the load curve's zero
+// windows are silent; and the fluid solver agrees with packet-level
+// transport on Fig. 8-shaped mice/elephant mixes while doing far fewer
+// simulator events.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "telemetry/flight_recorder.h"
 #include "traffic/engine.h"
 #include "transport/fluid.h"
+#include "workload/kv.h"
 #include "workload/traces.h"
 
 namespace oo::traffic {
@@ -42,35 +44,49 @@ arch::Instance make_rotor(int tors, int hosts_per_tor, int uplinks,
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: input validation in the replay generators.
+// Input validation: the engine validates its spec at construction.
+
+TrafficSpec trace_spec(workload::TraceKind kind, double load) {
+  TrafficSpec spec;
+  spec.load = load;
+  spec.size.base = workload::trace_cdf(kind);
+  return spec;
+}
 
 TEST(TraceValidation, ReplayRejectsBadLoad) {
   auto inst = make_rotor(4, 1, 1);
   auto& net = *inst.net;
-  EXPECT_THROW(workload::TraceReplay(net, workload::TraceKind::KvStore, 0.0),
+  const auto kv = workload::TraceKind::KvStore;
+  EXPECT_THROW(TrafficEngine(net, trace_spec(kv, 0.0)),
                std::invalid_argument);
-  EXPECT_THROW(workload::TraceReplay(net, workload::TraceKind::KvStore, -0.3),
+  EXPECT_THROW(TrafficEngine(net, trace_spec(kv, -0.3)),
                std::invalid_argument);
-  EXPECT_THROW(workload::TraceReplay(net, workload::TraceKind::KvStore, 1.5),
+  EXPECT_THROW(TrafficEngine(net, trace_spec(kv, 1.5)),
                std::invalid_argument);
-  EXPECT_NO_THROW(
-      workload::TraceReplay(net, workload::TraceKind::KvStore, 1.0));
+  EXPECT_NO_THROW(TrafficEngine(net, trace_spec(kv, 1.0)));
 }
 
 TEST(TraceValidation, OpenLoopRejectsBadArgs) {
   auto inst = make_rotor(4, 1, 1);
   auto& net = *inst.net;
-  using workload::OpenLoopReplay;
-  const auto kind = workload::TraceKind::Hadoop;
-  EXPECT_THROW(OpenLoopReplay(net, kind, 0.0), std::invalid_argument);
-  EXPECT_THROW(OpenLoopReplay(net, kind, 2.0), std::invalid_argument);
-  EXPECT_THROW(OpenLoopReplay(net, kind, 0.4, /*mss=*/0),
+  const auto open_spec = [](double load, std::int64_t mss, BitsPerSec pace) {
+    TrafficSpec spec = trace_spec(workload::TraceKind::Hadoop, load);
+    spec.open_loop = true;
+    spec.transfer.mss = mss;
+    spec.flow_pace_bps = pace;
+    return spec;
+  };
+  EXPECT_THROW(TrafficEngine(net, open_spec(0.0, 8936, 0)),
                std::invalid_argument);
-  EXPECT_THROW(OpenLoopReplay(net, kind, 0.4, /*mss=*/-9000),
+  EXPECT_THROW(TrafficEngine(net, open_spec(2.0, 8936, 0)),
                std::invalid_argument);
-  EXPECT_THROW(OpenLoopReplay(net, kind, 0.4, 8936, /*pace=*/-1.0),
+  EXPECT_THROW(TrafficEngine(net, open_spec(0.4, 0, 0)),
                std::invalid_argument);
-  EXPECT_NO_THROW(OpenLoopReplay(net, kind, 0.4, 8936, 10e9));
+  EXPECT_THROW(TrafficEngine(net, open_spec(0.4, -9000, 0)),
+               std::invalid_argument);
+  EXPECT_THROW(TrafficEngine(net, open_spec(0.4, 8936, -1.0)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(TrafficEngine(net, open_spec(0.4, 8936, 10e9)));
 }
 
 TEST(TraceValidation, ValidateCdfRejectsMalformedShapes) {
@@ -133,7 +149,8 @@ TEST(TrafficSpecTest, JsonParsesFullShape) {
     "burst": {"on_us": 150, "off_us": 450},
     "curve": [[0.0, 1.0], [0.5, 0.0], [1.0, 2.0]],
     "hybrid_threshold": 250000,
-    "transfer": {"mss": 4000, "window": 32}
+    "transfer": {"mss": 4000, "window": 32, "open_loop": true,
+                 "pace_bps": 3e9}
   })";
   const TrafficSpec spec = spec_from_json_text(text);
   EXPECT_EQ(spec.sources, 5000);
@@ -147,6 +164,8 @@ TEST(TrafficSpecTest, JsonParsesFullShape) {
   EXPECT_EQ(spec.hybrid_threshold, 250000);
   EXPECT_EQ(spec.transfer.mss, 4000);
   EXPECT_EQ(spec.transfer.window, 32);
+  EXPECT_TRUE(spec.open_loop);
+  EXPECT_DOUBLE_EQ(spec.flow_pace_bps, 3e9);
   ASSERT_EQ(spec.curve.size(), 3u);
   EXPECT_DOUBLE_EQ(curve_scale(spec.curve, 0.2), 1.0);
   EXPECT_DOUBLE_EQ(curve_scale(spec.curve, 0.6), 0.0);
@@ -180,6 +199,12 @@ TEST(TrafficSpecTest, ValidationRejectsBadSpecs) {
                std::invalid_argument);
   EXPECT_THROW(parse(R"({"transfer": {"window": -4}})"),
                std::invalid_argument);
+  // A pace is open-loop only, and never negative.
+  EXPECT_THROW(parse(R"({"transfer": {"open_loop": true, "pace_bps": -1}})"),
+               std::invalid_argument);
+  EXPECT_THROW(parse(R"({"transfer": {"pace_bps": 1e9}})"),
+               std::invalid_argument);
+  EXPECT_NO_THROW(parse(R"({"transfer": {"open_loop": true}})"));
   // Heap entries index sources with 32 bits.
   EXPECT_THROW(parse(R"({"sources": 4294967296})"), std::invalid_argument);
   EXPECT_NO_THROW(parse(R"({})"));
@@ -227,21 +252,24 @@ TEST(TrafficEngineTest, SameSpecSameStream) {
 
 TEST(TrafficEngineTest, StreamUnaffectedByCohabitingWorkload) {
   std::uint64_t fp[2];
+  std::int64_t ops[2];
   for (int i = 0; i < 2; ++i) {
     auto inst = make_rotor(4, 2, 1);
     TrafficEngine eng(*inst.net, small_spec(33));
-    // The second run shares the simulator with a replay workload drawing
-    // from the network's own RNG; the engine's derived streams must not
-    // shift.
-    workload::TraceReplay replay(*inst.net, workload::TraceKind::KvStore,
-                                 0.1);
+    // The second run shares the simulator with a KV workload drawing from
+    // a fork of the network's own RNG; the engine's derived streams must
+    // not shift.
+    workload::KvWorkload kv(*inst.net, 0, {1, 2, 3, 4, 5, 6, 7}, 200_us);
     eng.start();
-    if (i == 1) replay.start();
+    if (i == 1) kv.start();
     inst.run_for(20_ms);
     eng.stop();
-    replay.stop();
+    kv.stop();
+    ops[i] = kv.ops_completed();
     fp[i] = eng.stream_fingerprint();
   }
+  EXPECT_EQ(ops[0], 0);
+  EXPECT_GT(ops[1], 0);
   EXPECT_EQ(fp[0], fp[1]);
 }
 
@@ -263,6 +291,68 @@ TEST(TrafficEngineTest, ThresholdInvariantStream) {
   }
   EXPECT_EQ(fp[0], fp[1]);
   EXPECT_EQ(emitted[0], emitted[1]);
+}
+
+// Open loop changes how packet flows are sent, never the synthesized
+// stream; its raw packet trains never complete.
+TEST(TrafficEngineTest, OpenLoopSameStreamAsClosedLoop) {
+  std::uint64_t fp[2];
+  std::int64_t emitted[2], completed[2];
+  for (int i = 0; i < 2; ++i) {
+    auto inst = make_rotor(4, 2, 1);
+    TrafficSpec spec = small_spec(33);
+    spec.open_loop = i == 1;
+    TrafficEngine eng(*inst.net, std::move(spec));
+    eng.start();
+    inst.run_for(20_ms);
+    eng.stop();
+    fp[i] = eng.stream_fingerprint();
+    emitted[i] = eng.flows_emitted();
+    completed[i] = eng.flows_completed();
+  }
+  EXPECT_EQ(fp[0], fp[1]);
+  EXPECT_EQ(emitted[0], emitted[1]);
+  EXPECT_GT(completed[0], 0);
+  EXPECT_EQ(completed[1], 0);
+}
+
+// Open-loop trains, at line rate and paced (paced sends are scheduled from
+// the emitting worker lane), give the same counts at every shard count.
+TEST(TrafficEngineTest, OpenLoopIdenticalAtShards1And4) {
+  struct Counts {
+    std::int64_t emitted, injected, delivered, drops, events;
+    bool operator==(const Counts&) const = default;
+  };
+  const auto run = [](int shards, BitsPerSec pace) {
+    arch::Params p;
+    p.tors = 16;
+    p.hosts_per_tor = 2;
+    p.bw = 10e9;
+    p.uplinks = 2;
+    p.slice = 300_us;
+    p.queue_capacity = 768 << 10;
+    p.shards = shards;
+    auto inst = arch::make_rotornet(p, arch::RotorRouting::Hoho);
+    TrafficSpec spec = trace_spec(workload::TraceKind::Rpc, 0.7);
+    spec.sources = inst.net->num_hosts();
+    spec.transfer.mss = 8936;
+    spec.open_loop = true;
+    spec.flow_pace_bps = pace;
+    TrafficEngine eng(*inst.net, std::move(spec));
+    eng.start();
+    inst.run_for(3_ms);
+    eng.stop();
+    const auto t = inst.net->totals();
+    return Counts{eng.flows_emitted(), inst.net->packets_injected(),
+                  t.delivered, t.congestion_drops + t.fabric_drops,
+                  inst.net->sim().events_executed()};
+  };
+  for (const BitsPerSec pace : {0.0, 3e9}) {
+    const Counts one = run(1, pace);
+    EXPECT_GT(one.emitted, 0) << "pace " << pace;
+    EXPECT_GT(one.delivered, 0) << "pace " << pace;
+    EXPECT_EQ(run(4, pace), one) << "pace " << pace;
+  }
 }
 
 // A stopped engine must not re-arm its sources on top of the stale heap

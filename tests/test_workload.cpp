@@ -3,6 +3,7 @@
 #include "core/controller.h"
 #include "routing/ta_routing.h"
 #include "topo/round_robin.h"
+#include "traffic/engine.h"
 #include "workload/allreduce.h"
 #include "workload/kv.h"
 #include "workload/traces.h"
@@ -133,15 +134,23 @@ TEST(TraceCdfs, KvFlowsAreSmallest) {
             mean_flow_size(trace_cdf(TraceKind::Hadoop)));
 }
 
+// Closed-loop trace flows (traffic::TrafficEngine with a trace CDF).
+traffic::TrafficSpec kv_trace(double load) {
+  traffic::TrafficSpec spec;
+  spec.load = load;
+  spec.size.base = trace_cdf(TraceKind::KvStore);
+  return spec;
+}
+
 TEST(TraceReplay, GeneratesInterTorLoad) {
   auto net = make_electrical_net(4, 2);
-  TraceReplay replay(*net, TraceKind::KvStore, /*load=*/0.1);
+  traffic::TrafficEngine replay(*net, kv_trace(/*load=*/0.1));
   replay.start();
   net->sim().run_until(20_ms);
   replay.stop();
   net->sim().run_until(30_ms);
   EXPECT_GT(replay.flows_completed(), 50);
-  EXPECT_GT(replay.mice_fct_us().count(), 0u);
+  EXPECT_GT(replay.mice_fct_us().count(), 0);
   // All generated flows cross ToR boundaries.
   const auto tm = net->collect_tm();
   for (int i = 0; i < 4; ++i) EXPECT_EQ(tm[static_cast<size_t>(i)][static_cast<size_t>(i)], 0);
@@ -150,10 +159,10 @@ TEST(TraceReplay, GeneratesInterTorLoad) {
 TEST(TraceReplay, LoadScalesArrivals) {
   auto count_at = [](double load) {
     auto net = make_electrical_net(4, 2);
-    TraceReplay replay(*net, TraceKind::KvStore, load);
+    traffic::TrafficEngine replay(*net, kv_trace(load));
     replay.start();
     net->sim().run_until(10_ms);
-    return replay.flows_launched();
+    return replay.flows_emitted();
   };
   const auto low = count_at(0.05);
   const auto high = count_at(0.4);
