@@ -3,6 +3,10 @@
 // components; loss appears exactly when the guard stops covering the OCS
 // retargeting window + system jitter, and duty-cycle (goodput) falls as
 // the guard grows — the trade the paper's 200 ns sits on.
+//
+// Gates (exit 2 on failure): every guard below 200 ns drops packets and
+// completes no KV op; every guard of 200 ns or more drops nothing and
+// completes ops; duty falls as the guard grows.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -59,12 +63,27 @@ int main() {
               g.analytic.str().c_str(), g.guardband.str().c_str());
   std::printf("  %-12s %-12s %-10s %-10s\n", "guardband", "fabric-drops",
               "KV-ops", "duty%");
+  bench::Gate gate;
+  double prev_duty = 100.0;
   for (std::int64_t ns : {40, 80, 120, 160, 200, 280, 400, 600}) {
     const auto pt = run(SimTime::nanos(ns));
     std::printf("  %-12s %-12lld %-10lld %-10.1f\n",
                 SimTime::nanos(ns).str().c_str(),
                 static_cast<long long>(pt.drops),
                 static_cast<long long>(pt.ops), pt.duty_pct);
+    if (ns < 200) {
+      gate.check(pt.drops > 0 && pt.ops == 0,
+                 "%lld ns: an under-sized guard drops nothing or completes "
+                 "ops", static_cast<long long>(ns));
+    } else {
+      gate.check(pt.drops == 0 && pt.ops > 0,
+                 "%lld ns: the guard drops packets or completes no op",
+                 static_cast<long long>(ns));
+    }
+    const double duty = bench::printed(pt.duty_pct, 1);
+    gate.check(duty < prev_duty, "%lld ns: duty did not fall",
+               static_cast<long long>(ns));
+    prev_duty = duty;
   }
-  return 0;
+  return gate.finish("guardband ablation bench passed");
 }

@@ -7,7 +7,6 @@
 //
 // Gates (exit 2 on failure): as K shrinks from the period P to 2, the
 // p99.9 switch buffer never rises and offloaded packets never fall.
-#include <cmath>
 #include <cstdio>
 
 #include "arch/arch.h"
@@ -74,7 +73,7 @@ int main() {
   std::printf("  %-14s %13.0f KB %-14lld %-12lld\n", "off (K=P)",
               prev.p999_kb, static_cast<long long>(prev.offloads),
               static_cast<long long>(prev.delivered));
-  bool ok = true;
+  bench::Gate gate;
   for (int k : {12, 8, 5, 3, 2}) {
     const auto pt = run(k);
     std::printf("  %-14d %13.0f KB %-14lld %-12lld\n", k, pt.p999_kb,
@@ -83,17 +82,12 @@ int main() {
     // Judged on the whole KB the row prints: at K <= 3 the p99.9 sits on a
     // floor of a few dozen queued packets, where the percentile's
     // interpolation moves by fractions of a KB.
-    if (std::round(pt.p999_kb) > std::round(prev.p999_kb)) {
-      std::printf("FAILED: K=%d: p99.9 buffer rose as K shrank\n", k);
-      ok = false;
-    }
-    if (pt.offloads < prev.offloads) {
-      std::printf("FAILED: K=%d: offloaded packets fell as K shrank\n", k);
-      ok = false;
-    }
+    gate.check(
+        bench::printed(pt.p999_kb, 0) <= bench::printed(prev.p999_kb, 0),
+        "K=%d: p99.9 buffer rose as K shrank", k);
+    gate.check(pt.offloads >= prev.offloads,
+               "K=%d: offloaded packets fell as K shrank", k);
     prev = pt;
   }
-  if (!ok) return 2;
-  std::printf("offload ablation bench passed\n");
-  return 0;
+  return gate.finish("offload ablation bench passed");
 }

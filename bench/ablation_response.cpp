@@ -3,6 +3,9 @@
 // under each response, plus trim paired with its NACK-driven transport
 // (the pairing Opera assumes). Shows why the response is an architecture
 // decision, not a framework one.
+//
+// Gates (exit 2 on failure): every row finishes all transfers; trim + NACK
+// has the lowest p99 and drops nothing; defer drops fewer than drop.
 #include <cstdio>
 #include <memory>
 
@@ -45,7 +48,7 @@ Row run(core::CongestionResponse response, bool nack_transport) {
   for (int i = 0; i < kFlows; ++i) {
     const HostId src = static_cast<HostId>(1 + (i % 7));
     if (nack_transport) {
-      transport::TrimRetxConfig tc;
+      transport::FlowTransferConfig tc;
       tc.window = 64;
       nack_xfers.push_back(std::make_unique<transport::TrimRetxTransfer>(
           *inst.net, src, 0, 1 << 20, tc,
@@ -84,9 +87,26 @@ int main() {
       "by later slices; trim alone: headers survive but recovery is "
       "RTO-bound; trim + NACK transport: prompt recovery (Opera's pairing)");
 
-  print("drop", run(core::CongestionResponse::Drop, false));
-  print("defer", run(core::CongestionResponse::Defer, false));
-  print("trim (RTO transport)", run(core::CongestionResponse::Trim, false));
-  print("trim + NACK transport", run(core::CongestionResponse::Trim, true));
-  return 0;
+  const Row drop = run(core::CongestionResponse::Drop, false);
+  print("drop", drop);
+  const Row defer = run(core::CongestionResponse::Defer, false);
+  print("defer", defer);
+  const Row trim = run(core::CongestionResponse::Trim, false);
+  print("trim (RTO transport)", trim);
+  const Row nack = run(core::CongestionResponse::Trim, true);
+  print("trim + NACK transport", nack);
+
+  bench::Gate gate;
+  const auto p99 = [](const Row& r) { return bench::printed(r.p99_ms, 1); };
+  for (const Row* r : {&drop, &defer, &trim, &nack}) {
+    gate.check(bench::printed(r->done_pct, 1) == 100.0,
+               "a row finished %.1f%% of its transfers", r->done_pct);
+  }
+  gate.check(p99(nack) < p99(drop) && p99(nack) < p99(defer) &&
+                 p99(nack) < p99(trim),
+             "trim + NACK does not have the lowest p99");
+  gate.check(nack.drops == 0, "trim + NACK dropped %lld packets",
+             static_cast<long long>(nack.drops));
+  gate.check(defer.drops < drop.drops, "defer does not drop fewer than drop");
+  return gate.finish("congestion response ablation bench passed");
 }

@@ -1,10 +1,12 @@
 // Shared helpers for the reproduction benches: consistent table printing,
 // the paper-expectation banner each bench emits next to its measured rows
-// (EXPERIMENTS.md records both), and thin wrappers over the campaign
-// runner (src/runner/) so sweep benches declare a spec instead of
-// hand-rolling the loop.
+// (EXPERIMENTS.md records both), the claim gate that fails a bench when a
+// reproduced claim breaks, and thin wrappers over the campaign runner
+// (src/runner/) so sweep benches declare a spec instead of hand-rolling
+// the loop.
 #pragma once
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -22,6 +24,41 @@ inline void banner(const char* experiment, const char* paper_expectation) {
   std::printf("%s\n", experiment);
   std::printf("paper: %s\n", paper_expectation);
   std::printf("==============================================================\n");
+}
+
+// The claims a paper bench reproduces (EXPERIMENTS.md). Each failed claim
+// prints "FAILED: <what>"; main() returns finish(), which is 2 after any
+// failure and otherwise prints the bench's pass line and returns 0.
+// Judge a printed value at its printed precision (printed() below).
+class Gate {
+ public:
+  __attribute__((format(printf, 3, 4))) void check(bool holds,
+                                                   const char* what, ...) {
+    if (holds) return;
+    ok_ = false;
+    std::printf("FAILED: ");
+    std::va_list args;
+    va_start(args, what);
+    std::vprintf(what, args);
+    va_end(args);
+    std::printf("\n");
+  }
+
+  int finish(const char* passed) const {
+    if (!ok_) return 2;
+    std::printf("%s\n", passed);
+    return 0;
+  }
+
+ private:
+  bool ok_ = true;
+};
+
+// `v` as printf's "%.<decimals>f" shows it.
+inline double printed(double v, int decimals) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
+  return std::strtod(buf, nullptr);
 }
 
 inline void fct_row(const std::string& label, const PercentileSampler& s) {

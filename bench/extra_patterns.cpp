@@ -2,8 +2,16 @@
 // incast, and all-to-all rounds across representative architectures. A
 // downstream-user benchmark for comparing designs on the geometries ML and
 // storage workloads generate.
+//
+// Gates (exit 2 on failure): Clos is fastest on every pattern, and
+// rotornet-direct's all-to-all time relative to Clos's is below its
+// permutation time relative to Clos's.
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "arch/arch.h"
 #include "bench/bench_util.h"
@@ -28,8 +36,24 @@ SimTime run_pattern(
   return round;
 }
 
-void bench_arch(const char* label,
-                const std::function<arch::Instance()>& make) {
+// A round time in us as SimTime::str() prints it; a timeout is infinite.
+double printed_us(SimTime t) {
+  if (t == SimTime::zero()) return std::numeric_limits<double>::infinity();
+  const std::string s = t.str();
+  char* unit = nullptr;
+  const double v = std::strtod(s.c_str(), &unit);
+  const std::string u = unit;
+  return u == "s" ? v * 1e6 : u == "ms" ? v * 1e3 : u == "us" ? v : v / 1e3;
+}
+
+struct Rounds {
+  double perm_us;
+  double incast_us;
+  double a2a_us;
+};
+
+Rounds bench_arch(const char* label,
+                  const std::function<arch::Instance()>& make) {
   Rng rng(11);
   auto perm = [&]() {
     auto inst = make();
@@ -50,6 +74,7 @@ void bench_arch(const char* label,
   std::printf("  %-18s permutation=%-10s incast=%-10s all-to-all=%-10s\n",
               label, fmt(perm).c_str(), fmt(incast).c_str(),
               fmt(a2a).c_str());
+  return Rounds{printed_us(perm), printed_us(incast), printed_us(a2a)};
 }
 
 }  // namespace
@@ -68,13 +93,28 @@ int main() {
   p.slice = 100_us;
   p.uplinks = 2;
 
-  bench_arch("clos", [&]() { return arch::make_clos(p); });
-  bench_arch("rotornet-direct", [&]() {
+  const Rounds clos = bench_arch("clos", [&]() { return arch::make_clos(p); });
+  const Rounds direct = bench_arch("rotornet-direct", [&]() {
     return arch::make_rotornet(p, arch::RotorRouting::Direct);
   });
-  bench_arch("rotornet-ucmp", [&]() {
+  const Rounds ucmp = bench_arch("rotornet-ucmp", [&]() {
     return arch::make_rotornet(p, arch::RotorRouting::Ucmp);
   });
-  bench_arch("opera-bulk", [&]() { return arch::make_opera(p, true); });
-  return 0;
+  const Rounds opera =
+      bench_arch("opera-bulk", [&]() { return arch::make_opera(p, true); });
+
+  bench::Gate gate;
+  const std::pair<const char*, const Rounds*> rivals[] = {
+      {"rotornet-direct", &direct},
+      {"rotornet-ucmp", &ucmp},
+      {"opera-bulk", &opera}};
+  for (const auto& [name, r] : rivals) {
+    gate.check(clos.perm_us < r->perm_us && clos.incast_us < r->incast_us &&
+                   clos.a2a_us < r->a2a_us,
+               "Clos is not faster than %s on every pattern", name);
+  }
+  gate.check(direct.a2a_us / clos.a2a_us < direct.perm_us / clos.perm_us,
+             "rotornet-direct's all-to-all gap to Clos is not below its "
+             "permutation gap");
+  return gate.finish("pattern stress bench passed");
 }

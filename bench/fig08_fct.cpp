@@ -10,7 +10,14 @@
 // CLI. Per-architecture quirks live in spec patches: Jupiter's slow
 // control loop, RotorNet-VLB's reordering-tolerant transport (an
 // effectively disabled dupack FR, since VLB sprays per packet).
+//
+// Gates (exit 2 on failure). Mice: UCMP's p50 below VLB's, Jupiter's p50
+// the lowest, c-Through's p99 and Opera's p50 under 2x Clos's, Mordia's
+// p99 over 10x its p50. Elephants at 21 MB: Clos fastest, UCMP faster than
+// opera-bulk and VLB.
 #include <cstdio>
+#include <limits>
+#include <map>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -61,6 +68,7 @@ int main() {
       "Fig. 8(a): mice FCT (Memcached SETs) across architectures",
       "c-Through ~ Clos; Jupiter low; Mordia low median / long tail; "
       "RotorNet(VLB) long circuit-wait tail; Opera low; UCMP lowest of TO");
+  bench::Gate gate;
   {
     runner::CampaignSpec spec;
     spec.name = "fig08_mice";
@@ -74,9 +82,27 @@ int main() {
     spec.patches.push_back(jupiter_patch());
 
     auto engine = bench::run_campaign(spec);
+    std::map<std::string, json::Object> mice;
     for (const auto& rec : engine.records()) {
       bench::fct_row(arch_label(rec), rec.result);
+      mice[rec.params.at("arch").as_string()] = rec.result;
     }
+    const auto us = [&mice](const std::string& arch, const char* key) {
+      return bench::printed(mice.at(arch).at(key).as_double(), 1);
+    };
+    gate.check(us("rotornet-ucmp", "p50_us") < us("rotornet-vlb", "p50_us"),
+               "mice: UCMP's p50 is not below VLB's");
+    for (const std::string arch : kArchesMice) {
+      gate.check(arch == "jupiter" ||
+                     us("jupiter", "p50_us") < us(arch, "p50_us"),
+                 "mice: Jupiter's p50 is not below %s's", arch.c_str());
+    }
+    gate.check(us("cthrough", "p99_us") < 2 * us("clos", "p99_us"),
+               "mice: c-Through's p99 is not under 2x Clos's");
+    gate.check(us("opera", "p50_us") < 2 * us("clos", "p50_us"),
+               "mice: Opera's p50 is not under 2x Clos's");
+    gate.check(us("mordia", "p99_us") > 10 * us("mordia", "p50_us"),
+               "mice: Mordia's p99 is not over 10x its p50");
   }
 
   bench::banner(
@@ -108,20 +134,38 @@ int main() {
     // Axes iterate sorted by name, "bytes" fastest: records group into
     // one row of three sizes per architecture.
     const auto& records = engine.records();
+    std::map<std::string, double> ms_21mb;  // absent when timed out
     for (std::size_t i = 0; i < records.size(); ++i) {
       if (i % 3 == 0) {
         std::printf("  %-22s", arch_label(records[i]).c_str());
       }
       const auto& r = records[i].result;
-      const double mb =
-          static_cast<double>(records[i].params.at("bytes").as_int()) / 1e6;
+      const std::int64_t bytes = records[i].params.at("bytes").as_int();
+      const double mb = static_cast<double>(bytes) / 1e6;
       if (r.at("done").as_bool()) {
         std::printf("  %7.2fms@%.1fMB", r.at("total_ms").as_double(), mb);
+        if (bytes == std::int64_t{20 << 20}) {
+          ms_21mb[records[i].params.at("arch").as_string()] =
+              bench::printed(r.at("total_ms").as_double(), 2);
+        }
       } else {
         std::printf("  %8s@%.1fMB", "timeout", mb);
       }
       if (i % 3 == 2) std::printf("\n");
     }
+    const auto ms = [&ms_21mb](const std::string& arch) {
+      const auto it = ms_21mb.find(arch);
+      return it == ms_21mb.end() ? std::numeric_limits<double>::infinity()
+                                 : it->second;
+    };
+    for (const std::string arch : kArchesBulk) {
+      gate.check(arch == "clos" || ms("clos") < ms(arch),
+                 "elephants at 21 MB: Clos is not faster than %s",
+                 arch.c_str());
+    }
+    gate.check(ms("rotornet-ucmp") < ms("opera-bulk") &&
+                   ms("rotornet-ucmp") < ms("rotornet-vlb"),
+               "elephants at 21 MB: UCMP does not beat opera-bulk and VLB");
   }
-  return 0;
+  return gate.finish("fig 8 bench passed");
 }

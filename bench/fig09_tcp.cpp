@@ -5,6 +5,11 @@
 //
 // The direct/hybrid rows use the paper's 50%-duty configuration: a 2-slice
 // schedule where the measured pair's circuit is up every other slice.
+//
+// Gates (exit 2 on failure), at both dupack thresholds: Clos reaches 40 G;
+// direct has no reordering and a goodput between VLB's and Clos's; reTCP
+// beats the plain hybrid. At dupack 3, TDTCP's reorder events stay under
+// 10% of the plain hybrid's.
 #include <cstdio>
 #include <memory>
 
@@ -118,31 +123,37 @@ int main() {
       "VLB low with heavy reordering; hybrid below direct at dupack=3, "
       "recovers toward ~25G with dupack=5 as reordering is masked");
 
+  bench::Gate claims;
   for (int dupack : {3, 5}) {
     std::printf("--- dupack threshold = %d ---\n", dupack);
+    Result clos{}, direct{}, vlb{}, hybrid{}, retcp{}, tdtcp{};
     {
       arch::Params p;
       p.tors = 4;
       auto inst = arch::make_clos(p);
-      row("clos", measure(*inst.net, dupack, 0, 2, 60_ms));
+      clos = measure(*inst.net, dupack, 0, 2, 60_ms);
+      row("clos", clos);
     }
     {
       auto net = make_half_duty(false);
       services::CircuitGate gate(*net);
       gate.gate(0, 2);
       gate.start();
-      row("rotornet-direct (paused)", measure(*net, dupack, 0, 2, 60_ms));
+      direct = measure(*net, dupack, 0, 2, 60_ms);
+      row("rotornet-direct (paused)", direct);
     }
     {
       arch::Params p;
       p.tors = 8;
       p.slice = 100_us;
       auto inst = arch::make_rotornet(p, arch::RotorRouting::Vlb);
-      row("rotornet-vlb", measure(*inst.net, dupack, 0, 4, 60_ms));
+      vlb = measure(*inst.net, dupack, 0, 4, 60_ms);
+      row("rotornet-vlb", vlb);
     }
     {
       auto net = make_half_duty(true);
-      row("rotornet-hybrid (100G+10G)", measure(*net, dupack, 0, 2, 60_ms));
+      hybrid = measure(*net, dupack, 0, 2, 60_ms);
+      row("rotornet-hybrid (100G+10G)", hybrid);
     }
     {
       // reTCP on the same hybrid: cwnd rescaled by the 10x bandwidth ratio
@@ -155,9 +166,9 @@ int main() {
       transport::TcpLite tcp(*net, 0, 2, cfg);
       tcp.start();
       net->sim().run_until(net->sim().now() + SimTime::millis(60));
-      row("rotornet-hybrid + reTCP",
-          Result{tcp.goodput_bps() / 1e9, tcp.reorder_events(),
-                 tcp.fast_retransmits()});
+      retcp = Result{tcp.goodput_bps() / 1e9, tcp.reorder_events(),
+                     tcp.fast_retransmits()};
+      row("rotornet-hybrid + reTCP", retcp);
     }
     {
       // TDTCP-lite on the same hybrid: per-phase congestion windows keep
@@ -171,10 +182,23 @@ int main() {
       transport::TdtcpLite tcp(*net, 0, 2, cfg);
       tcp.start();
       net->sim().run_until(net->sim().now() + SimTime::millis(60));
-      row("rotornet-hybrid + TDTCP",
-          Result{tcp.goodput_bps() / 1e9, tcp.reorder_events(),
-                 tcp.fast_retransmits()});
+      tdtcp = Result{tcp.goodput_bps() / 1e9, tcp.reorder_events(),
+                     tcp.fast_retransmits()};
+      row("rotornet-hybrid + TDTCP", tdtcp);
     }
+    const auto gbps = [](const Result& r) { return bench::printed(r.gbps, 1); };
+    claims.check(gbps(clos) >= 40.0, "dupack %d: Clos below 40.0 G", dupack);
+    claims.check(direct.reorders == 0,
+                 "dupack %d: direct (paused) reordered %lld times", dupack,
+                 static_cast<long long>(direct.reorders));
+    claims.check(gbps(vlb) < gbps(direct) && gbps(direct) < gbps(clos),
+                 "dupack %d: direct's goodput is not between VLB's and "
+                 "Clos's", dupack);
+    claims.check(gbps(retcp) > gbps(hybrid),
+                 "dupack %d: reTCP does not beat the plain hybrid", dupack);
+    claims.check(dupack != 3 || tdtcp.reorders * 10 < hybrid.reorders,
+                 "dupack 3: TDTCP's reorder events are not under 10%% of "
+                 "the plain hybrid's");
   }
-  return 0;
+  return claims.finish("fig 9 bench passed");
 }

@@ -2,6 +2,8 @@
 // emulated (cut-through) optical fabric for different packet sizes, from
 // queue-rotation trigger on the sender to Rx at the receiver. The paper
 // measures 1287-1324 ns with a 34 ns spread that the guardband must absorb.
+//
+// Gate (exit 2 on failure): min 1287 ns and max 1324 ns at every size.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -23,6 +25,7 @@ int main() {
 
   std::printf("  %-10s %-10s %-10s %-10s\n", "bytes", "min(ns)", "mean(ns)",
               "max(ns)");
+  bench::Gate gate;
   for (std::int64_t size : {64, 256, 512, 1500, 4096, 9000}) {
     sim::Simulator sim;
     optics::OpticalFabric fab(sim, sched, optics::ocs_emulated(), Rng{7});
@@ -48,8 +51,12 @@ int main() {
     std::printf("  %-10lld %-10.0f %-10.1f %-10.0f\n",
                 static_cast<long long>(size), delay_ns.min(), delay_ns.mean(),
                 delay_ns.max());
+    gate.check(bench::printed(delay_ns.min(), 0) == 1287 &&
+                   bench::printed(delay_ns.max(), 0) == 1324,
+               "%lld B: delay is not 1287-1324 ns",
+               static_cast<long long>(size));
   }
   std::printf(
       "\n  spread (max-min) feeds the guardband derivation (see min_slice)\n");
-  return 0;
+  return gate.finish("fig 11 bench passed");
 }

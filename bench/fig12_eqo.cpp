@@ -3,6 +3,9 @@
 // drained at line rate; the ingress-pipeline estimate (incremented on
 // enqueue, decremented one line-rate quantum per generator tick) is compared
 // against ground truth. The paper reports <725 B error at 50 ns intervals.
+//
+// Gates (exit 2 on failure): the mean error never falls as the interval
+// grows, and the p99.9 error at 50 ns stays under one 1500 B MTU.
 #include <algorithm>
 #include <cstdio>
 
@@ -23,6 +26,8 @@ int main() {
   const BitsPerSec bw = 100e9;
   std::printf("  %-12s %-12s %-12s %-12s %-10s\n", "interval", "mean(B)",
               "p99.9(B)", "max(B)", "pktgen-overhead");
+  bench::Gate gate;
+  double prev_mean = 0;
   // Intervals chosen so bandwidth x interval is an integer byte quantum at
   // 100 Gbps (hardware programs whole bytes per decrement).
   for (std::int64_t interval_ns : {40, 50, 100, 200, 400, 800}) {
@@ -55,6 +60,13 @@ int main() {
     std::printf("  %-12s %-12.0f %-12.0f %-12.0f %6.2f%%\n",
                 SimTime::nanos(interval_ns).str().c_str(), err.mean(),
                 err.percentile(99.9), err.max(), pps / 1.5e9 * 100.0);
+    const double mean = bench::printed(err.mean(), 0);
+    gate.check(mean >= prev_mean, "%lld ns: mean error fell as the interval "
+               "grew", static_cast<long long>(interval_ns));
+    prev_mean = mean;
+    gate.check(interval_ns != 50 ||
+                   bench::printed(err.percentile(99.9), 0) < 1500,
+               "50 ns: p99.9 error is not under one 1500 B MTU");
   }
-  return 0;
+  return gate.finish("fig 12 bench passed");
 }

@@ -2,6 +2,8 @@
 // (direct-circuit routing), OpenOptics' libvma host stack vs the kernel-UDP
 // stack of "Realizing RotorNet". Expect stepped RTT levels from circuit
 // waits and a much longer tail on the kernel stack.
+//
+// Gate (exit 2 on failure): libvma's p50 and p99 are below the kernel's.
 #include <cstdio>
 
 #include "arch/arch.h"
@@ -13,7 +15,12 @@ using namespace oo::literals;
 
 namespace {
 
-void run(const char* label, core::HostStack stack) {
+struct Rtt {
+  double p50_us;
+  double p99_us;
+};
+
+Rtt run(const char* label, core::HostStack stack) {
   arch::Params p;
   p.tors = 8;
   p.hosts_per_tor = 1;
@@ -36,6 +43,8 @@ void run(const char* label, core::HostStack stack) {
     std::printf(" (%.0fus,%.2f)", x, q);
   }
   std::printf("\n");
+  return Rtt{bench::printed(rtt.percentile(50), 1),
+             bench::printed(rtt.percentile(99), 1)};
 }
 
 }  // namespace
@@ -45,7 +54,12 @@ int main() {
       "Fig. 13: UDP RTT on RotorNet — OpenOptics (libvma) vs kernel stack",
       "similar stepped distributions (routing hops/circuit waits); "
       "OpenOptics lower RTTs and no long tail vs the kernel-UDP baseline");
-  run("openoptics-libvma", core::HostStack::Libvma);
-  run("kernel-udp (baseline)", core::HostStack::Kernel);
-  return 0;
+  const Rtt vma = run("openoptics-libvma", core::HostStack::Libvma);
+  const Rtt kernel = run("kernel-udp (baseline)", core::HostStack::Kernel);
+  bench::Gate gate;
+  gate.check(vma.p50_us < kernel.p50_us, "libvma's p50 is not below the "
+             "kernel's");
+  gate.check(vma.p99_us < kernel.p99_us, "libvma's p99 is not below the "
+             "kernel's");
+  return gate.finish("fig 13 bench passed");
 }

@@ -3,6 +3,10 @@
 // switch turnaround). The paper's libvma implementation keeps 95% of RTTs
 // within a 0.75 us band and inter-arrival deviation within +-0.25 us; the
 // kernel module baseline is far noisier.
+//
+// Gates (exit 2 on failure): libvma's 95% band is at most 0.75 us, and the
+// kernel's band is over 10x libvma's. The deviation is printed, not gated:
+// it reads 0.34 us against the paper's 0.25 us (EXPERIMENTS.md).
 #include <cmath>
 #include <cstdio>
 
@@ -16,7 +20,8 @@ using namespace oo::literals;
 
 namespace {
 
-void run(const char* label, core::HostStack stack) {
+// Returns the 95% band as printed.
+double run(const char* label, core::HostStack stack) {
   core::NetworkConfig cfg;
   cfg.num_tors = 2;
   cfg.hosts_per_tor = 2;
@@ -51,6 +56,7 @@ void run(const char* label, core::HostStack stack) {
   std::printf("    p95 |rtt - median| = %.2f us\n",
               std::max(rtt.percentile(97.5) - rtt.median(),
                        rtt.median() - rtt.percentile(2.5)));
+  return bench::printed(band95, 2);
 }
 
 }  // namespace
@@ -60,7 +66,12 @@ int main() {
       "Fig. 14: offload host turnaround RTT stability (1500 B @ 100 us)",
       "libvma: 95% of RTTs within ~0.75 us variance, deviation within "
       "+-0.25 us of the interval; kernel baseline much worse");
-  run("libvma", core::HostStack::Libvma);
-  run("kernel", core::HostStack::Kernel);
-  return 0;
+  const double vma_band = run("libvma", core::HostStack::Libvma);
+  const double kernel_band = run("kernel", core::HostStack::Kernel);
+  bench::Gate gate;
+  gate.check(vma_band <= 0.75, "libvma's 95%% band is %.2f us (over 0.75)",
+             vma_band);
+  gate.check(kernel_band > 10 * vma_band,
+             "the kernel's 95%% band is not over 10x libvma's");
+  return gate.finish("fig 14 bench passed");
 }

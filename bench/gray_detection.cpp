@@ -7,8 +7,8 @@
 // peer) with zero off-target suspicions; a clean-seed soak across five
 // network seeds must stay perfectly quiet. Detection latency (fault start
 // to Suspect) and remediation latency (fault start to Quarantine) are the
-// tracked figures, written to BENCH_gray.json so successive PRs can diff
-// detector regressions the way BENCH_engine.json tracks engine throughput.
+// tracked figures, written to BENCH_gray.json so successive changes can
+// diff detector regressions.
 #include <cstdio>
 #include <cstdlib>
 

@@ -197,8 +197,8 @@ int main() {
       "Recovery time: LOS detection -> reroute -> redeploy under link flaps",
       "detection = transceiver LOS debounce (~1 us), traffic-independent; "
       "MTTR tracks flap hold time for repairs and reroute latency for "
-      "masking; recovery compute grows with fabric size, stays well under "
-      "a MEMS retargeting window");
+      "masking; recovery compute grows steeply with fabric size and "
+      "outgrows a 25 ms MEMS retargeting window between 16 and 32 ToRs");
 
   fail_repair_cycles();
   recover_now_wall_clock();

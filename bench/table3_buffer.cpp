@@ -83,7 +83,7 @@ int main() {
   std::printf("  %-10s | %20s | %20s | %20s | %20s\n", "trace",
               "VLB med/p99.9 KB", "VLB+off med/p99.9", "HOHO med/p99.9",
               "UCMP med/p99.9");
-  bool ok = true;
+  bench::Gate gate;
   for (auto kind : {workload::TraceKind::KvStore, workload::TraceKind::Rpc,
                     workload::TraceKind::Hadoop}) {
     const auto vlb = run(kind, arch::RotorRouting::Vlb, false);
@@ -99,18 +99,12 @@ int main() {
     const double cut = vlb.p999_kb / std::max(1.0, vlb_off.p999_kb);
     std::printf("  %-10s   offloading cut: %.1fx (%lld packets offloaded)\n",
                 "", cut, static_cast<long long>(vlb_off.offloads));
-    if (!(vlb.median_kb > hoho.median_kb && vlb.median_kb > ucmp.median_kb)) {
-      std::printf("FAILED: %s: VLB's median does not exceed HOHO's and "
-                  "UCMP's\n", workload::trace_name(kind));
-      ok = false;
-    }
-    if (!(cut >= 4.0)) {
-      std::printf("FAILED: %s: offloading cuts VLB's p99.9 only %.1fx "
-                  "(gate: 4x)\n", workload::trace_name(kind), cut);
-      ok = false;
-    }
+    gate.check(
+        vlb.median_kb > hoho.median_kb && vlb.median_kb > ucmp.median_kb,
+        "%s: VLB's median does not exceed HOHO's and UCMP's",
+        workload::trace_name(kind));
+    gate.check(cut >= 4.0, "%s: offloading cuts VLB's p99.9 only %.1fx "
+               "(gate: 4x)", workload::trace_name(kind), cut);
   }
-  if (!ok) return 2;
-  std::printf("table 3 bench passed\n");
-  return 0;
+  return gate.finish("table 3 bench passed");
 }

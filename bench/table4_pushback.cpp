@@ -90,7 +90,7 @@ int main() {
 
   std::printf("  %-10s %-28s %10s %8s %12s %12s\n", "trace", "config",
               "thr(Gbps)", "loss%", "avg-delay", "p95-delay");
-  bool ok = true;
+  bench::Gate gate;
   for (auto kind : {workload::TraceKind::Hadoop, workload::TraceKind::Rpc,
                     workload::TraceKind::KvStore}) {
     const Row none = run(kind, false, false);
@@ -106,18 +106,11 @@ int main() {
     std::printf("  %-10s %-28s %10.1f %7.2f%% %10.0fus %10.0fus\n", "",
                 "detection + pushback", both.gbps, both.loss_pct,
                 both.avg_delay_us, both.p95_delay_us);
-    if (!(none.loss_pct >= det.loss_pct && det.loss_pct >= both.loss_pct)) {
-      std::printf("FAILED: %s: loss rises along none -> detection -> "
-                  "detection + push-back\n", name);
-      ok = false;
-    }
-    if (both.lost != 0) {
-      std::printf("FAILED: %s: detection + push-back lost %lld packets\n",
-                  name, static_cast<long long>(both.lost));
-      ok = false;
-    }
+    gate.check(none.loss_pct >= det.loss_pct && det.loss_pct >= both.loss_pct,
+               "%s: loss rises along none -> detection -> detection + "
+               "push-back", name);
+    gate.check(both.lost == 0, "%s: detection + push-back lost %lld packets",
+               name, static_cast<long long>(both.lost));
   }
-  if (!ok) return 2;
-  std::printf("table 4 bench passed\n");
-  return 0;
+  return gate.finish("table 4 bench passed");
 }

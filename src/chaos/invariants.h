@@ -26,8 +26,8 @@
 // every hook in the hot path is a null-pointer test or an untaken branch —
 // the same zero-overhead bar as the flight recorder. Attached, the polled
 // checks run every `interval` of virtual time, so overhead scales with
-// fabric size x poll rate, not packet rate (bench/invariant_overhead.cpp
-// holds it under 2% on the engine-throughput workload).
+// fabric size x poll rate, not packet rate. Neither mode changes the run
+// (ChaosMonitor.DetachedAndAttachedKeepTrafficEngineRun).
 //
 // On violation the monitor captures a flight-recorder-style context row
 // (virtual time, executed-event count, human-readable detail), bumps the

@@ -31,16 +31,20 @@ void PercentileSampler::ensure_sorted() const {
   }
 }
 
-double PercentileSampler::percentile(double p) const {
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  if (p <= 0.0) return samples_.front();
-  if (p >= 100.0) return samples_.back();
-  const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
+double percentile_of_sorted(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  if (p <= 0.0) return sorted.front();
+  if (p >= 100.0) return sorted.back();
+  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
   const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= samples_.size()) return samples_.back();
-  return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
+  if (lo + 1 >= sorted.size()) return sorted.back();
+  return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
+}
+
+double PercentileSampler::percentile(double p) const {
+  ensure_sorted();
+  return percentile_of_sorted(samples_, p);
 }
 
 double PercentileSampler::mean() const {

@@ -27,6 +27,10 @@ class RunningStats {
   double max_ = 0.0;
 };
 
+// The p-th percentile (p in [0, 100]) of ascending `sorted`: linear
+// interpolation between the closest ranks, 0 when empty.
+double percentile_of_sorted(const std::vector<double>& sorted, double p);
+
 // Stores samples and answers exact percentile queries. Fine for the sample
 // counts our benches produce (≤ millions).
 class PercentileSampler {

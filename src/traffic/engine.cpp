@@ -36,14 +36,9 @@ void FctAggregate::add(double x) {
 }
 
 double FctAggregate::percentile(double p) const {
-  if (reservoir_.empty()) return 0.0;
   std::vector<double> sorted = reservoir_;
   std::sort(sorted.begin(), sorted.end());
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  return percentile_of_sorted(sorted, p);
 }
 
 TrafficEngine::TrafficEngine(core::Network& net, TrafficSpec spec)

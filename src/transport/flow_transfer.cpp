@@ -95,7 +95,7 @@ void FlowTransfer::on_receiver_packet(Packet&& p) {
   ack.flow = flow_;
   ack.dst_host = src_;
   ack.seq = rcv_next_;
-  ack.size_bytes = cfg_.ack_bytes;
+  ack.size_bytes = kHeaderBytes;
   net_.host(dst_).send(std::move(ack));
 }
 

@@ -16,14 +16,15 @@
 
 namespace oo::transport {
 
-// Header bytes each data packet carries on top of its payload.
+// Header bytes each data packet carries on top of its payload; an ack is
+// a bare header.
 inline constexpr std::int64_t kHeaderBytes = 64;
 
+// Also configures TrimRetxTransfer, whose `rto` backstops full losses.
 struct FlowTransferConfig {
   std::int64_t mss = 8900;           // jumbo-frame payload
   int window = 64;                   // packets in flight
   SimTime rto = SimTime::millis(5);  // retransmission timeout
-  std::int64_t ack_bytes = 64;
 };
 
 class FlowTransfer {

@@ -16,7 +16,7 @@ TcpLite::TcpLite(core::Network& net, HostId src, HostId dst, TcpConfig cfg)
       flow_(net.alloc_flow_id()),
       cfg_(cfg),
       cwnd_(cfg.init_cwnd),
-      ssthresh_(cfg.max_cwnd),
+      ssthresh_(kMaxCwnd),
       alive_(std::make_shared<bool>(true)) {
   net_.host(src_).bind_flow(flow_, [this](Packet&& p) {
     on_sender_packet(std::move(p));
@@ -65,8 +65,7 @@ void TcpLite::start() {
           retcp_circuit_up_ = up;
           ++retcp_rescalings_;
           if (up) {
-            cwnd_ = std::min(cwnd_ * cfg_.retcp_bandwidth_ratio,
-                             cfg_.max_cwnd);
+            cwnd_ = std::min(cwnd_ * cfg_.retcp_bandwidth_ratio, kMaxCwnd);
           } else {
             cwnd_ = std::max(cwnd_ / cfg_.retcp_bandwidth_ratio, 2.0);
           }
@@ -95,9 +94,9 @@ void TcpLite::pump() {
   const SimTime now = net_.sim().now();
   const NodeId dst_tor = net_.tor_of(dst_);
   while (snd_next_ - snd_una_ <
-         static_cast<std::int64_t>(cwnd_ * static_cast<double>(cfg_.mss))) {
+         static_cast<std::int64_t>(cwnd_ * static_cast<double>(kTcpMss))) {
     if (total_bytes_ >= 0 && snd_next_ >= total_bytes_) return;
-    if (!net_.host(src_).can_buffer(dst_tor, cfg_.mss + 64)) {
+    if (!net_.host(src_).can_buffer(dst_tor, kTcpMss + kHeaderBytes)) {
       return;  // socket buffer full: resume on the unblock callback
     }
     if (cfg_.app_rate_cap > 0 && now < next_send_allowed_) {
@@ -112,14 +111,14 @@ void TcpLite::pump() {
       }
       return;
     }
-    std::int64_t len = cfg_.mss;
+    std::int64_t len = kTcpMss;
     if (total_bytes_ >= 0) len = std::min(len, total_bytes_ - snd_next_);
     const std::int64_t seq = snd_next_;
     snd_next_ += len;
     send_segment(seq, false);
     if (cfg_.app_rate_cap > 0) {
       next_send_allowed_ +=
-          SimTime::nanos(serialization_ns(cfg_.mss, cfg_.app_rate_cap));
+          SimTime::nanos(serialization_ns(kTcpMss, cfg_.app_rate_cap));
       if (next_send_allowed_ < now) next_send_allowed_ = now;
     }
   }
@@ -132,11 +131,11 @@ void TcpLite::send_segment(std::int64_t seq, bool retransmission) {
   p.flow = flow_;
   p.dst_host = dst_;
   p.seq = seq;
-  p.payload = cfg_.mss;
+  p.payload = kTcpMss;
   if (total_bytes_ >= 0) {
     p.payload = std::min<std::int64_t>(p.payload, total_bytes_ - seq);
   }
-  p.size_bytes = p.payload + 64;
+  p.size_bytes = p.payload + kHeaderBytes;
   net_.host(src_).send(std::move(p));
 }
 
@@ -166,7 +165,7 @@ void TcpLite::on_receiver_packet(Packet&& p) {
   ack.flow = flow_;
   ack.dst_host = src_;
   ack.seq = rcv_next_;
-  ack.size_bytes = cfg_.ack_bytes;
+  ack.size_bytes = kHeaderBytes;
   net_.host(dst_).send(std::move(ack));
 }
 
@@ -198,7 +197,7 @@ void TcpLite::on_sender_packet(Packet&& p) {
     } else {
       cwnd_ += 1.0 / cwnd_;  // congestion avoidance
     }
-    cwnd_ = std::min(cwnd_, cfg_.max_cwnd);
+    cwnd_ = std::min(cwnd_, kMaxCwnd);
   } else if (p.seq == snd_una_) {
     ++dupacks_;
     if (dupacks_ == cfg_.dupack_threshold && !in_recovery_) {

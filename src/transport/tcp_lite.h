@@ -17,14 +17,16 @@
 
 namespace oo::transport {
 
+// Segment payload and congestion-window ceiling (MSS units) of every
+// TcpLite and TdtcpLite connection.
+inline constexpr std::int64_t kTcpMss = 8900;
+inline constexpr double kMaxCwnd = 1024.0;
+
 struct TcpConfig {
-  std::int64_t mss = 8900;
   int dupack_threshold = 3;
   double init_cwnd = 10.0;      // MSS units
-  double max_cwnd = 1024.0;
   SimTime rto = SimTime::millis(4);
   BitsPerSec app_rate_cap = 40e9;  // 0 = uncapped
-  std::int64_t ack_bytes = 64;
   // reTCP (Mukerjee et al., the §8-cited transport): rescale cwnd at
   // reconfigurations by the bandwidth ratio between circuit-up and
   // circuit-down states instead of re-converging each time. 0 disables;

@@ -20,7 +20,7 @@ TdtcpLite::TdtcpLite(core::Network& net, HostId src, HostId dst,
   const int phases =
       std::min<int>(32, std::max<int>(1, net_.schedule().period()));
   cwnd_.assign(static_cast<std::size_t>(phases), cfg_.init_cwnd);
-  ssthresh_.assign(static_cast<std::size_t>(phases), cfg_.max_cwnd);
+  ssthresh_.assign(static_cast<std::size_t>(phases), kMaxCwnd);
   inflight_.assign(static_cast<std::size_t>(phases), 0);
   net_.host(src_).bind_flow(flow_, [this](Packet&& p) {
     on_sender_packet(std::move(p));
@@ -65,7 +65,7 @@ void TdtcpLite::pump() {
     // TDTCP gates on the *current topology's* window only.
     if (inflight_[static_cast<std::size_t>(phase)] >=
         static_cast<std::int64_t>(cwnd_[static_cast<std::size_t>(phase)] *
-                                  static_cast<double>(cfg_.mss))) {
+                                  static_cast<double>(kTcpMss))) {
       // This phase is window-limited; try again next slice.
       if (!pump_scheduled_) {
         pump_scheduled_ = true;
@@ -93,16 +93,17 @@ void TdtcpLite::pump() {
       }
       return;
     }
-    if (!net_.host(src_).can_buffer(net_.tor_of(dst_), cfg_.mss + 64)) {
+    if (!net_.host(src_).can_buffer(net_.tor_of(dst_),
+                                    kTcpMss + kHeaderBytes)) {
       return;  // socket buffer full; Host unblock callback not wired here —
                // the RTO pump keeps the connection moving.
     }
     const std::int64_t seq = snd_next_;
-    snd_next_ += cfg_.mss;
+    snd_next_ += kTcpMss;
     send_segment(seq, phase);
     if (cfg_.app_rate_cap > 0) {
       next_send_allowed_ +=
-          SimTime::nanos(serialization_ns(cfg_.mss, cfg_.app_rate_cap));
+          SimTime::nanos(serialization_ns(kTcpMss, cfg_.app_rate_cap));
       if (next_send_allowed_ < now) next_send_allowed_ = now;
     }
   }
@@ -114,15 +115,15 @@ void TdtcpLite::send_segment(std::int64_t seq, int phase) {
   p.flow = flow_;
   p.dst_host = dst_;
   p.seq = seq;
-  p.payload = cfg_.mss;
-  p.size_bytes = cfg_.mss + 64;
+  p.payload = kTcpMss;
+  p.size_bytes = kTcpMss + kHeaderBytes;
   // The send instant rides along (data "timestamp option"); acks echo it so
   // the sender can attribute them to the sending phase.
   p.probe_echo = net_.sim().now();
   auto [it, inserted] = outstanding_.try_emplace(
-      seq, std::make_pair(static_cast<std::int64_t>(cfg_.mss), phase));
+      seq, std::make_pair(kTcpMss, phase));
   if (inserted) {
-    inflight_[static_cast<std::size_t>(phase)] += cfg_.mss;
+    inflight_[static_cast<std::size_t>(phase)] += kTcpMss;
   }
   net_.host(src_).send(std::move(p));
 }
@@ -160,7 +161,7 @@ void TdtcpLite::on_receiver_packet(Packet&& p) {
   ack.flow = flow_;
   ack.dst_host = src_;
   ack.seq = rcv_next_;
-  ack.size_bytes = cfg_.ack_bytes;
+  ack.size_bytes = kHeaderBytes;
   ack.probe_echo = p.probe_echo;  // echo the send timestamp
   net_.host(dst_).send(std::move(ack));
 }
@@ -183,7 +184,7 @@ void TdtcpLite::on_sender_packet(Packet&& p) {
     } else {
       cw += 1.0 / cw;
     }
-    cw = std::min(cw, cfg_.max_cwnd);
+    cw = std::min(cw, kMaxCwnd);
   } else if (p.seq == snd_una_) {
     ++dupacks_;
     if (dupacks_ == cfg_.dupack_threshold && !in_recovery_) {

@@ -22,7 +22,7 @@ namespace oo::transport {
 
 class TdtcpLite {
  public:
-  // `cfg.init_cwnd`/`max_cwnd` apply per phase. The phase count follows
+  // `cfg.init_cwnd` and `kMaxCwnd` apply per phase. The phase count follows
   // the schedule period (capped at 32; larger periods fold modulo).
   TdtcpLite(core::Network& net, HostId src, HostId dst, TcpConfig cfg);
   ~TdtcpLite();

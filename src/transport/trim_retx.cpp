@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "transport/flow_transfer.h"
-
 namespace oo::transport {
 
 using core::Packet;
@@ -11,7 +9,7 @@ using core::PacketType;
 
 TrimRetxTransfer::TrimRetxTransfer(core::Network& net, HostId src,
                                    HostId dst, std::int64_t bytes,
-                                   TrimRetxConfig cfg, DoneFn done)
+                                   FlowTransferConfig cfg, DoneFn done)
     : net_(net),
       src_(src),
       dst_(dst),
@@ -61,7 +59,7 @@ void TrimRetxTransfer::send_segment(std::int64_t seq) {
   p.dst_host = dst_;
   p.seq = seq;
   p.payload = std::min(cfg_.mss, total_bytes_ - seq);
-  p.size_bytes = p.payload + 64;
+  p.size_bytes = p.payload + kHeaderBytes;
   net_.host(src_).send(std::move(p));
 }
 
@@ -72,7 +70,7 @@ void TrimRetxTransfer::on_receiver_packet(Packet&& p) {
   reply.flow = flow_;
   reply.dst_host = src_;
   reply.seq = p.seq;
-  reply.size_bytes = cfg_.ack_bytes;
+  reply.size_bytes = kHeaderBytes;
   if (p.trimmed) {
     // The header survived the trim: NACK so the sender resends now.
     reply.trimmed = true;  // marks this control packet as a NACK

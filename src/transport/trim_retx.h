@@ -15,22 +15,16 @@
 #include "common/ids.h"
 #include "common/time.h"
 #include "core/network.h"
+#include "transport/flow_transfer.h"
 
 namespace oo::transport {
-
-struct TrimRetxConfig {
-  std::int64_t mss = 8900;
-  int window = 64;                    // packets in flight
-  SimTime rto = SimTime::millis(5);   // backstop for full losses
-  std::int64_t ack_bytes = 64;
-};
 
 class TrimRetxTransfer {
  public:
   using DoneFn = std::function<void(SimTime fct, std::int64_t retrans)>;
 
   TrimRetxTransfer(core::Network& net, HostId src, HostId dst,
-                   std::int64_t bytes, TrimRetxConfig cfg, DoneFn done);
+                   std::int64_t bytes, FlowTransferConfig cfg, DoneFn done);
   ~TrimRetxTransfer();
   TrimRetxTransfer(const TrimRetxTransfer&) = delete;
   TrimRetxTransfer& operator=(const TrimRetxTransfer&) = delete;
@@ -55,7 +49,7 @@ class TrimRetxTransfer {
   HostId dst_;
   FlowId flow_;
   std::int64_t total_bytes_;
-  TrimRetxConfig cfg_;
+  FlowTransferConfig cfg_;
   DoneFn done_;
 
   // Sender: un-acked segment starts still outstanding.

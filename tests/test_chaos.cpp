@@ -2,8 +2,8 @@
 // rejection of unknown keys/kinds, fuzz-plan determinism, ddmin shrinking
 // (50-event plan -> <=3-event reproducer), and the invariant monitor —
 // clean runs stay clean, planted bugs are caught, the remediation ladders'
-// legality table holds, past-scheduled events are detected, and an
-// attached monitor never perturbs simulation results.
+// legality table holds, past-scheduled events are detected, and a
+// detached or attached monitor never perturbs simulation results.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -23,6 +23,8 @@
 #include "services/fault_plan.h"
 #include "services/health_scanner.h"
 #include "services/sync_watchdog.h"
+#include "traffic/engine.h"
+#include "workload/traces.h"
 
 namespace oo::chaos {
 namespace {
@@ -378,6 +380,67 @@ TEST(ChaosMonitor, AttachedMonitorDoesNotPerturbResults) {
   EXPECT_EQ(base.fabric_drops, monitored.fabric_drops);
   EXPECT_EQ(base.congestion_drops, monitored.congestion_drops);
   EXPECT_GT(base.delivered, 0);
+}
+
+// A constructed monitor that never starts must leave the run untouched,
+// event for event; one polling every 100 us adds its own events but must
+// keep every delivery and drop and find nothing wrong on a healthy,
+// traffic-engine-loaded fabric.
+TEST(ChaosMonitor, DetachedAndAttachedKeepTrafficEngineRun) {
+  enum class Mode { None, Detached, Attached };
+  struct Run {
+    std::int64_t events;
+    core::Network::Totals totals;
+  };
+  const auto run = [](Mode mode) {
+    arch::Params p;
+    p.tors = 8;
+    p.hosts_per_tor = 2;
+    p.uplinks = 2;
+    p.seed = 7;
+    auto inst = runner::make_arch("rotornet-direct", p);
+    std::unique_ptr<InvariantMonitor> mon;
+    if (mode != Mode::None) {
+      mon = std::make_unique<InvariantMonitor>(*inst.net);
+      mon->attach_controller(inst.ctl.get());
+      if (mode == Mode::Attached) mon->start(100_us);
+    }
+    traffic::TrafficSpec spec;
+    spec.sources = static_cast<std::int64_t>(inst.net->num_hosts()) * 64;
+    spec.load = 0.3;
+    spec.size.base = workload::trace_cdf(workload::TraceKind::KvStore);
+    spec.size.hh_fraction = 0.05;
+    spec.size.hh = workload::trace_cdf(workload::TraceKind::Hadoop);
+    spec.burst.enabled = true;
+    spec.seed = 11;
+    traffic::TrafficEngine eng(*inst.net, std::move(spec));
+    eng.start();
+    inst.run_for(10_ms);
+    eng.stop();
+    // check_now, not check_at_drain: the engine's flows are still in
+    // flight, so the conservation ledger does not balance yet.
+    if (mon) {
+      mon->check_now();
+      EXPECT_EQ(mon->total_violations(), 0) << mon->report();
+    }
+    return Run{inst.net->sim().events_executed(), inst.net->totals()};
+  };
+  const Run base = run(Mode::None);
+  ASSERT_GT(base.totals.delivered, 0);
+  // A healthy fabric drops nothing; the drops come from congested ToRs.
+  ASSERT_GT(base.totals.congestion_drops, 0);
+
+  const Run detached = run(Mode::Detached);
+  EXPECT_EQ(detached.events, base.events);
+  EXPECT_EQ(detached.totals.delivered, base.totals.delivered);
+  EXPECT_EQ(detached.totals.fabric_drops, base.totals.fabric_drops);
+  EXPECT_EQ(detached.totals.congestion_drops, base.totals.congestion_drops);
+
+  const Run attached = run(Mode::Attached);
+  EXPECT_GT(attached.events, base.events);
+  EXPECT_EQ(attached.totals.delivered, base.totals.delivered);
+  EXPECT_EQ(attached.totals.fabric_drops, base.totals.fabric_drops);
+  EXPECT_EQ(attached.totals.congestion_drops, base.totals.congestion_drops);
 }
 
 // --- End-to-end through the experiment -------------------------------------

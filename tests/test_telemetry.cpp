@@ -186,22 +186,26 @@ TEST(ChromeTrace, IdenticalSeedsProduceIdenticalTraces) {
 
 TEST(ChromeTrace, TracingDoesNotPerturbTheRun) {
   telemetry::FlightRecorder rec(std::size_t{1} << 16);
-  std::int64_t traced_delivered = 0, traced_events = 0;
-  std::int64_t bare_delivered = 0, bare_events = 0;
+  std::int64_t traced_delivered = 0, traced_events = 0, traced_drops = 0;
+  std::int64_t bare_delivered = 0, bare_events = 0, bare_drops = 0;
   {
     auto inst = traced_instance(&rec);
     run_chaos(inst);
     traced_delivered = inst.net->optical().delivered();
     traced_events = inst.net->sim().events_executed();
+    traced_drops = inst.net->optical().total_drops();
   }
   {
     auto inst = traced_instance(nullptr);
     run_chaos(inst);
     bare_delivered = inst.net->optical().delivered();
     bare_events = inst.net->sim().events_executed();
+    bare_drops = inst.net->optical().total_drops();
   }
   EXPECT_EQ(traced_delivered, bare_delivered);
   EXPECT_EQ(traced_events, bare_events);
+  EXPECT_EQ(traced_drops, bare_drops);
+  EXPECT_GT(bare_drops, 0);
 }
 
 // Clock-chaos scenario: a drift ramp with suppressed beacons on a hybrid

@@ -1,7 +1,8 @@
 // Streaming traffic engine + hybrid packet/fluid fidelity.
 //
-// Covers the contracts the subsystem advertises: specs reject malformed
-// inputs loudly; the synthesized flow stream is a pure function of the
+// Covers the contracts the subsystem advertises: FCT aggregates report the
+// same percentiles as PercentileSampler; specs reject malformed inputs
+// loudly; the synthesized flow stream is a pure function of the
 // spec (byte-identical fingerprints across runs, worker counts, shard
 // counts, cohabiting workloads, and closed vs. open loop); heavy-hitter
 // tail mass matches the analytic CDF mixture; the load curve's zero
@@ -51,6 +52,21 @@ TrafficSpec trace_spec(workload::TraceKind kind, double load) {
   spec.load = load;
   spec.size.base = workload::trace_cdf(kind);
   return spec;
+}
+
+TEST(FctAggregateTest, PercentilesMatchPercentileSampler) {
+  FctAggregate agg;
+  PercentileSampler sampler;
+  Rng rng(3);
+  for (int i = 0; i < 1000; ++i) {
+    const double fct_us = 5.0 + rng.uniform01() * 5000.0;
+    agg.add(fct_us);
+    sampler.add(fct_us);
+  }
+  for (int tenths = 0; tenths <= 1000; ++tenths) {
+    const double p = tenths / 10.0;
+    EXPECT_EQ(agg.percentile(p), sampler.percentile(p)) << "p" << p;
+  }
 }
 
 TEST(TraceValidation, ReplayRejectsBadLoad) {

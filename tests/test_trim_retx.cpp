@@ -56,7 +56,7 @@ TEST(TrimRetx, NacksRecoverTrimmedPayloadsWithoutRto) {
   // recovery, not the RTO backstop.
   auto net = make_trim_net(/*queue_capacity=*/256 << 10);
   bool done = false;
-  transport::TrimRetxConfig cfg;
+  transport::FlowTransferConfig cfg;
   cfg.window = 128;  // enough in flight to overflow the 256 KB queue
   transport::TrimRetxTransfer xfer(*net, 0, 1, 4 << 20, cfg,
                                    [&](SimTime, std::int64_t) {
@@ -78,7 +78,7 @@ TEST(TrimRetx, FasterThanRtoOnlyUnderTrimming) {
   auto measure_trim = []() {
     auto net = make_trim_net(256 << 10);
     SimTime fct;
-    transport::TrimRetxConfig cfg;
+    transport::FlowTransferConfig cfg;
     cfg.window = 128;
     transport::TrimRetxTransfer xfer(*net, 0, 1, 4 << 20, cfg,
                                      [&](SimTime t, std::int64_t) {
