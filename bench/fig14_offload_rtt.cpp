@@ -35,16 +35,10 @@ double run(const char* label, core::HostStack stack) {
   // path's host turnaround (down-link, stack, up-link) twice.
   transport::UdpProbe probe(net, 0, 1, 100_us, 1500);
 
-  // Inter-arrival deviation from the 100 us send interval.
-  PercentileSampler deviation_us;
-  SimTime last_rx = SimTime::zero();
   net.host(0).bind_default([](core::Packet&&) {});
   probe.start();
-  // Wrap the probe's flow sink to also record inter-arrival times: re-bind
-  // after start is not possible, so sample RTT series instead.
   net.sim().run_until(500_ms);
   probe.stop();
-  (void)last_rx;
 
   const auto& rtt = probe.rtts_us();
   const double band95 = rtt.percentile(97.5) - rtt.percentile(2.5);

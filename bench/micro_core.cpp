@@ -1,10 +1,12 @@
 // Microbenchmarks (google-benchmark) for the hot data-plane and
 // control-plane primitives: time-flow table lookup, calendar-queue
-// operations, EQO updates, event-engine throughput, and routing
-// computation for a full rotor cycle.
+// operations, EQO updates, event-engine throughput, routing computation
+// for a full rotor cycle, and the opera64 routing deploy.
 #include <benchmark/benchmark.h>
 
+#include "common/rng.h"
 #include "core/calendar_queue.h"
+#include "core/controller.h"
 #include "core/eqo.h"
 #include "core/time_flow_table.h"
 #include "eventsim/simulator.h"
@@ -63,6 +65,101 @@ void BM_TftLookupWildcardFallback(benchmark::State& state) {
 }
 BENCHMARK(BM_TftLookupWildcardFallback);
 
+// opera64's tables: each of 64 ToRs holds a (slice, *, dst) entry for each
+// of 63 slices and 63 other destinations. Every lookup is at a random ToR,
+// as fabric hops arrive, so most miss the cache like the run's do.
+// `src_specific` adds a (slice, tor, dst) entry for each of them, as VLB's
+// first hops install; the queries then ask (slice, tor, dst) and hit the
+// source-specific level.
+struct Opera64Tables {
+  static constexpr int kTors = 64;
+  static constexpr SliceId kSlices = 63;
+
+  explicit Opera64Tables(bool src_specific) : tables(kTors) {
+    for (NodeId tor = 0; tor < kTors; ++tor) {
+      for (SliceId s = 0; s < kSlices; ++s) {
+        for (NodeId d = 0; d < kTors; ++d) {
+          if (d == tor) continue;
+          core::TftEntry e;
+          e.match = core::TftMatch{s, kInvalidNode, d};
+          e.actions.push_back(core::TftAction{{net::SourceHop{d % 2, s}}, 1.0});
+          if (src_specific) {
+            core::TftEntry first = e;
+            first.match.src = tor;
+            first.actions.front().hops.front().dep_slice = (s + d) % kSlices;
+            tables[static_cast<std::size_t>(tor)].add(std::move(first));
+          }
+          tables[static_cast<std::size_t>(tor)].add(std::move(e));
+        }
+      }
+    }
+    Rng rng(1);
+    queries.resize(1 << 16);
+    for (auto& q : queries) {
+      q.tor = static_cast<NodeId>(rng.uniform(kTors));
+      q.arr = static_cast<SliceId>(rng.uniform(kSlices));
+      q.src = src_specific ? q.tor : static_cast<NodeId>(rng.uniform(kTors));
+      q.dst = static_cast<NodeId>(
+          (q.tor + 1 + static_cast<NodeId>(rng.uniform(kTors - 1))) % kTors);
+    }
+  }
+
+  struct Query {
+    NodeId tor;
+    SliceId arr;
+    NodeId src;
+    NodeId dst;
+  };
+  std::vector<core::TimeFlowTable> tables;
+  std::vector<Query> queries;
+};
+
+void run_lookups(benchmark::State& state, const Opera64Tables& t) {
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& q = t.queries[i];
+    benchmark::DoNotOptimize(
+        t.tables[static_cast<std::size_t>(q.tor)].lookup(q.arr, q.src, q.dst));
+    i = (i + 1) % t.queries.size();
+  }
+}
+
+void BM_TftLookupOpera64Tables(benchmark::State& state) {
+  run_lookups(state, Opera64Tables(/*src_specific=*/false));
+}
+BENCHMARK(BM_TftLookupOpera64Tables);
+
+void BM_TftLookupSourceSpecific(benchmark::State& state) {
+  run_lookups(state, Opera64Tables(/*src_specific=*/true));
+}
+BENCHMARK(BM_TftLookupSourceSpecific);
+
+// deploy_routing of routing::opera's paths at 64 ToRs and 2 uplinks, as
+// the opera64 workload sets up: validate, compile into 254,016 entries,
+// install them. Each iteration starts from empty tables.
+void BM_DeployOperaRouting(benchmark::State& state) {
+  constexpr int kTors = 64;
+  core::NetworkConfig cfg;
+  cfg.num_tors = kTors;
+  cfg.calendar_mode = true;
+  optics::Schedule sched(kTors, 2, topo::round_robin_period(kTors), 100_us);
+  for (const auto& c : topo::round_robin_1d(kTors, 2)) sched.add_circuit(c);
+  core::Network net(cfg, sched, optics::ocs_emulated());
+  core::Controller ctl(net);
+  const auto paths = routing::opera(sched);
+  for (auto _ : state) {
+    state.PauseTiming();
+    ctl.clear_routing();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(ctl.deploy_routing(
+        paths, core::LookupMode::PerHop, core::MultipathMode::None));
+  }
+  std::size_t entries = 0;
+  for (NodeId n = 0; n < kTors; ++n) entries += net.tor(n).tft().size();
+  state.counters["entries"] = static_cast<double>(entries);
+}
+BENCHMARK(BM_DeployOperaRouting)->Unit(benchmark::kMillisecond);
+
 void BM_CalendarEnqueueDequeue(benchmark::State& state) {
   core::CalendarQueuePort port(static_cast<int>(state.range(0)), 1 << 30);
   std::uint64_t i = 0;
@@ -72,7 +169,7 @@ void BM_CalendarEnqueueDequeue(benchmark::State& state) {
     port.try_enqueue(std::move(p),
                      static_cast<int>(i % static_cast<std::uint64_t>(
                                               state.range(0))));
-    benchmark::DoNotOptimize(port.active_queue().dequeue());
+    benchmark::DoNotOptimize(port.dequeue());
     ++i;
   }
 }

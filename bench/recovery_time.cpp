@@ -198,7 +198,7 @@ int main() {
       "detection = transceiver LOS debounce (~1 us), traffic-independent; "
       "MTTR tracks flap hold time for repairs and reroute latency for "
       "masking; recovery compute grows steeply with fabric size and "
-      "outgrows a 25 ms MEMS retargeting window between 16 and 32 ToRs");
+      "outgrows a 25 ms MEMS retargeting window between 32 and 64 ToRs");
 
   fail_repair_cycles();
   recover_now_wall_clock();

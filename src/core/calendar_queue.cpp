@@ -21,48 +21,31 @@ CalendarQueuePort::CalendarQueuePort(int num_queues,
   }
 }
 
-net::FifoQueue& CalendarQueuePort::queue_at_rank(int rank) {
-  const int k = num_queues();
-  assert(rank >= 0 && rank < k);
-  return queues_[static_cast<std::size_t>((active_ + rank) % k)];
-}
-
 EnqueueVerdict CalendarQueuePort::try_enqueue(net::Packet&& p, int rank) {
   if (rank < 0 || rank >= num_queues()) {
     ++rank_overflows_;
     if (rank_overflow_metric_) rank_overflow_metric_->inc();
     return EnqueueVerdict::RankOverflow;
   }
-  auto& q = queue_at_rank(rank);
-  if (!q.enqueue(std::move(p))) {
+  const std::int64_t bytes = p.size_bytes;
+  if (!queues_[index_of(rank)].enqueue(std::move(p))) {
     ++full_rejects_;
     if (full_reject_metric_) full_reject_metric_->inc();
     return EnqueueVerdict::Full;
   }
-  peak_total_ = std::max(peak_total_, total_bytes());
+  total_bytes_ += bytes;
+  ++total_packets_;
+  peak_total_ = std::max(peak_total_, total_bytes_);
   return EnqueueVerdict::Ok;
 }
 
-EnqueueVerdict CalendarQueuePort::enqueue_unchecked(net::Packet&& p,
-                                                    int rank) {
-  if (rank < 0 || rank >= num_queues()) {
-    ++rank_overflows_;
-    if (rank_overflow_metric_) rank_overflow_metric_->inc();
-    return EnqueueVerdict::RankOverflow;
+std::optional<net::Packet> CalendarQueuePort::dequeue() {
+  auto p = queues_[static_cast<std::size_t>(active_)].dequeue();
+  if (p) {
+    total_bytes_ -= p->size_bytes;
+    --total_packets_;
   }
-  auto& q = queue_at_rank(rank);
-  // Temporarily lift the cap by enqueueing through the bounded path first
-  // and falling back to an explicit splice.
-  if (!q.enqueue(std::move(p))) {
-    // FifoQueue rejects only on capacity; force by growing through a
-    // second attempt is not possible without mutating capacity, so treat
-    // as Full for accounting. In practice offload returns are paced to fit.
-    ++full_rejects_;
-    if (full_reject_metric_) full_reject_metric_->inc();
-    return EnqueueVerdict::Full;
-  }
-  peak_total_ = std::max(peak_total_, total_bytes());
-  return EnqueueVerdict::Ok;
+  return p;
 }
 
 void CalendarQueuePort::rotate() {
@@ -75,7 +58,7 @@ std::vector<net::Packet> CalendarQueuePort::drain_all() {
   std::vector<net::Packet> out;
   const int k = num_queues();
   for (int rank = 0; rank < k; ++rank) {
-    auto& q = queue_at_rank(rank);
+    auto& q = queues_[index_of(rank)];
     // dequeue() refuses to emit from a paused queue; lift the pause for the
     // drain and restore it afterwards.
     const bool was_paused = q.paused();
@@ -83,19 +66,9 @@ std::vector<net::Packet> CalendarQueuePort::drain_all() {
     while (auto p = q.dequeue()) out.push_back(std::move(*p));
     if (was_paused) q.pause();
   }
+  total_bytes_ = 0;
+  total_packets_ = 0;
   return out;
-}
-
-std::int64_t CalendarQueuePort::total_bytes() const {
-  std::int64_t b = 0;
-  for (const auto& q : queues_) b += q.bytes();
-  return b;
-}
-
-std::int64_t CalendarQueuePort::total_packets() const {
-  std::int64_t n = 0;
-  for (const auto& q : queues_) n += static_cast<std::int64_t>(q.size());
-  return n;
 }
 
 }  // namespace oo::core

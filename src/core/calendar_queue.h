@@ -5,7 +5,9 @@
 // held on the switch (buffer-offload territory, §5.2).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/ids.h"
@@ -34,14 +36,16 @@ class CalendarQueuePort {
   int active_index() const { return active_; }
 
   // Queue that will be active `rank` rotations from now (rank 0 = active).
-  net::FifoQueue& queue_at_rank(int rank);
-  net::FifoQueue& active_queue() { return queue_at_rank(0); }
+  // Packets enter and leave only through the port, which keeps the totals.
+  const net::FifoQueue& queue_at_rank(int rank) const {
+    return queues_[index_of(rank)];
+  }
+  const net::FifoQueue& active_queue() const { return queue_at_rank(0); }
 
   // Admission check + enqueue. `rank` in [0, K) required for Ok.
   EnqueueVerdict try_enqueue(net::Packet&& p, int rank);
-  // Force-enqueue ignoring the capacity check (used by offload returns that
-  // were already accounted for).
-  EnqueueVerdict enqueue_unchecked(net::Packet&& p, int rank);
+  // Head of the active queue, removed; nullopt when it is empty.
+  std::optional<net::Packet> dequeue();
 
   // Pause the active queue, advance the calendar, resume the new active
   // queue (triggered per slice by the switch's rotation timer).
@@ -52,15 +56,23 @@ class CalendarQueuePort {
   // evacuate its optical calendar onto the electrical fabric.
   std::vector<net::Packet> drain_all();
 
-  std::int64_t total_bytes() const;
-  std::int64_t total_packets() const;
+  // Bytes and packets held over all K queues (running totals).
+  std::int64_t total_bytes() const { return total_bytes_; }
+  std::int64_t total_packets() const { return total_packets_; }
   std::int64_t peak_total_bytes() const { return peak_total_; }
   std::int64_t rank_overflows() const { return rank_overflows_; }
   std::int64_t full_rejects() const { return full_rejects_; }
 
  private:
+  std::size_t index_of(int rank) const {  // queues_ index of a rank
+    assert(rank >= 0 && rank < num_queues());
+    return static_cast<std::size_t>((active_ + rank) % num_queues());
+  }
+
   std::vector<net::FifoQueue> queues_;
   int active_ = 0;
+  std::int64_t total_bytes_ = 0;
+  std::int64_t total_packets_ = 0;
   std::int64_t peak_total_ = 0;
   std::int64_t rank_overflows_ = 0;
   std::int64_t full_rejects_ = 0;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
+#include <span>
 #include <tuple>
 
 #include "core/quorum.h"
@@ -235,46 +235,116 @@ bool Controller::validate_routing(const std::vector<Path>& paths,
   return true;
 }
 
-bool Controller::compile_routing(
-    const std::vector<Path>& paths, LookupMode lookup, int priority,
-    std::vector<std::vector<TftEntry>>& out) const {
-  // Merge per-(node, match) action sets so parallel paths become one
-  // multipath entry. Identical actions merge by summing their weights.
-  using Key = std::tuple<NodeId, SliceId, NodeId, NodeId>;
-  std::map<Key, std::vector<TftAction>> merged;
+namespace {
 
-  auto add_action = [&merged](NodeId node, SliceId arr, NodeId src,
-                              NodeId dst, TftAction action) {
-    auto& actions = merged[{node, arr, src, dst}];
-    for (auto& existing : actions) {
-      if (existing.hops.size() == action.hops.size()) {
-        bool same = true;
-        for (std::size_t i = 0; i < existing.hops.size(); ++i) {
-          if (existing.hops[i].egress != action.hops[i].egress ||
-              existing.hops[i].dep_slice != action.hops[i].dep_slice) {
-            same = false;
-            break;
-          }
-        }
-        if (same) {
-          existing.weight += action.weight;
-          return;
-        }
+// A compiled entry's key: the node it is installed at and its match.
+struct NodeMatch {
+  NodeId node;
+  SliceId arr;
+  NodeId src;
+  NodeId dst;
+
+  bool operator==(const NodeMatch&) const = default;
+  auto tied() const { return std::tie(node, arr, src, dst); }
+};
+
+// One action while compiling: the hops of paths[path] from hops[hop] on,
+// all of them when source-routed and one per hop otherwise. The actions of
+// one match form a list, in path order, through `next`.
+struct PendingAction {
+  std::uint32_t path;
+  std::uint32_t hop;
+  double weight;
+  std::int32_t next;
+};
+
+struct PendingMatch {
+  NodeMatch key;
+  std::int32_t first;  // action list
+  std::int32_t last;
+};
+
+}  // namespace
+
+std::vector<std::vector<TftEntry>> compile_routing(
+    const std::vector<Path>& paths, LookupMode lookup, int priority,
+    int num_nodes) {
+  const bool source_routed = lookup == LookupMode::SourceRouting;
+  std::vector<PendingMatch> matches;
+  std::vector<PendingAction> actions;
+  // Open-addressing index from a key to its position in `matches`, at most
+  // half full, Fibonacci-hashed on the packed key.
+  constexpr std::int32_t kEmpty = -1;
+  std::vector<std::int32_t> slots(1024, kEmpty);
+  int shift = 64 - 10;  // 64 - log2(slots.size())
+  auto slot_of = [&](const NodeMatch& k) {
+    const auto word = [](std::int32_t a, std::int32_t b) {
+      return (std::uint64_t{static_cast<std::uint32_t>(a)} << 32) |
+             static_cast<std::uint32_t>(b);
+    };
+    const std::uint64_t h =
+        (word(k.node, k.arr) ^ (word(k.src, k.dst) * 0x9E3779B97F4A7C15ull)) *
+        0xC2B2AE3D27D4EB4Full;
+    const std::size_t mask = slots.size() - 1;
+    for (auto i = static_cast<std::size_t>(h >> shift);; i = (i + 1) & mask) {
+      const std::int32_t m = slots[i];
+      if (m == kEmpty || matches[static_cast<std::size_t>(m)].key == k) {
+        return i;
       }
     }
-    actions.push_back(std::move(action));
+  };
+  auto hops_of = [&](const PendingAction& a) {
+    const std::span<const PathHop> hops = paths[a.path].hops;
+    return source_routed ? hops : hops.subspan(a.hop, 1);
+  };
+  auto same_hop = [](const PathHop& x, const PathHop& y) {
+    return x.egress == y.egress && x.dep_slice == y.dep_slice;
   };
 
-  for (const auto& path : paths) {
-    if (lookup == LookupMode::SourceRouting) {
-      TftAction action;
-      action.weight = path.weight;
-      action.hops.reserve(path.hops.size());
-      for (const auto& h : path.hops) {
-        action.hops.push_back(net::SourceHop{h.egress, h.dep_slice});
+  // Merge per-(node, match) action sets so parallel paths become one
+  // multipath entry. Identical actions merge by summing their weights.
+  auto add_action = [&](const NodeMatch& key, std::uint32_t path,
+                        std::uint32_t hop) {
+    const PendingAction action{path, hop, paths[path].weight, kEmpty};
+    const auto a = static_cast<std::int32_t>(actions.size());
+    std::size_t slot = slot_of(key);
+    if (slots[slot] == kEmpty) {
+      if ((matches.size() + 1) * 2 > slots.size()) {
+        slots.assign(slots.size() * 2, kEmpty);
+        --shift;
+        for (std::size_t m = 0; m < matches.size(); ++m) {
+          slots[slot_of(matches[m].key)] = static_cast<std::int32_t>(m);
+        }
+        slot = slot_of(key);
       }
-      add_action(path.hops.front().node, path.start_slice, path.src, path.dst,
-                 std::move(action));
+      slots[slot] = static_cast<std::int32_t>(matches.size());
+      matches.push_back(PendingMatch{key, a, a});
+      actions.push_back(action);
+      return;
+    }
+    auto& pm = matches[static_cast<std::size_t>(slots[slot])];
+    const auto hops = hops_of(action);
+    for (std::int32_t i = pm.first; i != kEmpty;) {
+      auto& existing = actions[static_cast<std::size_t>(i)];
+      const auto existing_hops = hops_of(existing);
+      if (std::equal(existing_hops.begin(), existing_hops.end(), hops.begin(),
+                     hops.end(), same_hop)) {
+        existing.weight += action.weight;
+        return;
+      }
+      i = existing.next;
+    }
+    actions[static_cast<std::size_t>(pm.last)].next = a;
+    pm.last = a;
+    actions.push_back(action);
+  };
+
+  for (std::uint32_t pi = 0; pi < paths.size(); ++pi) {
+    const Path& path = paths[pi];
+    if (source_routed) {
+      add_action({path.hops.front().node, path.start_slice, path.src,
+                  path.dst},
+                 pi, 0);
       continue;
     }
     // Per-hop lookup: one single-hop entry at every node on the path. The
@@ -282,29 +352,46 @@ bool Controller::compile_routing(
     // like VLB spraying applies only to locally originated traffic); transit
     // hops use a source wildcard.
     SliceId arr = path.start_slice;
-    for (std::size_t i = 0; i < path.hops.size(); ++i) {
+    for (std::uint32_t i = 0; i < path.hops.size(); ++i) {
       const PathHop& h = path.hops[i];
-      TftAction action;
-      action.weight = path.weight;
-      action.hops.push_back(net::SourceHop{h.egress, h.dep_slice});
       const NodeId src_match = (i == 0) ? path.src : kInvalidNode;
-      add_action(h.node, arr, src_match, path.dst, std::move(action));
+      add_action({h.node, arr, src_match, path.dst}, pi, i);
       // The next node sees the packet in the slice this hop departed in
       // (fabric latency is far below a slice); wildcard stays wildcard.
       arr = h.dep_slice;
     }
   }
+  slots = {};
 
-  out.assign(static_cast<std::size_t>(net_.num_tors()), {});
-  for (auto& [key, actions] : merged) {
-    const auto [node, arr, src, dst] = key;
-    TftEntry entry;
-    entry.match = TftMatch{arr, src, dst};
-    entry.actions = std::move(actions);
-    entry.priority = priority;
-    out[static_cast<std::size_t>(node)].push_back(std::move(entry));
+  std::sort(matches.begin(), matches.end(),
+            [](const PendingMatch& x, const PendingMatch& y) {
+              return x.key.tied() < y.key.tied();
+            });
+  std::vector<std::vector<TftEntry>> out(static_cast<std::size_t>(num_nodes));
+  std::vector<std::size_t> per_node(out.size(), 0);
+  for (const auto& pm : matches) {
+    ++per_node[static_cast<std::size_t>(pm.key.node)];
   }
-  return true;
+  for (std::size_t n = 0; n < out.size(); ++n) out[n].reserve(per_node[n]);
+  for (const auto& pm : matches) {
+    TftEntry entry;
+    entry.match = TftMatch{pm.key.arr, pm.key.src, pm.key.dst};
+    entry.priority = priority;
+    for (std::int32_t i = pm.first; i != kEmpty;) {
+      const auto& pa = actions[static_cast<std::size_t>(i)];
+      const auto hops = hops_of(pa);
+      TftAction action;
+      action.weight = pa.weight;
+      action.hops.reserve(hops.size());
+      for (const auto& h : hops) {
+        action.hops.push_back(net::SourceHop{h.egress, h.dep_slice});
+      }
+      entry.actions.push_back(std::move(action));
+      i = pa.next;
+    }
+    out[static_cast<std::size_t>(pm.key.node)].push_back(std::move(entry));
+  }
+  return out;
 }
 
 bool Controller::deploy_routing(const std::vector<Path>& paths,
@@ -320,7 +407,7 @@ bool Controller::deploy_routing(const std::vector<Path>& paths,
   }
   auto txn = std::make_unique<Txn>();
   txn->has_routing = true;
-  compile_routing(paths, lookup, priority, txn->entries);
+  txn->entries = compile_routing(paths, lookup, priority, net_.num_tors());
   txn->multipath = multipath;
   const bool issued = begin_txn(std::move(txn));
   sim.metrics().counter("controller.deploys", {{"kind", "routing"}}).inc();
@@ -345,7 +432,7 @@ bool Controller::deploy_update(const optics::Schedule& sched,
   txn->topo = sched;
   txn->reconfig_delay = reconfig_delay;
   txn->has_routing = true;
-  compile_routing(paths, lookup, priority, txn->entries);
+  txn->entries = compile_routing(paths, lookup, priority, net_.num_tors());
   txn->multipath = multipath;
   txn->clear_prio = clear_priority;
   txn->on_done = std::move(on_done);

@@ -46,6 +46,16 @@ namespace oo::core {
 
 class ControllerQuorum;
 
+// Compiles `paths` into the time-flow table entries of each of `num_nodes`
+// nodes at `priority`: deploy_routing's compile step, without validation or
+// install. Paths that meet at one node with one match merge into a
+// multipath entry; identical actions merge by summing their weights in path
+// order. Each node's entries are ordered by (arrival slice, source,
+// destination).
+std::vector<std::vector<TftEntry>> compile_routing(
+    const std::vector<Path>& paths, LookupMode lookup, int priority,
+    int num_nodes);
+
 class Controller {
  public:
   explicit Controller(Network& net);
@@ -214,9 +224,6 @@ class Controller {
 
   bool check_path(const Path& path, const optics::Schedule& sched) const;
   bool control_plane_up();
-  bool compile_routing(const std::vector<Path>& paths, LookupMode lookup,
-                       int priority,
-                       std::vector<std::vector<TftEntry>>& out) const;
   bool begin_txn(std::unique_ptr<Txn> txn);
   void on_install(std::uint64_t epoch, std::uint64_t term, NodeId n);
   void on_ack(std::uint64_t epoch, NodeId n, bool ok);

@@ -452,7 +452,8 @@ void TorSwitch::enqueue_optical(Packet&& p, PortId port, SliceId dep,
     if (auto* tr = net_.sim().recorder()) {
       tr->packet_enqueue(net_.sim().now(), id_, port, pid, pbytes);
     }
-    peak_buffer_ = std::max(peak_buffer_, buffer_bytes());
+    buffered_bytes_ += pbytes;
+    peak_buffer_ = std::max(peak_buffer_, buffered_bytes_);
     try_send(port);
     return;
   }
@@ -508,7 +509,8 @@ void TorSwitch::enqueue_optical(Packet&& p, PortId port, SliceId dep,
     tr->packet_enqueue(net_.sim().now(), id_, port, pid, bytes);
   }
   if (u.eqo) u.eqo->on_enqueue((u.cal->active_index() + rank) % k, bytes);
-  peak_buffer_ = std::max(peak_buffer_, buffer_bytes());
+  buffered_bytes_ += bytes;
+  peak_buffer_ = std::max(peak_buffer_, buffered_bytes_);
   if (rank == 0) try_send(port);
 }
 
@@ -534,7 +536,8 @@ bool TorSwitch::force_enqueue(Packet&& p, PortId port, SliceId dep,
     tr->packet_enqueue(net_.sim().now(), id_, port, pid, bytes);
   }
   if (u.eqo) u.eqo->on_enqueue(qidx, bytes);
-  peak_buffer_ = std::max(peak_buffer_, buffer_bytes());
+  buffered_bytes_ += bytes;
+  peak_buffer_ = std::max(peak_buffer_, buffered_bytes_);
   if (rank == 0) try_send(port);
   return true;
 }
@@ -617,7 +620,8 @@ bool TorSwitch::try_defer(Packet& p, SliceId arr) {
         tr->packet_enqueue(net_.sim().now(), id_, hop.egress, pid, bytes);
       }
       if (u.eqo) u.eqo->on_enqueue(qidx, bytes);
-      peak_buffer_ = std::max(peak_buffer_, buffer_bytes());
+      buffered_bytes_ += bytes;
+      peak_buffer_ = std::max(peak_buffer_, buffered_bytes_);
       if (rank == 0) try_send(hop.egress);
       return true;
     }
@@ -684,11 +688,12 @@ void TorSwitch::handle_offload_return(Packet&& p) {
   p.intended_slice = sched.slice_of(p.offload_abs_slice);
   const PacketId pid = p.id;
   const std::int64_t bytes = p.size_bytes;
-  if (u.cal->enqueue_unchecked(std::move(p), rank) == EnqueueVerdict::Ok) {
+  if (u.cal->try_enqueue(std::move(p), rank) == EnqueueVerdict::Ok) {
     if (auto* tr = net_.sim().recorder()) {
       tr->packet_enqueue(net_.sim().now(), id_, port, pid, bytes);
     }
     if (u.eqo) u.eqo->on_enqueue(qidx, bytes);
+    buffered_bytes_ += bytes;
     if (rank == 0) try_send(port);
   } else {
     drops_congestion_->inc();
@@ -730,6 +735,7 @@ void TorSwitch::try_send(PortId port) {
     // TA/static: continuous circuits, drain whenever the transmitter idles.
     auto p = u.fifo.dequeue();
     if (!p) return;
+    buffered_bytes_ -= p->size_bytes;
     const SimTime ser =
         SimTime::nanos(serialization_ns(p->size_bytes, cfg.optical_bw));
     const SimTime tx_end = now + ser;
@@ -751,7 +757,7 @@ void TorSwitch::try_send(PortId port) {
   }
   if (now >= we) return;  // next rotation re-kicks the drain
 
-  auto& q = u.cal->active_queue();
+  const auto& q = u.cal->active_queue();
   while (const Packet* head = q.peek()) {
     if (u.busy_until > now) {
       schedule_drain(port, u.busy_until);
@@ -763,7 +769,8 @@ void TorSwitch::try_send(PortId port) {
       // calendar; the circuit configuration has moved on — re-route it.
       // Rerouting is deferred one event to avoid re-entering this drain.
       slice_misses_->inc();
-      auto missed = q.dequeue();
+      auto missed = u.cal->dequeue();
+      buffered_bytes_ -= missed->size_bytes;
       if (auto* tr = net_.sim().recorder()) {
         tr->slice_miss(now, id_, port, missed->id);
       }
@@ -782,7 +789,8 @@ void TorSwitch::try_send(PortId port) {
     const SimTime ser =
         SimTime::nanos(serialization_ns(head->size_bytes, cfg.optical_bw));
     if (now + ser > we) return;  // does not fit: wait for the slice to recur
-    auto p = q.dequeue();
+    auto p = u.cal->dequeue();
+    buffered_bytes_ -= p->size_bytes;
     const SimTime tx_end = now + ser;
     u.busy_until = tx_end;
     u.tx_bytes += p->size_bytes;
@@ -802,6 +810,7 @@ void TorSwitch::try_send(PortId port) {
         SimTime::nanos(serialization_ns(head->size_bytes, cfg.optical_bw));
     if (now + ser > we) return;
     auto p = u.fifo.dequeue();
+    buffered_bytes_ -= p->size_bytes;
     const SimTime tx_end = now + ser;
     u.busy_until = tx_end;
     u.tx_bytes += p->size_bytes;
@@ -851,6 +860,7 @@ void TorSwitch::flush_and_reroute() {
     while (auto p = u.fifo.dequeue()) evacuated.push_back(std::move(*p));
     if (was_paused) u.fifo.pause();
   }
+  buffered_bytes_ = 0;  // every uplink queue is empty now
   for (auto& p : evacuated) {
     p.intended_slice = kAnySlice;
     p.intended_port = kInvalidPort;
@@ -858,15 +868,6 @@ void TorSwitch::flush_and_reroute() {
     p.route_idx = 0;
     route(std::move(p));
   }
-}
-
-std::int64_t TorSwitch::buffer_bytes() const {
-  std::int64_t b = 0;
-  for (const auto& u : uplinks_) {
-    b += u.fifo.bytes();
-    if (u.cal) b += u.cal->total_bytes();
-  }
-  return b;
 }
 
 std::int64_t TorSwitch::queued_packets() const {

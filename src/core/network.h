@@ -233,8 +233,9 @@ class TorSwitch {
   // every uplink's drain loop.
   void on_rotation(std::int64_t abs_slice);
 
-  // Telemetry (§4.2 monitoring APIs).
-  std::int64_t buffer_bytes() const;
+  // Telemetry (§4.2 monitoring APIs). Bytes parked in this switch's uplink
+  // queues (calendar days + FIFO), kept as a running total.
+  std::int64_t buffer_bytes() const { return buffered_bytes_; }
   // Packets parked in this switch's uplink queues (calendar days + FIFO) —
   // the census side of the packet-conservation invariant.
   std::int64_t queued_packets() const;
@@ -331,6 +332,7 @@ class TorSwitch {
   // counters (1.0 = honest). Written via Network::set_telemetry_skew.
   double report_factor_ = 1.0;
 
+  std::int64_t buffered_bytes_ = 0;  // buffer_bytes()
   std::int64_t peak_buffer_ = 0;
   // Registry-backed ("tor.drops"{class=...,node=N}, "tor.slice_misses"
   // {node=N}); the accessors above are shims over these cells.

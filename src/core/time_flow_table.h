@@ -50,11 +50,17 @@ struct TftEntry {
   std::uint64_t epoch = 0;
 };
 
+// Entries live in one vector. A source-wildcard match, (arr, *, dst) or
+// (*, *, dst), is found through a dense [arr + 1][dst] grid of entry
+// indices; a grid row exists only for a slice that holds such an entry.
+// Source-specific matches sit in a hash map that lookup() probes only when
+// the table holds any.
 class TimeFlowTable {
  public:
-  // Installs or replaces the entry with the identical match+priority.
+  // Installs `entry`, or replaces the entry with the identical match when
+  // `entry`'s priority is equal or higher (a lower one is ignored).
   void add(TftEntry entry);
-  // Removes every entry whose match equals `m` (any priority).
+  // Removes the entry whose match equals `m`, if any.
   void remove(const TftMatch& m);
   // Removes every entry installed at exactly `priority` — clearing a
   // superseded routing overlay (e.g. a stale failure-recovery deploy).
@@ -62,7 +68,7 @@ class TimeFlowTable {
   void clear();
 
   // Longest-prefix-of-specificity lookup: (arr,src) exact beats (arr,*)
-  // beats (*,src) beats (*,*); ties broken by priority.
+  // beats (*,src) beats (*,*). The pointer is valid until the next change.
   const TftEntry* lookup(SliceId arr_slice, NodeId src, NodeId dst) const;
 
   // Picks an action from the entry's multipath set using the packet hash
@@ -73,10 +79,26 @@ class TimeFlowTable {
   std::size_t size() const { return entries_.size(); }
 
  private:
-  static std::uint64_t key_of(SliceId arr, NodeId src, NodeId dst);
+  static constexpr std::int32_t kNone = -1;  // empty index cell
 
-  // match-key -> best entry (highest priority) for that exact match.
-  std::unordered_map<std::uint64_t, TftEntry> entries_;
+  static std::uint64_t key_of(SliceId arr, NodeId src, NodeId dst);
+  // Entry index stored for `m`'s match, or nullptr when none is.
+  std::int32_t* find_index(const TftMatch& m);
+  // As find_index, but creates the cell (holding kNone) when missing.
+  std::int32_t* make_index(const TftMatch& m);
+  const TftEntry* find_by_src(SliceId arr, NodeId src, NodeId dst) const;
+  const TftEntry* find_wildcard(SliceId arr, NodeId dst) const;
+  void widen(std::size_t width);
+  void reindex();
+
+  std::vector<TftEntry> entries_;
+  // row_of_[arr + 1] is slice arr's row in cells_ (kNone = no row); a row
+  // is width_ cells, one per destination, each an entries_ index or kNone.
+  std::vector<std::int32_t> row_of_;
+  std::vector<std::int32_t> cells_;
+  std::size_t width_ = 0;
+  // Source-specific match key -> entries_ index.
+  std::unordered_map<std::uint64_t, std::int32_t> by_src_;
 };
 
 }  // namespace oo::core

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
+#include "common/rng.h"
 #include "core/calendar_queue.h"
 #include "core/eqo.h"
 #include "core/guardband.h"
@@ -72,9 +74,46 @@ TEST(CalendarQueue, CapacityFull) {
 TEST(CalendarQueue, PausedQueueHoldsPackets) {
   CalendarQueuePort port(2, 1 << 20);
   port.try_enqueue(make_packet(100), 1);
-  EXPECT_FALSE(port.queue_at_rank(1).dequeue().has_value());  // paused
+  EXPECT_TRUE(port.queue_at_rank(1).paused());
+  EXPECT_FALSE(port.dequeue().has_value());  // only the active queue emits
+  EXPECT_EQ(port.queue_at_rank(1).size(), 1u);
   port.rotate();
-  EXPECT_TRUE(port.active_queue().dequeue().has_value());
+  EXPECT_TRUE(port.dequeue().has_value());
+}
+
+TEST(CalendarQueue, RunningTotalsMatchAFullScan) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    const int k = 1 + static_cast<int>(rng.uniform(16));
+    CalendarQueuePort port(k, 20000);
+    std::int64_t peak = 0;
+    for (int step = 0; step < 4000; ++step) {
+      const double x = rng.uniform01();
+      if (x < 0.5) {
+        // Ranks -1..k: both overflows and every queue; 64 B..9 KB packets
+        // against a 20 KB capacity, so some are rejected full.
+        port.try_enqueue(make_packet(64 + rng.uniform(9000)),
+                         static_cast<int>(rng.uniform(
+                             static_cast<std::uint32_t>(k + 2))) - 1);
+      } else if (x < 0.8) {
+        port.dequeue();
+      } else if (x < 0.98) {
+        port.rotate();
+      } else {
+        port.drain_all();
+      }
+      std::int64_t bytes = 0, packets = 0;
+      for (int r = 0; r < k; ++r) {
+        bytes += port.queue_at_rank(r).bytes();
+        packets += static_cast<std::int64_t>(port.queue_at_rank(r).size());
+        ASSERT_EQ(port.queue_at_rank(r).paused(), r != 0) << "step " << step;
+      }
+      peak = std::max(peak, bytes);
+      ASSERT_EQ(port.total_bytes(), bytes) << "seed " << seed << " step " << step;
+      ASSERT_EQ(port.total_packets(), packets) << "seed " << seed;
+      ASSERT_EQ(port.peak_total_bytes(), peak) << "seed " << seed;
+    }
+  }
 }
 
 TEST(Eqo, TracksEnqueues) {

@@ -96,7 +96,7 @@ TEST_P(CalendarSizeParam, FullRotationReturnsEveryQueueToActive) {
     ASSERT_EQ(port.try_enqueue(std::move(p), r), EnqueueVerdict::Ok);
   }
   for (int r = 0; r < k; ++r) {
-    auto p = port.active_queue().dequeue();
+    auto p = port.dequeue();
     ASSERT_TRUE(p.has_value());
     EXPECT_EQ(p->seq, r);
     port.rotate();

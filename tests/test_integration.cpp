@@ -174,6 +174,44 @@ TEST(Integration, PushbackEliminatesOverloadLoss) {
   }
 }
 
+TEST(Integration, TorBufferTotalMatchesPortQueues) {
+  // buffer_bytes() is a running total; it must equal the sum over the
+  // uplink queues through deferral, slice misses and, with a 3-queue
+  // calendar, offloads and their returns.
+  for (const bool offload : {false, true}) {
+    arch::Params p;
+    p.tors = 8;
+    p.hosts_per_tor = 2;
+    p.bw = 10e9;
+    p.uplinks = 2;
+    p.offload = offload;
+    p.calendar_queues = offload ? 3 : 0;
+    p.seed = 3;
+    auto inst = arch::make_opera(p, /*bulk=*/true);
+    traffic::TrafficEngine traffic(
+        *inst.net, open_loop_trace(*inst.net, workload::TraceKind::Hadoop,
+                                   0.7, 0, 3));
+    traffic.start();
+    const int ports = inst.net->schedule().uplinks();
+    int busy = 0;
+    for (int i = 0; i < 1000; ++i) {
+      inst.run_for(7_us);
+      for (NodeId n = 0; n < inst.net->num_tors(); ++n) {
+        const auto& tor = inst.net->tor(n);
+        std::int64_t scan = 0;
+        for (PortId port = 0; port < ports; ++port) {
+          scan += tor.port_buffer_bytes(port);
+        }
+        ASSERT_EQ(tor.buffer_bytes(), scan)
+            << "offload " << offload << " node " << n << " sample " << i;
+        busy += scan > 0;
+      }
+    }
+    traffic.stop();
+    EXPECT_GT(busy, 0) << "offload " << offload;
+  }
+}
+
 TEST(Integration, GuardbandSizingControlsLoss) {
   auto run = [](SimTime guard) {
     NetworkConfig cfg;

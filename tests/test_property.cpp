@@ -264,7 +264,7 @@ TEST_P(CalendarFuzzParam, PacketsConservedUnderRandomOps) {
         ++rejected;
       }
     } else if (x < 0.8) {
-      if (auto p = port.active_queue().dequeue()) {
+      if (auto p = port.dequeue()) {
         ++out;
         bytes_out += p->size_bytes;
       }

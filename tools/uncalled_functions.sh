@@ -10,6 +10,10 @@
 # any example, bench, test or the perfbench binary. The script prints each
 # such function and exits 1 if there is any, 0 if there is none.
 #
+# The executables are the EXECUTABLE targets CMake's file API lists for the
+# current tree, so a binary an older build left in build-scan/ (a target
+# since deleted) is not counted as a caller.
+#
 # Tests count as callers. Functions defined inline in headers are emitted as
 # weak symbols where they are used, so they are outside the scan; so are
 # file-local functions, which the compiler already warns about when unused.
@@ -20,6 +24,9 @@ ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD="$ROOT/build-scan"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
+# Ask the file API for the code model before configuring.
+mkdir -p "$BUILD/.cmake/api/v1/query"
+touch "$BUILD/.cmake/api/v1/query/codemodel-v2"
 cmake -S "$ROOT" -B "$BUILD" -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS_DEBUG="-O0" \
   -DCMAKE_CXX_FLAGS="-ffunction-sections" \
@@ -42,14 +49,35 @@ CXX="$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' "$BUILD/CMakeCache.txt")"
   -Wl,--start-group "${archives[@]}" -Wl,--end-group -pthread \
   -o "$BUILD/sim_bench_scan"
 
-is_elf_executable() {
-  [ -x "$1" ] && [ "$(head -c 4 "$1" | tr -d '\0')" = $'\x7fELF' ]
-}
-
-executables=()
-while IFS= read -r f; do
-  if is_elf_executable "$f"; then executables+=("$f"); fi
-done < <(find "$BUILD" -path '*/CMakeFiles' -prune -o -type f -print | sort)
+# The artifact of every EXECUTABLE target in the code model, plus the
+# perfbench binary linked above.
+targets="$(python3 - "$BUILD" <<'PY'
+import glob, json, os, sys
+build = sys.argv[1]
+reply = os.path.join(build, ".cmake", "api", "v1", "reply")
+def load(name):
+    with open(os.path.join(reply, name)) as f:
+        return json.load(f)
+index = load(os.path.basename(max(glob.glob(os.path.join(reply, "index-*.json")))))
+model = load(index["reply"]["codemodel-v2"]["jsonFile"])
+paths = []
+for t in model["configurations"][0]["targets"]:
+    target = load(t["jsonFile"])
+    if target["type"] == "EXECUTABLE":
+        paths += [os.path.join(build, a["path"]) for a in target["artifacts"]]
+if not paths:
+    sys.exit("uncalled_functions: the code model lists no executable")
+print("\n".join(sorted(paths)))
+PY
+)"
+mapfile -t executables <<<"$targets"
+executables+=("$BUILD/sim_bench_scan")
+for e in "${executables[@]}"; do
+  if [ ! -x "$e" ]; then
+    echo "uncalled_functions: $e was not built" >&2
+    exit 2
+  fi
+done
 
 defined="$BUILD/library_text_symbols.txt"
 kept="$BUILD/kept_text_symbols.txt"
