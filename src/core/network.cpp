@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace oo::core {
 
@@ -87,7 +88,6 @@ bool Host::send(Packet&& p) {
                        !st.segq.empty();
   if (blocked) {
     if (!st.segq.enqueue(std::move(p))) {
-      st.sender_blocked = true;
       if (auto* tr = net_.sim().recorder()) {
         tr->drop(net_.sim().now(), telemetry::DropReason::HostSegq, tor_, -1,
                  p.id, p.size_bytes);
@@ -133,7 +133,7 @@ void Host::resume_dst(NodeId dst) {
   auto& st = dst_state(dst);
   if (!st.paused) return;
   st.paused = false;
-  try_drain(dst);
+  start_pump();
 }
 
 void Host::pushback_dst(NodeId dst, SimTime until) {
@@ -141,7 +141,7 @@ void Host::pushback_dst(NodeId dst, SimTime until) {
   if (until <= net_.sim().now()) return;
   st.pushback_until = std::max(st.pushback_until, until);
   net_.sim().schedule_at(
-      st.pushback_until, [this, dst]() { try_drain(dst); }, "pushback");
+      st.pushback_until, [this]() { start_pump(); }, "pushback");
 }
 
 bool Host::can_buffer(NodeId dst, std::int64_t bytes) const {
@@ -150,11 +150,6 @@ bool Host::can_buffer(NodeId dst, std::int64_t bytes) const {
                          net_.sim().now() >= st.pushback_until &&
                          st.segq.empty();
   return fast_path || st.segq.free_bytes() >= bytes;
-}
-
-void Host::try_drain(NodeId dst) {
-  (void)dst;
-  start_pump();
 }
 
 void Host::start_pump() {
@@ -179,10 +174,6 @@ void Host::pump() {
     pump_rr_ = (idx + 1) % n;
     const SimTime pace = SimTime::nanos(
         serialization_ns(p->size_bytes, net_.config().host_bw));
-    if (st.sender_blocked && st.segq.free_bytes() >= p->size_bytes) {
-      st.sender_blocked = false;
-      if (unblock_) unblock_(static_cast<NodeId>(idx));
-    }
     stack_delay_send(std::move(*p));
     pump_scheduled_ = true;
     net_.sim().schedule_in(pace, [this]() { pump(); }, "host.pump");
@@ -404,23 +395,19 @@ void TorSwitch::apply_action(Packet&& p, const net::SourceHop& hop,
       el != nullptr && (net_.node_quarantined(id_) ||
                         (p.dst_node != kInvalidNode &&
                          net_.node_quarantined(p.dst_node)))) {
-    p.intended_slice = kAnySlice;
-    p.intended_port = kInvalidPort;
-    p.source_route.clear();
-    p.route_idx = 0;
+    p.clear_route();
     el->transmit(id_, std::move(p));
     return;
   }
   enqueue_optical(std::move(p), hop.egress, hop.dep_slice, arr);
 }
 
-std::int64_t TorSwitch::admissible_bytes(PortId port, int rank) const {
+std::int64_t TorSwitch::admissible_bytes(int rank) const {
   // An optical circuit carries a fixed number of bytes per slice; a queue is
   // full once it holds more than the remaining slice time can transmit
   // (§5.2). Future slices admit a full window.
   const auto& cfg = net_.config();
   if (!cfg.calendar_mode) return INT64_MAX;
-  (void)port;
   const SimTime full = window_end() - window_start();
   SimTime usable = full;
   if (rank == 0) {
@@ -440,20 +427,12 @@ void TorSwitch::enqueue_optical(Packet&& p, PortId port, SliceId dep,
   if (!cfg.calendar_mode || dep == kAnySlice) {
     // Classical flow-table path: wildcard departure, FIFO egress (§3 (c)).
     const PacketId pid = p.id;
-    const std::int64_t pbytes = p.size_bytes;
+    const std::int64_t bytes = p.size_bytes;
     if (!u.fifo.enqueue(std::move(p))) {
-      drops_congestion_->inc();
-      if (auto* tr = net_.sim().recorder()) {
-        tr->drop(net_.sim().now(), telemetry::DropReason::Congestion, id_,
-                 port, pid, pbytes);
-      }
+      drop_congested(port, p);
       return;
     }
-    if (auto* tr = net_.sim().recorder()) {
-      tr->packet_enqueue(net_.sim().now(), id_, port, pid, pbytes);
-    }
-    buffered_bytes_ += pbytes;
-    peak_buffer_ = std::max(peak_buffer_, buffered_bytes_);
+    note_parked(port, pid, bytes);
     try_send(port);
     return;
   }
@@ -468,7 +447,7 @@ void TorSwitch::enqueue_optical(Packet&& p, PortId port, SliceId dep,
       offload_to_host(std::move(p), current_abs_slice() + rank);
       return;
     }
-    on_congested(std::move(p), port, dep, arr);
+    on_congested(std::move(p), port, dep, arr, rank);
     return;
   }
 
@@ -484,66 +463,49 @@ void TorSwitch::enqueue_optical(Packet&& p, PortId port, SliceId dep,
     // check is on accumulated occupancy, so a packet landing near the
     // slice tail merely waits for the next occurrence instead of being
     // treated as congestion.
-    if (u.eqo->estimate(qidx) > admissible_bytes(port, rank)) {
-      on_congested(std::move(p), port, dep, arr);
+    if (u.eqo->estimate(qidx) > admissible_bytes(rank)) {
+      on_congested(std::move(p), port, dep, arr, rank);
       return;
     }
   }
-
-  p.intended_slice = dep;
-  p.intended_port = port;
-  const PacketId pid = p.id;
-  const std::int64_t bytes = p.size_bytes;
-  const auto verdict = u.cal->try_enqueue(std::move(p), rank);
-  if (verdict != EnqueueVerdict::Ok) {
-    // Byte-capacity reject. The packet was consumed by try_enqueue only on
-    // Ok, but our FifoQueue moves only on success, so this path means drop.
-    drops_congestion_->inc();
-    if (auto* tr = net_.sim().recorder()) {
-      tr->drop(net_.sim().now(), telemetry::DropReason::Congestion, id_, port,
-               pid, bytes);
-    }
-    return;
-  }
-  if (auto* tr = net_.sim().recorder()) {
-    tr->packet_enqueue(net_.sim().now(), id_, port, pid, bytes);
-  }
-  if (u.eqo) u.eqo->on_enqueue((u.cal->active_index() + rank) % k, bytes);
-  buffered_bytes_ += bytes;
-  peak_buffer_ = std::max(peak_buffer_, buffered_bytes_);
-  if (rank == 0) try_send(port);
+  if (!admit(p, port, dep, rank)) drop_congested(port, p);
 }
 
-bool TorSwitch::force_enqueue(Packet&& p, PortId port, SliceId dep,
-                              SliceId arr) {
-  // Accept the slice miss: park the packet in its intended queue without
-  // the admission test; only byte capacity can still reject it.
+bool TorSwitch::admit(Packet& p, PortId port, SliceId dep, int rank) {
   auto& u = uplinks_[static_cast<std::size_t>(port)];
-  if (!u.cal) return false;
-  const SliceId period = net_.schedule().period();
-  const int rank = (dep - arr + period) % period;
-  const int k = u.cal->num_queues();
-  if (rank >= k) return false;
+  const int qidx = (u.cal->active_index() + rank) % u.cal->num_queues();
   p.intended_slice = dep;
   p.intended_port = port;
-  const int qidx = (u.cal->active_index() + rank) % k;
   const PacketId pid = p.id;
   const std::int64_t bytes = p.size_bytes;
+  // The queue moves the packet in only when it has room for its bytes.
   if (u.cal->try_enqueue(std::move(p), rank) != EnqueueVerdict::Ok) {
     return false;
   }
-  if (auto* tr = net_.sim().recorder()) {
-    tr->packet_enqueue(net_.sim().now(), id_, port, pid, bytes);
-  }
   if (u.eqo) u.eqo->on_enqueue(qidx, bytes);
-  buffered_bytes_ += bytes;
-  peak_buffer_ = std::max(peak_buffer_, buffered_bytes_);
+  note_parked(port, pid, bytes);
   if (rank == 0) try_send(port);
   return true;
 }
 
+void TorSwitch::note_parked(PortId port, PacketId pid, std::int64_t bytes) {
+  if (auto* tr = net_.sim().recorder()) {
+    tr->packet_enqueue(net_.sim().now(), id_, port, pid, bytes);
+  }
+  buffered_bytes_ += bytes;
+  peak_buffer_ = std::max(peak_buffer_, buffered_bytes_);
+}
+
+void TorSwitch::drop_congested(PortId port, const Packet& p) {
+  drops_congestion_->inc();
+  if (auto* tr = net_.sim().recorder()) {
+    tr->drop(net_.sim().now(), telemetry::DropReason::Congestion, id_, port,
+             p.id, p.size_bytes);
+  }
+}
+
 void TorSwitch::on_congested(Packet&& p, PortId port, SliceId dep,
-                             SliceId arr) {
+                             SliceId arr, int rank) {
   const auto& cfg = net_.config();
   // The intended calendar queue is full: push-back (if enabled) throttles
   // the senders regardless of how this packet itself is handled (§5.2 —
@@ -555,9 +517,13 @@ void TorSwitch::on_congested(Packet&& p, PortId port, SliceId dep,
         ++deferrals_;
         return;
       }
-      // No later slice admits it: accept the miss in the intended queue
-      // (losses then only come from exhausted byte capacity).
-      if (force_enqueue(std::move(p), port, dep, arr)) return;
+      // No later slice admits it: accept the miss in the intended queue,
+      // skipping the admission test (losses then only come from exhausted
+      // byte capacity).
+      if (rank < uplinks_[static_cast<std::size_t>(port)].cal->num_queues() &&
+          admit(p, port, dep, rank)) {
+        return;
+      }
       break;
     case CongestionResponse::Trim:
       if (!p.trimmed && p.size_bytes > 64) {
@@ -573,11 +539,7 @@ void TorSwitch::on_congested(Packet&& p, PortId port, SliceId dep,
     case CongestionResponse::Drop:
       break;
   }
-  drops_congestion_->inc();
-  if (auto* tr = net_.sim().recorder()) {
-    tr->drop(net_.sim().now(), telemetry::DropReason::Congestion, id_, port,
-             p.id, p.size_bytes);
-  }
+  drop_congested(port, p);
 }
 
 bool TorSwitch::try_defer(Packet& p, SliceId arr) {
@@ -603,29 +565,25 @@ bool TorSwitch::try_defer(Packet& p, SliceId arr) {
     auto& u = uplinks_[static_cast<std::size_t>(hop.egress)];
     const int qidx = (u.cal->active_index() + rank) % k;
     if (u.eqo &&
-        u.eqo->estimate(qidx) + p.size_bytes >
-            admissible_bytes(hop.egress, rank)) {
+        u.eqo->estimate(qidx) + p.size_bytes > admissible_bytes(rank)) {
       continue;
     }
-    p.intended_slice = hop.dep_slice;
-    p.intended_port = hop.egress;
-    if (action.hops.size() > 1) {
-      p.source_route.assign(action.hops.begin() + 1, action.hops.end());
+    const bool reroute = action.hops.size() > 1;
+    const std::size_t own_idx = p.route_idx;
+    std::vector<net::SourceHop> own_route;
+    if (reroute) {
+      own_route = std::exchange(
+          p.source_route, {action.hops.begin() + 1, action.hops.end()});
       p.route_idx = 0;
     }
-    const PacketId pid = p.id;
-    const std::int64_t bytes = p.size_bytes;
-    if (u.cal->try_enqueue(std::move(p), rank) == EnqueueVerdict::Ok) {
-      if (auto* tr = net_.sim().recorder()) {
-        tr->packet_enqueue(net_.sim().now(), id_, hop.egress, pid, bytes);
-      }
-      if (u.eqo) u.eqo->on_enqueue(qidx, bytes);
-      buffered_bytes_ += bytes;
-      peak_buffer_ = std::max(peak_buffer_, buffered_bytes_);
-      if (rank == 0) try_send(hop.egress);
-      return true;
+    if (admit(p, hop.egress, hop.dep_slice, rank)) return true;
+    // Rejected on bytes: the fallback parks the packet in its intended
+    // queue, so it must leave with its own remaining hops.
+    if (reroute) {
+      p.source_route = std::move(own_route);
+      p.route_idx = own_idx;
     }
-    return false;  // packet was moved-from only on Ok; Ok is the only move
+    return false;
   }
   return false;
 }
@@ -668,7 +626,6 @@ void TorSwitch::offload_to_host(Packet&& p, std::int64_t target_abs) {
 void TorSwitch::handle_offload_return(Packet&& p) {
   const std::int64_t rank64 = p.offload_abs_slice - current_abs_slice();
   p.offloaded = false;
-  const auto& sched = net_.schedule();
   if (rank64 < 0 ||
       (!uplinks_.empty() && uplinks_[0].cal &&
        rank64 >= uplinks_[0].cal->num_queues())) {
@@ -679,28 +636,11 @@ void TorSwitch::handle_offload_return(Packet&& p) {
     route(std::move(p));
     return;
   }
-  const int rank = static_cast<int>(rank64);
   const PortId port = p.intended_port;
   assert(port >= 0 && port < static_cast<int>(uplinks_.size()));
-  auto& u = uplinks_[static_cast<std::size_t>(port)];
-  const int k = u.cal->num_queues();
-  const int qidx = (u.cal->active_index() + rank) % k;
-  p.intended_slice = sched.slice_of(p.offload_abs_slice);
-  const PacketId pid = p.id;
-  const std::int64_t bytes = p.size_bytes;
-  if (u.cal->try_enqueue(std::move(p), rank) == EnqueueVerdict::Ok) {
-    if (auto* tr = net_.sim().recorder()) {
-      tr->packet_enqueue(net_.sim().now(), id_, port, pid, bytes);
-    }
-    if (u.eqo) u.eqo->on_enqueue(qidx, bytes);
-    buffered_bytes_ += bytes;
-    if (rank == 0) try_send(port);
-  } else {
-    drops_congestion_->inc();
-    if (auto* tr = net_.sim().recorder()) {
-      tr->drop(net_.sim().now(), telemetry::DropReason::Congestion, id_, port,
-               pid, bytes);
-    }
+  if (!admit(p, port, net_.schedule().slice_of(p.offload_abs_slice),
+             static_cast<int>(rank64))) {
+    drop_congested(port, p);
   }
 }
 
@@ -733,19 +673,10 @@ void TorSwitch::try_send(PortId port) {
 
   if (!cfg.calendar_mode) {
     // TA/static: continuous circuits, drain whenever the transmitter idles.
-    auto p = u.fifo.dequeue();
-    if (!p) return;
-    buffered_bytes_ -= p->size_bytes;
-    const SimTime ser =
-        SimTime::nanos(serialization_ns(p->size_bytes, cfg.optical_bw));
-    const SimTime tx_end = now + ser;
-    u.busy_until = tx_end;
-    u.tx_bytes += p->size_bytes;
-    if (auto* tr = net_.sim().recorder()) {
-      tr->packet_dequeue(now, id_, port, p->id, p->size_bytes);
+    if (auto p = u.fifo.dequeue()) {
+      const std::int64_t ser = serialization_ns(p->size_bytes, cfg.optical_bw);
+      launch(port, std::move(*p), SimTime::nanos(ser));
     }
-    net_.optical().transmit(id_, port, std::move(*p), now, tx_end);
-    schedule_drain(port, tx_end);
     return;
   }
 
@@ -759,10 +690,6 @@ void TorSwitch::try_send(PortId port) {
 
   const auto& q = u.cal->active_queue();
   while (const Packet* head = q.peek()) {
-    if (u.busy_until > now) {
-      schedule_drain(port, u.busy_until);
-      return;
-    }
     if (head->intended_slice != current_slice() ||
         head->intended_port != port) {
       // The packet missed its slice (congestion) and wrapped with the
@@ -774,10 +701,7 @@ void TorSwitch::try_send(PortId port) {
       if (auto* tr = net_.sim().recorder()) {
         tr->slice_miss(now, id_, port, missed->id);
       }
-      missed->intended_slice = kAnySlice;
-      missed->intended_port = kInvalidPort;
-      missed->source_route.clear();
-      missed->route_idx = 0;
+      missed->clear_route();
       net_.sim().schedule_at(
           now,
           [this, pkt = std::move(*missed)]() mutable {
@@ -789,16 +713,7 @@ void TorSwitch::try_send(PortId port) {
     const SimTime ser =
         SimTime::nanos(serialization_ns(head->size_bytes, cfg.optical_bw));
     if (now + ser > we) return;  // does not fit: wait for the slice to recur
-    auto p = u.cal->dequeue();
-    buffered_bytes_ -= p->size_bytes;
-    const SimTime tx_end = now + ser;
-    u.busy_until = tx_end;
-    u.tx_bytes += p->size_bytes;
-    if (auto* tr = net_.sim().recorder()) {
-      tr->packet_dequeue(now, id_, port, p->id, p->size_bytes);
-    }
-    net_.optical().transmit(id_, port, std::move(*p), now, tx_end);
-    schedule_drain(port, tx_end);
+    launch(port, std::move(*u.cal->dequeue()), ser);
     return;
   }
 
@@ -809,17 +724,22 @@ void TorSwitch::try_send(PortId port) {
     const SimTime ser =
         SimTime::nanos(serialization_ns(head->size_bytes, cfg.optical_bw));
     if (now + ser > we) return;
-    auto p = u.fifo.dequeue();
-    buffered_bytes_ -= p->size_bytes;
-    const SimTime tx_end = now + ser;
-    u.busy_until = tx_end;
-    u.tx_bytes += p->size_bytes;
-    if (auto* tr = net_.sim().recorder()) {
-      tr->packet_dequeue(now, id_, port, p->id, p->size_bytes);
-    }
-    net_.optical().transmit(id_, port, std::move(*p), now, tx_end);
-    schedule_drain(port, tx_end);
+    launch(port, std::move(*u.fifo.dequeue()), ser);
   }
+}
+
+void TorSwitch::launch(PortId port, Packet&& p, SimTime ser) {
+  auto& u = uplinks_[static_cast<std::size_t>(port)];
+  const SimTime now = net_.sim().now();
+  buffered_bytes_ -= p.size_bytes;
+  const SimTime tx_end = now + ser;
+  u.busy_until = tx_end;
+  u.tx_bytes += p.size_bytes;
+  if (auto* tr = net_.sim().recorder()) {
+    tr->packet_dequeue(now, id_, port, p.id, p.size_bytes);
+  }
+  net_.optical().transmit(id_, port, std::move(p), now, tx_end);
+  schedule_drain(port, tx_end);
 }
 
 void TorSwitch::on_rotation(std::int64_t abs_slice) {
@@ -862,10 +782,7 @@ void TorSwitch::flush_and_reroute() {
   }
   buffered_bytes_ = 0;  // every uplink queue is empty now
   for (auto& p : evacuated) {
-    p.intended_slice = kAnySlice;
-    p.intended_port = kInvalidPort;
-    p.source_route.clear();
-    p.route_idx = 0;
+    p.clear_route();
     route(std::move(p));
   }
 }

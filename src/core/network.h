@@ -116,8 +116,6 @@ class Network;
 class Host {
  public:
   using ReceiveFn = std::function<void(Packet&&)>;
-  // Called when a paused/backpressured destination drains below capacity.
-  using UnblockFn = std::function<void(NodeId dst)>;
 
   Host(Network& net, HostId id, NodeId tor);
 
@@ -129,7 +127,6 @@ class Host {
   void unbind_flow(FlowId flow);
   // Catch-all sink for packets with no bound flow.
   void bind_default(ReceiveFn sink) { default_sink_ = std::move(sink); }
-  void set_unblock_callback(UnblockFn fn) { unblock_ = std::move(fn); }
   // Invoked on every outgoing packet before pausing/queueing decisions —
   // the hook services like hybrid elephant steering use to rewrite packets
   // (§5.2); the userspace-stack interposition point.
@@ -139,15 +136,16 @@ class Host {
 
   // Sends through the stack: pausing/push-back may park the packet in the
   // per-destination segment queue. Returns false if the segment queue is
-  // full (application must back off and retry on unblock callback).
+  // full: the packet is dropped and the application must send it again.
+  // Nothing wakes a writer when the queue drains.
   bool send(Packet&& p);
   // True if a send to dst would be parked or rejected right now.
   bool would_block(NodeId dst) const;
 
   // Socket-style admission: true if the stack can absorb `bytes` toward
   // dst right now (either the fast path is open or the segment queue has
-  // room). Blocking senders (TcpLite) poll this and wait for the unblock
-  // callback instead of losing writes.
+  // room). TcpLite and TdtcpLite check this before each new segment and,
+  // when it fails, write nothing until their next ack or RTO.
   bool can_buffer(NodeId dst, std::int64_t bytes) const;
 
   // Flow pausing service (§5.2).
@@ -178,14 +176,12 @@ class Host {
   struct DstState {
     net::FifoQueue segq;
     bool paused = false;
-    bool sender_blocked = false;  // a send was rejected since last drain
     SimTime pushback_until = SimTime::zero();
     std::int64_t sent_bytes = 0;
     explicit DstState(std::int64_t cap) : segq(cap) {}
   };
 
   void stack_delay_send(Packet&& p);
-  void try_drain(NodeId dst);
   void pump();  // paced drain of parked segment queues (one per host)
   void start_pump();
   DstState& dst_state(NodeId dst);
@@ -198,7 +194,6 @@ class Host {
   std::vector<DstState> dsts_;
   FlowSinkTable flows_;
   ReceiveFn default_sink_;
-  UnblockFn unblock_;
   std::function<void(Packet&)> send_hook_;
   SimTime stack_last_release_ = SimTime::zero();
   bool pump_scheduled_ = false;
@@ -298,21 +293,33 @@ class TorSwitch {
   void route(Packet&& p);
   void apply_action(Packet&& p, const net::SourceHop& hop, SliceId arr);
   void enqueue_optical(Packet&& p, PortId port, SliceId dep, SliceId arr);
-  void on_congested(Packet&& p, PortId port, SliceId dep, SliceId arr);
-  bool force_enqueue(Packet&& p, PortId port, SliceId dep, SliceId arr);
+  // Parks `p` in `port`'s calendar queue `rank` slices ahead, stamped for
+  // departure slice `dep`; counts and traces it, and kicks the drain when
+  // that queue is the active one. False, with `p` not moved, when the queue
+  // has no room for its bytes.
+  bool admit(Packet& p, PortId port, SliceId dep, int rank);
+  // Counts `bytes` parked on `port` into the buffer total and its peak.
+  void note_parked(PortId port, PacketId pid, std::int64_t bytes);
+  void drop_congested(PortId port, const Packet& p);
+  // `rank` is the intended queue's distance from the active one.
+  void on_congested(Packet&& p, PortId port, SliceId dep, SliceId arr,
+                    int rank);
   bool try_defer(Packet& p, SliceId arr);
   void send_pushback(const Packet& p, SliceId slice);
   void offload_to_host(Packet&& p, std::int64_t target_abs);
   void handle_offload_return(Packet&& p);
   void try_send(PortId port);
+  // Puts `p`, just taken off `port`'s queues, on the wire for `ser` and
+  // schedules the next drain for when it has left.
+  void launch(PortId port, Packet&& p, SimTime ser);
   void schedule_drain(PortId port, SimTime at);
   // Evacuate calendar + FIFO uplink queues and re-route every packet from
   // scratch (quarantine entry: the re-route lands them on the electrical
   // fabric while this node's optical egress is gated).
   void flush_and_reroute();
   void deliver_local(Packet&& p);
-  // Admissible bytes for the queue at `rank` on `port` right now (§5.2).
-  std::int64_t admissible_bytes(PortId port, int rank) const;
+  // Admissible bytes for the queue at `rank` right now (§5.2).
+  std::int64_t admissible_bytes(int rank) const;
   SliceId current_slice() const;
   std::int64_t current_abs_slice() const;
   // Local (sync-offset) view of the current slice's usable drain window.

@@ -15,9 +15,6 @@ enum class PacketType : std::uint8_t {
   Data,            // application payload
   Ack,             // transport acknowledgement
   Pushback,        // traffic push-back broadcast (§5.2)
-  CircuitNotice,   // upcoming-circuit signal to hosts (flow pausing, §5.2)
-  OffloadDown,     // calendar-queue packet offloaded switch -> host (§5.2)
-  OffloadReturn,   // offloaded packet returning host -> switch
   Probe,           // delay/RTT measurement probe
 };
 
@@ -48,10 +45,6 @@ struct Packet {
   int hops = 0;                  // fabric hops traversed so far
   bool trimmed = false;          // payload cut by a Trim congestion response
 
-  // Hash used by per-packet / per-flow multipath selection. Assigned once at
-  // the source (timestamp hash or five-tuple hash, §3).
-  std::uint32_t mp_hash = 0;
-
   // Remaining source route; empty when per-hop lookup is in use.
   std::vector<SourceHop> source_route;
   std::size_t route_idx = 0;
@@ -67,6 +60,14 @@ struct Packet {
   std::int64_t offload_abs_slice = -1;
 
   bool has_source_route() const { return route_idx < source_route.size(); }
+  // Forgets the slice, port and source route a switch scheduled, so the
+  // next lookup routes the packet from scratch.
+  void clear_route() {
+    intended_slice = kAnySlice;
+    intended_port = kInvalidPort;
+    source_route.clear();
+    route_idx = 0;
+  }
   const SourceHop& next_hop() const { return source_route[route_idx]; }
   void pop_hop() { ++route_idx; }
 };

@@ -11,30 +11,15 @@ FlowTransfer::FlowTransfer(core::Network& net, HostId src, HostId dst,
                            std::int64_t bytes, FlowTransferConfig cfg,
                            DoneFn done)
     : net_(net),
-      src_(src),
-      dst_(dst),
-      flow_(net.alloc_flow_id()),
+      ep_(net, src, dst,
+          [this](Packet&& p) { on_sender_packet(std::move(p)); },
+          [this](Packet&& p) { on_receiver_packet(std::move(p)); }),
       total_bytes_(bytes),
       cfg_(cfg),
-      done_(std::move(done)) {
-  net_.host(src_).bind_flow(flow_, [this](Packet&& p) {
-    on_sender_packet(std::move(p));
-  });
-  net_.host(dst_).bind_flow(flow_, [this](Packet&& p) {
-    on_receiver_packet(std::move(p));
-  });
-}
-
-FlowTransfer::~FlowTransfer() {
-  rto_timer_.cancel();
-  net_.host(src_).unbind_flow(flow_);
-  net_.host(dst_).unbind_flow(flow_);
-}
+      done_(std::move(done)) {}
 
 void FlowTransfer::start() {
-  if (started_) return;
-  started_ = true;
-  start_time_ = net_.sim().now();
+  if (!ep_.start()) return;
   arm_rto();
   pump();
 }
@@ -48,19 +33,13 @@ void FlowTransfer::pump() {
     const std::int64_t len = std::min(cfg_.mss, total_bytes_ - seq);
     snd_next_ += len;
     send_segment(seq);
-    if (blocked_) break;  // host stack backpressure: resume on unblock
+    if (blocked_) break;  // host stack backpressure: resume on ack or RTO
   }
 }
 
 void FlowTransfer::send_segment(std::int64_t seq) {
-  Packet p;
-  p.type = PacketType::Data;
-  p.flow = flow_;
-  p.dst_host = dst_;
-  p.seq = seq;
-  p.payload = std::min(cfg_.mss, total_bytes_ - seq);
-  p.size_bytes = p.payload + kHeaderBytes;
-  if (!net_.host(src_).send(std::move(p))) {
+  const std::int64_t len = std::min(cfg_.mss, total_bytes_ - seq);
+  if (!ep_.send_data(ep_.data(seq, len))) {
     // Segment queue full: rewind and wait for RTO (coarse but safe).
     blocked_ = true;
     snd_next_ = std::min(snd_next_, seq);
@@ -71,32 +50,10 @@ void FlowTransfer::send_segment(std::int64_t seq) {
 
 void FlowTransfer::on_receiver_packet(Packet&& p) {
   if (p.type != PacketType::Data) return;
-  if (p.trimmed) {
-    // Header-only survivor of a Trim congestion response: data lost, the
-    // ack (not advancing) triggers RTO at the sender.
-  } else if (p.seq == rcv_next_) {
-    rcv_next_ += p.payload;
-    // Pull buffered out-of-order runs that are now contiguous.
-    for (auto it = ooo_.begin(); it != ooo_.end();) {
-      if (it->first <= rcv_next_) {
-        rcv_next_ = std::max(rcv_next_, it->second);
-        it = ooo_.erase(it);
-      } else {
-        break;
-      }
-    }
-  } else if (p.seq > rcv_next_) {
-    auto [it, inserted] = ooo_.emplace(p.seq, p.seq + p.payload);
-    if (!inserted) it->second = std::max(it->second, p.seq + p.payload);
-  }
-  // Cumulative ack (also resent for out-of-order / trimmed arrivals).
-  Packet ack;
-  ack.type = PacketType::Ack;
-  ack.flow = flow_;
-  ack.dst_host = src_;
-  ack.seq = rcv_next_;
-  ack.size_bytes = kHeaderBytes;
-  net_.host(dst_).send(std::move(ack));
+  rcv_.receive(p);
+  // Cumulative ack, resent for out-of-order and trimmed arrivals too: a
+  // trimmed segment's ack does not advance, and the RTO resends it.
+  ep_.send_ack(ep_.ack(rcv_.next()));
 }
 
 void FlowTransfer::on_sender_packet(Packet&& p) {
@@ -113,10 +70,11 @@ void FlowTransfer::on_sender_packet(Packet&& p) {
 }
 
 void FlowTransfer::arm_rto() {
-  rto_timer_.cancel();
-  // The destructor cancels the timer, so the closure needs only `this`.
-  rto_timer_ = net_.sim().schedule_in(cfg_.rto, [this]() { on_rto(); },
-                                      "tcp.rto");
+  // Cancel before scheduling, not after as the assignment alone would: the
+  // queue's dead-key count at each insert decides when it compacts, which
+  // the pending-key count and the sharded window grid see.
+  rto_.cancel();
+  rto_ = net_.sim().schedule_in(cfg_.rto, [this]() { on_rto(); }, "tcp.rto");
 }
 
 void FlowTransfer::on_rto() {
@@ -131,18 +89,8 @@ void FlowTransfer::on_rto() {
 
 void FlowTransfer::finish() {
   finished_ = true;
-  rto_timer_.cancel();
-  if (!done_) return;
-  const SimTime fct = net_.sim().now() - start_time_;
-  const std::int64_t retrans = retrans_;
-  // Sharded: the full ack lands on the sender ToR's lane, but done_
-  // callbacks mutate workload aggregates and may launch or destroy
-  // transfers — control-plane state. Copy the results out and run the
-  // callback on the control queue; it may delete this transfer, so the
-  // closure must not capture `this`.
-  net_.sim().run_on(
-      sim::Simulator::kControlLane,
-      [done = done_, fct, retrans]() { done(fct, retrans); }, "flow.done");
+  rto_.cancel();
+  ep_.complete(done_, "flow.done", ep_.elapsed(), retrans_);
 }
 
 }  // namespace oo::transport

@@ -8,17 +8,13 @@
 #pragma once
 
 #include <functional>
-#include <map>
 
 #include "common/ids.h"
 #include "common/time.h"
 #include "core/network.h"
+#include "transport/endpoint.h"
 
 namespace oo::transport {
-
-// Header bytes each data packet carries on top of its payload; an ack is
-// a bare header.
-inline constexpr std::int64_t kHeaderBytes = 64;
 
 // Also configures TrimRetxTransfer, whose `rto` backstops full losses.
 struct FlowTransferConfig {
@@ -34,14 +30,9 @@ class FlowTransfer {
 
   FlowTransfer(core::Network& net, HostId src, HostId dst,
                std::int64_t bytes, FlowTransferConfig cfg, DoneFn done);
-  ~FlowTransfer();
-  FlowTransfer(const FlowTransfer&) = delete;
-  FlowTransfer& operator=(const FlowTransfer&) = delete;
 
   void start();
   bool finished() const { return finished_; }
-  FlowId flow() const { return flow_; }
-  SimTime start_time() const { return start_time_; }
   std::int64_t retransmissions() const { return retrans_; }
 
  private:
@@ -54,9 +45,7 @@ class FlowTransfer {
   void finish();
 
   core::Network& net_;
-  HostId src_;
-  HostId dst_;
-  FlowId flow_;
+  FlowEndpoint ep_;
   std::int64_t total_bytes_;
   FlowTransferConfig cfg_;
   DoneFn done_;
@@ -64,18 +53,12 @@ class FlowTransfer {
   // Sender state.
   std::int64_t snd_next_ = 0;  // next byte to send
   std::int64_t snd_una_ = 0;   // lowest unacked byte
-  SimTime start_time_;
   std::int64_t retrans_ = 0;
-  sim::EventHandle rto_timer_;
-  bool started_ = false;
+  sim::ScopedEventHandle rto_;
   bool finished_ = false;
   bool blocked_ = false;  // host segment queue backpressure
 
-  // Receiver state: cumulative prefix plus buffered out-of-order runs
-  // (multipath fabrics reorder heavily; discarding would conflate
-  // reordering with loss).
-  std::int64_t rcv_next_ = 0;
-  std::map<std::int64_t, std::int64_t> ooo_;  // start -> end
+  CumulativeReceiver rcv_;
 };
 
 }  // namespace oo::transport

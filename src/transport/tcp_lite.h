@@ -8,12 +8,11 @@
 #pragma once
 
 #include <functional>
-#include <map>
-#include <memory>
 
 #include "common/ids.h"
 #include "common/time.h"
 #include "core/network.h"
+#include "transport/endpoint.h"
 
 namespace oo::transport {
 
@@ -40,9 +39,6 @@ class TcpLite {
 
   // Long-running (iperf-style) flow: sends until stopped.
   TcpLite(core::Network& net, HostId src, HostId dst, TcpConfig cfg);
-  ~TcpLite();
-  TcpLite(const TcpLite&) = delete;
-  TcpLite& operator=(const TcpLite&) = delete;
 
   // Finite-message mode: send exactly `bytes`, then invoke `done` with the
   // flow completion time. Congestion-controlled elephants (allreduce
@@ -57,25 +53,25 @@ class TcpLite {
   bool finished() const { return finished_; }
 
   // Goodput over the measured window: acked bytes / elapsed.
-  double goodput_bps() const;
+  double goodput_bps() const { return ep_.goodput_bps(snd_una_); }
   std::int64_t acked_bytes() const { return snd_una_; }
   std::int64_t reorder_events() const { return reorder_events_; }
   std::int64_t fast_retransmits() const { return fast_retx_; }
   std::int64_t rto_events() const { return rto_events_; }
+  std::int64_t retcp_rescalings() const { return retcp_rescalings_; }
   double cwnd() const { return cwnd_; }
 
  private:
   void pump();
-  void send_segment(std::int64_t seq, bool retransmission);
+  // Sends the segment at `seq`; returns its payload length.
+  std::int64_t send_segment(std::int64_t seq);
   void on_sender_packet(core::Packet&& p);
   void on_receiver_packet(core::Packet&& p);
   void arm_rto();
   void on_rto();
 
   core::Network& net_;
-  HostId src_;
-  HostId dst_;
-  FlowId flow_;
+  FlowEndpoint ep_;
   TcpConfig cfg_;
 
   // Sender.
@@ -88,9 +84,6 @@ class TcpLite {
   bool in_recovery_ = false;
   SimTime next_send_allowed_;  // pacing (app CPU bound)
   bool pump_scheduled_ = false;
-  sim::EventHandle rto_timer_;
-  SimTime start_time_;
-  bool started_ = false;
   bool stopped_ = false;
   bool finished_ = false;
   std::int64_t total_bytes_ = -1;  // -1 = unbounded stream
@@ -99,19 +92,16 @@ class TcpLite {
   std::int64_t rto_events_ = 0;
 
   // Receiver.
-  std::int64_t rcv_next_ = 0;
-  std::map<std::int64_t, std::int64_t> ooo_;  // seq -> end, buffered holes
+  CumulativeReceiver rcv_;
   std::int64_t reorder_events_ = 0;
 
   // reTCP state: whether the direct circuit was up last slice.
   bool retcp_circuit_up_ = false;
   std::int64_t retcp_rescalings_ = 0;
 
- public:
-  std::int64_t retcp_rescalings() const { return retcp_rescalings_; }
-
- private:
-  std::shared_ptr<bool> alive_;
+  sim::ScopedEventHandle rto_;
+  sim::ScopedEventHandle pace_;   // pacing pump
+  sim::ScopedEventHandle retcp_;  // per-slice reTCP check
 };
 
 }  // namespace oo::transport

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "transport/flow_transfer.h"
-
 namespace oo::transport {
 
 using core::Packet;
@@ -12,29 +10,15 @@ using core::PacketType;
 TdtcpLite::TdtcpLite(core::Network& net, HostId src, HostId dst,
                      TcpConfig cfg)
     : net_(net),
-      src_(src),
-      dst_(dst),
-      flow_(net.alloc_flow_id()),
-      cfg_(cfg),
-      alive_(std::make_shared<bool>(true)) {
+      ep_(net, src, dst,
+          [this](Packet&& p) { on_sender_packet(std::move(p)); },
+          [this](Packet&& p) { on_receiver_packet(std::move(p)); }),
+      cfg_(cfg) {
   const int phases =
       std::min<int>(32, std::max<int>(1, net_.schedule().period()));
   cwnd_.assign(static_cast<std::size_t>(phases), cfg_.init_cwnd);
   ssthresh_.assign(static_cast<std::size_t>(phases), kMaxCwnd);
   inflight_.assign(static_cast<std::size_t>(phases), 0);
-  net_.host(src_).bind_flow(flow_, [this](Packet&& p) {
-    on_sender_packet(std::move(p));
-  });
-  net_.host(dst_).bind_flow(flow_, [this](Packet&& p) {
-    on_receiver_packet(std::move(p));
-  });
-}
-
-TdtcpLite::~TdtcpLite() {
-  *alive_ = false;
-  rto_timer_.cancel();
-  net_.host(src_).unbind_flow(flow_);
-  net_.host(dst_).unbind_flow(flow_);
 }
 
 int TdtcpLite::current_phase() const {
@@ -43,22 +27,26 @@ int TdtcpLite::current_phase() const {
 }
 
 void TdtcpLite::start() {
-  if (started_) return;
-  started_ = true;
-  start_time_ = net_.sim().now();
-  next_send_allowed_ = start_time_;
+  if (!ep_.start()) return;
+  next_send_allowed_ = net_.sim().now();
   arm_rto();
   pump();
 }
 
-double TdtcpLite::goodput_bps() const {
-  const SimTime elapsed = net_.sim().now() - start_time_;
-  if (elapsed <= SimTime::zero()) return 0.0;
-  return static_cast<double>(snd_una_) * kBitsPerByte / elapsed.sec();
+void TdtcpLite::schedule_pump(SimTime at) {
+  if (pump_scheduled_) return;
+  pump_scheduled_ = true;
+  pump_ = net_.sim().schedule_at(
+      at,
+      [this]() {
+        pump_scheduled_ = false;
+        pump();
+      },
+      "tdtcp.pump");
 }
 
 void TdtcpLite::pump() {
-  if (stopped_ || !started_) return;
+  if (stopped_ || !ep_.started()) return;
   const SimTime now = net_.sim().now();
   for (;;) {
     const int phase = current_phase();
@@ -67,36 +55,17 @@ void TdtcpLite::pump() {
         static_cast<std::int64_t>(cwnd_[static_cast<std::size_t>(phase)] *
                                   static_cast<double>(kTcpMss))) {
       // This phase is window-limited; try again next slice.
-      if (!pump_scheduled_) {
-        pump_scheduled_ = true;
-        auto alive = alive_;
-        const SimTime next_slice =
-            net_.schedule().slice_start(
-                net_.schedule().abs_slice_at(now) + 1);
-        net_.sim().schedule_at(next_slice, [this, alive]() {
-          if (!*alive) return;
-          pump_scheduled_ = false;
-          pump();
-        });
-      }
+      schedule_pump(net_.schedule().slice_start(
+          net_.schedule().abs_slice_at(now) + 1));
       return;
     }
     if (cfg_.app_rate_cap > 0 && now < next_send_allowed_) {
-      if (!pump_scheduled_) {
-        pump_scheduled_ = true;
-        auto alive = alive_;
-        net_.sim().schedule_at(next_send_allowed_, [this, alive]() {
-          if (!*alive) return;
-          pump_scheduled_ = false;
-          pump();
-        });
-      }
+      schedule_pump(next_send_allowed_);
       return;
     }
-    if (!net_.host(src_).can_buffer(net_.tor_of(dst_),
-                                    kTcpMss + kHeaderBytes)) {
-      return;  // socket buffer full; Host unblock callback not wired here —
-               // the RTO pump keeps the connection moving.
+    if (!net_.host(ep_.src()).can_buffer(net_.tor_of(ep_.dst()),
+                                         kTcpMss + kHeaderBytes)) {
+      return;  // socket buffer full: the next ack or RTO pumps again
     }
     const std::int64_t seq = snd_next_;
     snd_next_ += kTcpMss;
@@ -110,13 +79,7 @@ void TdtcpLite::pump() {
 }
 
 void TdtcpLite::send_segment(std::int64_t seq, int phase) {
-  Packet p;
-  p.type = PacketType::Data;
-  p.flow = flow_;
-  p.dst_host = dst_;
-  p.seq = seq;
-  p.payload = kTcpMss;
-  p.size_bytes = kTcpMss + kHeaderBytes;
+  Packet p = ep_.data(seq, kTcpMss);
   // The send instant rides along (data "timestamp option"); acks echo it so
   // the sender can attribute them to the sending phase.
   p.probe_echo = net_.sim().now();
@@ -125,7 +88,7 @@ void TdtcpLite::send_segment(std::int64_t seq, int phase) {
   if (inserted) {
     inflight_[static_cast<std::size_t>(phase)] += kTcpMss;
   }
-  net_.host(src_).send(std::move(p));
+  ep_.send_data(std::move(p));
 }
 
 void TdtcpLite::release_acked(std::int64_t upto) {
@@ -139,31 +102,10 @@ void TdtcpLite::release_acked(std::int64_t upto) {
 
 void TdtcpLite::on_receiver_packet(Packet&& p) {
   if (p.type != PacketType::Data) return;
-  if (!p.trimmed) {
-    if (p.seq == rcv_next_) {
-      rcv_next_ += p.payload;
-      for (auto it = ooo_.begin(); it != ooo_.end();) {
-        if (it->first <= rcv_next_) {
-          rcv_next_ = std::max(rcv_next_, it->second);
-          it = ooo_.erase(it);
-        } else {
-          break;
-        }
-      }
-    } else if (p.seq > rcv_next_) {
-      ++reorder_events_;
-      auto [it, inserted] = ooo_.emplace(p.seq, p.seq + p.payload);
-      if (!inserted) it->second = std::max(it->second, p.seq + p.payload);
-    }
-  }
-  Packet ack;
-  ack.type = PacketType::Ack;
-  ack.flow = flow_;
-  ack.dst_host = src_;
-  ack.seq = rcv_next_;
-  ack.size_bytes = kHeaderBytes;
+  if (rcv_.receive(p)) ++reorder_events_;
+  Packet ack = ep_.ack(rcv_.next());
   ack.probe_echo = p.probe_echo;  // echo the send timestamp
-  net_.host(dst_).send(std::move(ack));
+  ep_.send_ack(std::move(ack));
 }
 
 void TdtcpLite::on_sender_packet(Packet&& p) {
@@ -202,13 +144,8 @@ void TdtcpLite::on_sender_packet(Packet&& p) {
 }
 
 void TdtcpLite::arm_rto() {
-  rto_timer_.cancel();
-  auto alive = alive_;
-  rto_timer_ = net_.sim().schedule_in(
-      cfg_.rto, [this, alive]() {
-        if (*alive) on_rto();
-      },
-      "tcp.rto");
+  rto_.cancel();  // before scheduling, as in FlowTransfer::arm_rto
+  rto_ = net_.sim().schedule_in(cfg_.rto, [this]() { on_rto(); }, "tcp.rto");
 }
 
 void TdtcpLite::on_rto() {

@@ -8,9 +8,7 @@
 // OpenOptics stack.
 #pragma once
 
-#include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "common/ids.h"
@@ -25,14 +23,11 @@ class TdtcpLite {
   // `cfg.init_cwnd` and `kMaxCwnd` apply per phase. The phase count follows
   // the schedule period (capped at 32; larger periods fold modulo).
   TdtcpLite(core::Network& net, HostId src, HostId dst, TcpConfig cfg);
-  ~TdtcpLite();
-  TdtcpLite(const TdtcpLite&) = delete;
-  TdtcpLite& operator=(const TdtcpLite&) = delete;
 
   void start();
   void stop() { stopped_ = true; }
 
-  double goodput_bps() const;
+  double goodput_bps() const { return ep_.goodput_bps(snd_una_); }
   std::int64_t acked_bytes() const { return snd_una_; }
   std::int64_t reorder_events() const { return reorder_events_; }
   std::int64_t fast_retransmits() const { return fast_retx_; }
@@ -50,11 +45,11 @@ class TdtcpLite {
   void arm_rto();
   void on_rto();
   void release_acked(std::int64_t upto);
+  // Runs pump() at `at` unless a pump is already scheduled.
+  void schedule_pump(SimTime at);
 
   core::Network& net_;
-  HostId src_;
-  HostId dst_;
-  FlowId flow_;
+  FlowEndpoint ep_;
   TcpConfig cfg_;
 
   // Per-phase congestion state (TDTCP's core idea).
@@ -72,18 +67,15 @@ class TdtcpLite {
   std::int64_t recover_ = 0;
   SimTime next_send_allowed_;
   bool pump_scheduled_ = false;
-  sim::EventHandle rto_timer_;
-  SimTime start_time_;
-  bool started_ = false;
   bool stopped_ = false;
   std::int64_t fast_retx_ = 0;
 
   // Receiver.
-  std::int64_t rcv_next_ = 0;
-  std::map<std::int64_t, std::int64_t> ooo_;
+  CumulativeReceiver rcv_;
   std::int64_t reorder_events_ = 0;
 
-  std::shared_ptr<bool> alive_;
+  sim::ScopedEventHandle rto_;
+  sim::ScopedEventHandle pump_;  // next-slice or pacing pump
 };
 
 }  // namespace oo::transport

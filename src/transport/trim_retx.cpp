@@ -11,32 +11,15 @@ TrimRetxTransfer::TrimRetxTransfer(core::Network& net, HostId src,
                                    HostId dst, std::int64_t bytes,
                                    FlowTransferConfig cfg, DoneFn done)
     : net_(net),
-      src_(src),
-      dst_(dst),
-      flow_(net.alloc_flow_id()),
+      ep_(net, src, dst,
+          [this](Packet&& p) { on_sender_packet(std::move(p)); },
+          [this](Packet&& p) { on_receiver_packet(std::move(p)); }),
       total_bytes_(bytes),
       cfg_(cfg),
-      done_(std::move(done)),
-      alive_(std::make_shared<bool>(true)) {
-  net_.host(src_).bind_flow(flow_, [this](Packet&& p) {
-    on_sender_packet(std::move(p));
-  });
-  net_.host(dst_).bind_flow(flow_, [this](Packet&& p) {
-    on_receiver_packet(std::move(p));
-  });
-}
-
-TrimRetxTransfer::~TrimRetxTransfer() {
-  *alive_ = false;
-  rto_timer_.cancel();
-  net_.host(src_).unbind_flow(flow_);
-  net_.host(dst_).unbind_flow(flow_);
-}
+      done_(std::move(done)) {}
 
 void TrimRetxTransfer::start() {
-  if (started_) return;
-  started_ = true;
-  start_time_ = net_.sim().now();
+  if (!ep_.start()) return;
   arm_rto();
   pump();
 }
@@ -53,36 +36,17 @@ void TrimRetxTransfer::pump() {
 }
 
 void TrimRetxTransfer::send_segment(std::int64_t seq) {
-  Packet p;
-  p.type = PacketType::Data;
-  p.flow = flow_;
-  p.dst_host = dst_;
-  p.seq = seq;
-  p.payload = std::min(cfg_.mss, total_bytes_ - seq);
-  p.size_bytes = p.payload + kHeaderBytes;
-  net_.host(src_).send(std::move(p));
+  ep_.send_data(ep_.data(seq, std::min(cfg_.mss, total_bytes_ - seq)));
 }
 
 void TrimRetxTransfer::on_receiver_packet(Packet&& p) {
   if (p.type != PacketType::Data) return;
-  Packet reply;
-  reply.type = PacketType::Ack;
-  reply.flow = flow_;
-  reply.dst_host = src_;
-  reply.seq = p.seq;
-  reply.size_bytes = kHeaderBytes;
-  if (p.trimmed) {
-    // The header survived the trim: NACK so the sender resends now.
-    reply.trimmed = true;  // marks this control packet as a NACK
-    net_.host(dst_).send(std::move(reply));
-    return;
-  }
-  // Record the range once (retransmissions may duplicate).
-  auto [it, inserted] = received_.emplace(p.seq, p.seq + p.payload);
-  if (inserted) {
-    received_bytes_ += p.payload;
-  }
-  net_.host(dst_).send(std::move(reply));
+  // Acks are selective: each names the segment it answers. A trimmed
+  // segment's surviving header is answered with a NACK, so the sender
+  // resends it now.
+  Packet reply = ep_.ack(p.seq);
+  reply.trimmed = p.trimmed;  // marks this control packet as a NACK
+  ep_.send_ack(std::move(reply));
 }
 
 void TrimRetxTransfer::on_sender_packet(Packet&& p) {
@@ -106,13 +70,8 @@ void TrimRetxTransfer::on_sender_packet(Packet&& p) {
 }
 
 void TrimRetxTransfer::arm_rto() {
-  rto_timer_.cancel();
-  auto alive = alive_;
-  rto_timer_ = net_.sim().schedule_in(
-      cfg_.rto, [this, alive]() {
-        if (*alive) on_rto();
-      },
-      "tcp.rto");
+  rto_.cancel();  // before scheduling, as in FlowTransfer::arm_rto
+  rto_ = net_.sim().schedule_in(cfg_.rto, [this]() { on_rto(); }, "tcp.rto");
 }
 
 void TrimRetxTransfer::on_rto() {
@@ -128,15 +87,9 @@ void TrimRetxTransfer::on_rto() {
 
 void TrimRetxTransfer::finish() {
   finished_ = true;
-  rto_timer_.cancel();
-  if (!done_) return;
-  const SimTime fct = net_.sim().now() - start_time_;
-  const std::int64_t retx = prompt_retx_ + rto_events_;
-  // done_ is control-plane state and may destroy this transfer; run it on
-  // the control queue without capturing `this`.
-  net_.sim().run_on(
-      sim::Simulator::kControlLane,
-      [done = done_, fct, retx]() { done(fct, retx); }, "trim.done");
+  rto_.cancel();
+  ep_.complete(done_, "trim.done", ep_.elapsed(),
+               prompt_retx_ + rto_events_);
 }
 
 }  // namespace oo::transport

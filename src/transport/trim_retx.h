@@ -8,13 +8,12 @@
 #pragma once
 
 #include <functional>
-#include <map>
-#include <memory>
 #include <set>
 
 #include "common/ids.h"
 #include "common/time.h"
 #include "core/network.h"
+#include "transport/endpoint.h"
 #include "transport/flow_transfer.h"
 
 namespace oo::transport {
@@ -25,9 +24,6 @@ class TrimRetxTransfer {
 
   TrimRetxTransfer(core::Network& net, HostId src, HostId dst,
                    std::int64_t bytes, FlowTransferConfig cfg, DoneFn done);
-  ~TrimRetxTransfer();
-  TrimRetxTransfer(const TrimRetxTransfer&) = delete;
-  TrimRetxTransfer& operator=(const TrimRetxTransfer&) = delete;
 
   void start();
   bool finished() const { return finished_; }
@@ -45,9 +41,7 @@ class TrimRetxTransfer {
   void finish();
 
   core::Network& net_;
-  HostId src_;
-  HostId dst_;
-  FlowId flow_;
+  FlowEndpoint ep_;
   std::int64_t total_bytes_;
   FlowTransferConfig cfg_;
   DoneFn done_;
@@ -55,19 +49,11 @@ class TrimRetxTransfer {
   // Sender: un-acked segment starts still outstanding.
   std::set<std::int64_t> outstanding_;
   std::int64_t snd_next_ = 0;
-  SimTime start_time_;
   std::int64_t nacks_ = 0;
   std::int64_t prompt_retx_ = 0;
   std::int64_t rto_events_ = 0;
-  sim::EventHandle rto_timer_;
-  bool started_ = false;
+  sim::ScopedEventHandle rto_;
   bool finished_ = false;
-
-  // Receiver: received byte ranges (selective).
-  std::map<std::int64_t, std::int64_t> received_;  // start -> end
-  std::int64_t received_bytes_ = 0;
-
-  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace oo::transport

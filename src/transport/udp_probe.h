@@ -13,13 +13,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "common/ids.h"
 #include "common/stats.h"
 #include "common/time.h"
 #include "core/network.h"
+#include "transport/endpoint.h"
 
 namespace oo::transport {
 
@@ -27,12 +27,9 @@ class UdpProbe {
  public:
   UdpProbe(core::Network& net, HostId pinger, HostId responder,
            SimTime interval, std::int64_t size_bytes = 1500);
-  ~UdpProbe();
-  UdpProbe(const UdpProbe&) = delete;
-  UdpProbe& operator=(const UdpProbe&) = delete;
 
   void start();
-  void stop();
+  void stop() { timer_.cancel(); }
 
   // Arm per-probe loss detection. A probe unanswered after `timeout` is
   // retransmitted with the timeout doubling each retry, capped at
@@ -53,15 +50,15 @@ class UdpProbe {
  private:
   void send_probe();
   void transmit(std::int64_t seq);
+  void on_echo(const core::Packet& p);
   void arm_timeout(std::int64_t seq, int retry, SimTime delay);
+  void on_timeout(std::int64_t seq, int retry, SimTime delay);
 
   core::Network& net_;
-  HostId pinger_;
-  HostId responder_;
+  FlowEndpoint ep_;  // src = pinger, dst = responder
   SimTime interval_;
   std::int64_t size_bytes_;
-  FlowId flow_;
-  sim::EventHandle timer_;
+  sim::ScopedEventHandle timer_;
   PercentileSampler rtts_us_;
   std::int64_t sent_ = 0;
   std::int64_t received_ = 0;
@@ -70,11 +67,16 @@ class UdpProbe {
   SimTime timeout_ = SimTime::zero();   // <= 0: loss detection off
   SimTime backoff_cap_ = SimTime::zero();
   int max_retries_ = 3;
-  std::unordered_set<std::int64_t> outstanding_;  // armed, not yet echoed
+  // Each probe whose timeout is armed, by seq, until that timeout fires
+  // for the last time. An echo only marks it: the timeout still fires.
+  struct Pending {
+    bool echoed = false;
+    sim::ScopedEventHandle timeout;
+  };
+  std::unordered_map<std::int64_t, Pending> pending_;
   LossFn on_loss_;
   telemetry::Counter* lost_cell_;
   PercentileSampler* rtt_cell_;
-  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace oo::transport

@@ -146,14 +146,14 @@ TEST(Host, SendHookRewritesPackets) {
   int hook_calls = 0;
   net->host(0).set_send_hook([&](Packet& p) {
     ++hook_calls;
-    p.mp_hash = 0xabcd;
+    p.seq = 0xabcd;
   });
-  std::uint32_t seen = 0;
-  net->host(1).bind_flow(1, [&](Packet&& p) { seen = p.mp_hash; });
+  std::int64_t seen = 0;
+  net->host(1).bind_flow(1, [&](Packet&& p) { seen = p.seq; });
   net->sim().schedule_at(1_us, [&]() { net->host(0).send(data(1, 1500)); });
   net->sim().run_until(2_ms);
   EXPECT_EQ(hook_calls, 1);
-  EXPECT_EQ(seen, 0xabcdu);
+  EXPECT_EQ(seen, 0xabcd);
 }
 
 TEST(Host, TrafficCountersPerDestination) {

@@ -177,7 +177,7 @@ TEST(Integration, PushbackEliminatesOverloadLoss) {
 TEST(Integration, TorBufferTotalMatchesPortQueues) {
   // buffer_bytes() is a running total; it must equal the sum over the
   // uplink queues through deferral, slice misses and, with a 3-queue
-  // calendar, offloads and their returns.
+  // calendar, offloads and their returns, and never exceed its peak.
   for (const bool offload : {false, true}) {
     arch::Params p;
     p.tors = 8;
@@ -203,6 +203,8 @@ TEST(Integration, TorBufferTotalMatchesPortQueues) {
           scan += tor.port_buffer_bytes(port);
         }
         ASSERT_EQ(tor.buffer_bytes(), scan)
+            << "offload " << offload << " node " << n << " sample " << i;
+        ASSERT_GE(tor.peak_buffer_bytes(), tor.buffer_bytes())
             << "offload " << offload << " node " << n << " sample " << i;
         busy += scan > 0;
       }

@@ -228,6 +228,59 @@ TEST(Network, DeferMovesPacketsToLaterSlices) {
   EXPECT_GT(got, 200);  // most packets still arrive
 }
 
+// A source-routed packet whose intended queue is congested, and whose
+// deferral target has room by the estimator but not by bytes, is parked in
+// its intended queue with its own remaining hops, not the rejected
+// alternative's, and reaches its destination.
+TEST(Network, RejectedDeferralKeepsThePacketsOwnRoute) {
+  NetworkConfig cfg;
+  cfg.congestion_response = CongestionResponse::Defer;
+  cfg.optical_bw = 1e9;       // a slice window carries 12,475 B
+  cfg.queue_capacity = 8000;  // below a window: bytes reject first
+  cfg.sync_error = SimTime::zero();
+  auto net = make_rotor_net(cfg, 4, 1, 100_us);
+  const auto& sched = net->schedule();
+  auto peer = [&](NodeId n, SliceId s) { return sched.peer(n, 0, s)->node; };
+  // ToR 0 reaches n1 in slice 0. From n1, slice 1 leads to `dst` (the
+  // packet's own second hop) and slice 2 to `other` (the alternative's).
+  const NodeId n1 = peer(0, 0);
+  const NodeId dst = peer(n1, 1);
+  const NodeId other = peer(n1, 2);
+  ASSERT_EQ(other, peer(0, 1));
+  auto route = [&](SliceId arr, NodeId to,
+                   std::vector<net::SourceHop> hops) {
+    TftEntry e;
+    e.match = {arr, kInvalidNode, to};
+    e.actions.push_back(TftAction{std::move(hops), 1.0});
+    net->tor(0).tft().add(std::move(e));
+  };
+  route(0, dst, {{0, 0}, {0, 1}});  // own route: out now, then to dst
+  route(1, dst, {{0, 1}, {0, 2}});  // alternative: later, then to other
+  route(0, other, {{0, 1}});        // fills the alternative's queue
+  route(0, n1, {{0, 0}});           // fills the intended queue
+  net->start();
+  int own = 0;
+  net->host(dst).bind_flow(3, [&](Packet&&) { ++own; });
+  auto inject = [&](NodeId to, std::int64_t bytes, FlowId flow) {
+    Packet p = data_packet(to, bytes, flow);
+    p.id = flow;
+    p.src_node = 0;
+    p.dst_node = to;
+    net->tor(0).from_host(std::move(p));
+  };
+  // 1 us before slice 0 ends, the active queue admits 125 B.
+  net->sim().schedule_at(99_us, [&]() {
+    inject(other, 4000, 1);  // alternative queue: 4,000 of 8,000 B
+    inject(n1, 1000, 2);     // intended queue: now over its 125 B
+    inject(dst, 5000, 3);    // congested; the alternative lacks bytes
+  });
+  net->sim().run_until(1_ms);
+  EXPECT_EQ(net->sim().metrics().counter_value("calendar.full_rejects"), 1);
+  EXPECT_EQ(net->tor(0).deferrals(), 0);
+  EXPECT_EQ(own, 1);
+  EXPECT_EQ(net->totals().no_route_drops, 0);
+}
+
 TEST(Network, TrimMarksPackets) {
   NetworkConfig cfg;
   cfg.congestion_response = CongestionResponse::Trim;
@@ -328,15 +381,13 @@ TEST(Network, SegmentQueueBackpressure) {
   auto net = make_rotor_net(cfg, 4, 1, 100_us);
   net->start();
   net->host(0).pause_dst(1);
-  bool unblocked = false;
-  net->host(0).set_unblock_callback([&](NodeId) { unblocked = true; });
   EXPECT_TRUE(net->host(0).send(data_packet(1, 1500)));
   EXPECT_TRUE(net->host(0).send(data_packet(1, 1500)));
   EXPECT_FALSE(net->host(0).send(data_packet(1, 1500)));  // full: rejected
   EXPECT_TRUE(net->host(0).would_block(1));
   net->host(0).resume_dst(1);
   net->sim().run_until(1_ms);
-  EXPECT_TRUE(unblocked);
+  EXPECT_EQ(net->host(0).segment_bytes(1), 0);  // drained once resumed
 }
 
 TEST(Network, TrafficCollection) {

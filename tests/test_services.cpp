@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
+#include <set>
+#include <string>
 
 #include "arch/arch.h"
 #include "core/controller.h"
@@ -18,6 +21,10 @@
 #include "telemetry/profiler.h"
 #include "topo/round_robin.h"
 #include "transport/flow_transfer.h"
+#include "transport/tcp_lite.h"
+#include "transport/tdtcp.h"
+#include "transport/trim_retx.h"
+#include "transport/udp_probe.h"
 
 namespace oo::services {
 namespace {
@@ -314,47 +321,138 @@ TEST(ServiceLifetime, MonitorCancelsItsSamplingTimer) {
             bare);
 }
 
-// A transfer destroyed from a control-queue event while its RTO is armed,
-// unsharded and at shards=1, then run past the 5 ms RTO. The timer's
-// closure holds only `this`; the destructor's cancel must keep it from
-// ever running (asan flags a callback into the dead transfer). Destroyed at
-// 2 us the RTO is still the one start() armed on the control queue, which
-// the profiler watches: it dispatches no tcp.rto event. Destroyed at
-// 300 us, acks have re-armed it, on the sender's lane when sharded.
-TEST(ServiceLifetime, FlowTransferDestroyedWithArmedRtoFiresNothing) {
-  for (int shards : {0, 1}) {
-    for (SimTime life : {2_us, 300_us}) {
-      arch::Params p;
-      p.tors = 8;
-      p.hosts_per_tor = 1;
-      p.uplinks = 1;
-      p.seed = 7;
-      p.shards = shards;
-      auto inst = arch::make_rotornet(p, arch::RotorRouting::Direct);
-      sim::Simulator& sim = inst.net->sim();
-      telemetry::EventProfiler prof;
+// Events a direct rotor executes from 4 to 8 ms at `shards`, when `build`
+// makes and starts a transport (host 0 to host 5) at 10 us that a
+// control-queue event destroys `life` later; with no `build`, the bare
+// rotor's. The profiler watches from the destruction on and `seen`
+// collects the tags it timed: every event unsharded, control-queue events
+// at shards=1.
+using BuildTransport = std::function<std::shared_ptr<void>(core::Network&)>;
+
+std::int64_t quiet_events(int shards, SimTime life,
+                          const BuildTransport& build,
+                          std::set<std::string>* seen) {
+  arch::Params p;
+  p.tors = 8;
+  p.hosts_per_tor = 1;
+  p.uplinks = 1;
+  p.seed = 7;
+  p.shards = shards;
+  auto inst = arch::make_rotornet(p, arch::RotorRouting::Direct);
+  sim::Simulator& sim = inst.net->sim();
+  telemetry::EventProfiler prof;
+  std::shared_ptr<void> transport;
+  if (build) {
+    sim.schedule_at(10_us, [&]() { transport = build(*inst.net); });
+    sim.schedule_at(10_us + life, [&]() {
+      transport.reset();
       sim.set_profiler(&prof);
-      int done = 0;
-      std::unique_ptr<transport::FlowTransfer> transfer;
-      sim.schedule_at(10_us, [&]() {
-        transfer = std::make_unique<transport::FlowTransfer>(
-            *inst.net, 0, 5, 8 << 20, transport::FlowTransferConfig{},
-            [&done](SimTime, std::int64_t) { ++done; });
-        transfer->start();
-      });
-      sim.schedule_at(10_us + life, [&]() {
-        EXPECT_FALSE(transfer->finished());
-        transfer.reset();
-      });
-      inst.run_for(10_ms);
-      sim.set_profiler(nullptr);
-      EXPECT_EQ(transfer, nullptr);
-      EXPECT_EQ(done, 0);
-      for (const auto& b : prof.buckets()) {
-        EXPECT_NE(b.tag, "tcp.rto") << "shards " << shards << " life " << life.ns();
-      }
+    });
+  }
+  inst.run_for(4_ms);
+  const std::int64_t before = sim.events_executed();
+  inst.run_for(4_ms);
+  sim.set_profiler(nullptr);
+  if (seen != nullptr) {
+    for (const auto& b : prof.buckets()) seen->insert(b.tag);
+  }
+  return sim.events_executed() - before;
+}
+
+// A transport destroyed with timers armed, unsharded and at shards=1,
+// leaves nothing behind: no event tagged with one of its timers' `tags`
+// runs after it dies, and once its packets have drained (by 4 ms; a
+// 7-slice cycle is 0.7 ms) the run executes exactly the bare rotor's
+// events, so no periodic timer outlives it. Every timer closure holds only
+// `this`, so asan flags any callback into the dead transport, lane-armed
+// timers at shards=1 included.
+void expect_nothing_outlives(SimTime life, const BuildTransport& build,
+                             std::initializer_list<const char*> tags) {
+  for (int shards : {0, 1}) {
+    std::set<std::string> seen;
+    EXPECT_EQ(quiet_events(shards, life, build, &seen),
+              quiet_events(shards, life, nullptr, nullptr))
+        << "shards " << shards;
+    for (const char* tag : tags) {
+      EXPECT_EQ(seen.count(tag), 0u) << tag << ", shards " << shards;
     }
   }
+}
+
+// Destroyed at 2 us the RTO is still the one start() armed on the control
+// queue; destroyed at 300 us, acks have re-armed it, on the sender's lane
+// when sharded. Either way the run goes past the 5 ms RTO.
+TEST(ServiceLifetime, FlowTransferDestroyedWithArmedRtoFiresNothing) {
+  for (SimTime life : {2_us, 300_us}) {
+    expect_nothing_outlives(
+        life,
+        [](core::Network& net) {
+          auto xfer = std::make_shared<transport::FlowTransfer>(
+              net, 0, 5, 8 << 20, transport::FlowTransferConfig{},
+              [](SimTime, std::int64_t) { ADD_FAILURE() << "completed"; });
+          xfer->start();
+          return xfer;
+        },
+        {"tcp.rto"});
+  }
+}
+
+// Destroyed 5 us after start: the reTCP per-slice timer, the pacing pump
+// (one 40 Gb/s segment is 1.8 us) and the RTO are all armed.
+TEST(ServiceLifetime, TcpLiteDestroyedWithRetcpAndPacingArmedFiresNothing) {
+  expect_nothing_outlives(
+      5_us,
+      [](core::Network& net) {
+        transport::TcpConfig cfg;
+        cfg.retcp_bandwidth_ratio = 10.0;
+        auto tcp = std::make_shared<transport::TcpLite>(net, 0, 5, cfg);
+        tcp->start();
+        return tcp;
+      },
+      {"tcp.rto", "tcp.pace", "tcp.retcp"});
+}
+
+// Destroyed 30 us after start: the first phase's 10-segment window went
+// out in 18 us and no ack can return before the 0-5 circuit comes up, so
+// the next-slice pump is armed.
+TEST(ServiceLifetime, TdtcpLiteDestroyedWithNextSlicePumpArmedFiresNothing) {
+  expect_nothing_outlives(
+      30_us,
+      [](core::Network& net) {
+        auto tcp = std::make_shared<transport::TdtcpLite>(
+            net, 0, 5, transport::TcpConfig{});
+        tcp->start();
+        return tcp;
+      },
+      {"tcp.rto", "tdtcp.pump"});
+}
+
+TEST(ServiceLifetime, TrimRetxDestroyedWithArmedRtoFiresNothing) {
+  expect_nothing_outlives(
+      300_us,
+      [](core::Network& net) {
+        auto xfer = std::make_shared<transport::TrimRetxTransfer>(
+            net, 0, 5, 8 << 20, transport::FlowTransferConfig{},
+            [](SimTime, std::int64_t) { ADD_FAILURE() << "completed"; });
+        xfer->start();
+        return xfer;
+      },
+      {"tcp.rto"});
+}
+
+// A probe every 10 us with a 20 us timeout: each one sent in the 100 us
+// before the destruction still has its timeout or a retry armed.
+TEST(ServiceLifetime, UdpProbeDestroyedWithTimeoutsOutstandingFiresNothing) {
+  expect_nothing_outlives(
+      300_us,
+      [](core::Network& net) {
+        auto probe = std::make_shared<transport::UdpProbe>(net, 0, 5, 10_us,
+                                                           256);
+        probe->set_timeout(20_us, 80_us, 3);
+        probe->start();
+        return probe;
+      },
+      {"probe"});
 }
 
 TEST(ServiceLifetime, CollectorCancelsItsCollectionTimer) {
