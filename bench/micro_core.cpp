@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot data-plane and
 // control-plane primitives: time-flow table lookup, calendar-queue
 // operations, EQO updates, event-engine throughput, routing computation
-// for a full rotor cycle, and the opera64 routing deploy.
+// for a full rotor cycle, and the opera64 routing deploy (with and without
+// generating its paths).
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -159,6 +160,73 @@ void BM_DeployOperaRouting(benchmark::State& state) {
   state.counters["entries"] = static_cast<double>(entries);
 }
 BENCHMARK(BM_DeployOperaRouting)->Unit(benchmark::kMillisecond);
+
+// routing::opera at 64 ToRs and 2 uplinks generated and deployed, as the
+// opera64 workload sets up: once through the vector form, which holds all
+// 254,016 paths before the deploy reads them, and once through the stream,
+// which checks and merges each path as the producer emits it. Against
+// BM_DeployOperaRouting (deploy only), the vector row adds the producer and
+// the vector, the stream row the producer alone.
+struct OperaDeploy {
+  static constexpr int kTors = 64;
+
+  OperaDeploy() : net(config(), schedule(), optics::ocs_emulated()), ctl(net) {}
+  static core::NetworkConfig config() {
+    core::NetworkConfig cfg;
+    cfg.num_tors = kTors;
+    cfg.calendar_mode = true;
+    return cfg;
+  }
+  static optics::Schedule schedule() {
+    optics::Schedule s(kTors, 2, topo::round_robin_period(kTors), 100_us);
+    for (const auto& c : topo::round_robin_1d(kTors, 2)) s.add_circuit(c);
+    return s;
+  }
+  // Paths and hops the producer emits, counted outside the timed loop.
+  void count(benchmark::State& state) const {
+    std::int64_t paths = 0;
+    std::int64_t hops = 0;
+    routing::opera(net.schedule(), [&](const core::Path& p) {
+      ++paths;
+      hops += static_cast<std::int64_t>(p.hops.size());
+      return true;
+    });
+    state.counters["paths"] = static_cast<double>(paths);
+    state.counters["hops"] = static_cast<double>(hops);
+  }
+
+  core::Network net;
+  core::Controller ctl;
+};
+
+void BM_GenerateDeployOperaVector(benchmark::State& state) {
+  OperaDeploy d;
+  for (auto _ : state) {
+    state.PauseTiming();
+    d.ctl.clear_routing();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(d.ctl.deploy_routing(
+        routing::opera(d.net.schedule()), core::LookupMode::PerHop,
+        core::MultipathMode::None));
+  }
+  d.count(state);
+}
+BENCHMARK(BM_GenerateDeployOperaVector)->Unit(benchmark::kMillisecond);
+
+void BM_GenerateDeployOperaStream(benchmark::State& state) {
+  OperaDeploy d;
+  const optics::Schedule& sched = d.net.schedule();
+  for (auto _ : state) {
+    state.PauseTiming();
+    d.ctl.clear_routing();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(d.ctl.deploy_routing(
+        [&](core::PathSink sink) { routing::opera(sched, sink); },
+        core::LookupMode::PerHop, core::MultipathMode::None));
+  }
+  d.count(state);
+}
+BENCHMARK(BM_GenerateDeployOperaStream)->Unit(benchmark::kMillisecond);
 
 void BM_CalendarEnqueueDequeue(benchmark::State& state) {
   core::CalendarQueuePort port(static_cast<int>(state.range(0)), 1 << 30);

@@ -1,5 +1,7 @@
 #include "arch/arch.h"
 
+#include <cmath>
+#include <cstdint>
 #include <queue>
 #include <stdexcept>
 
@@ -107,6 +109,9 @@ NetworkConfig base_config(const std::string& preset, const Params& p) {
     reject(preset, "hosts_per_tor must be >= 1, got " +
                        std::to_string(p.hosts_per_tor));
   }
+  if (p.uplinks < 1) {
+    reject(preset, "uplinks must be >= 1, got " + std::to_string(p.uplinks));
+  }
   NetworkConfig cfg;
   cfg.num_tors = p.tors;
   cfg.hosts_per_tor = p.hosts_per_tor;
@@ -132,8 +137,8 @@ Instance make_clos(const Params& p) {
                     optics::Schedule(p.tors, 1, 1, kStaticSlice),
                     optics::ocs_emulated());
   const bool ok = inst.ctl->deploy_routing(
-      routing::electrical_default(p.tors), LookupMode::PerHop,
-      MultipathMode::None);
+      [&](core::PathSink sink) { routing::electrical_default(p.tors, sink); },
+      LookupMode::PerHop, MultipathMode::None);
   require_routing("clos", inst, p, ok);
   inst.net->start();
   return inst;
@@ -149,8 +154,8 @@ Instance make_cthrough(const Params& p) {
                     optics::Schedule(p.tors, p.uplinks, 1, kStaticSlice),
                     optics::ocs_mems());
   const bool ok = inst.ctl->deploy_routing(
-      routing::electrical_default(p.tors), LookupMode::PerHop,
-      MultipathMode::None);
+      [&](core::PathSink sink) { routing::electrical_default(p.tors, sink); },
+      LookupMode::PerHop, MultipathMode::None);
   require_routing("c-through", inst, p, ok);
 
   // Host-side elephant steering over direct circuits (flow aging, §5.2).
@@ -193,9 +198,9 @@ Instance make_jupiter(const Params& p) {
   auto sched = compile("jupiter", p.tors, uplinks, 1, kStaticSlice, mesh);
   auto inst =
       build("jupiter", cfg, sched, optics::ocs_mems());
-  const bool ok = inst.ctl->deploy_routing(routing::wcmp(sched),
-                                           LookupMode::PerHop,
-                                           MultipathMode::PerFlow);
+  const bool ok = inst.ctl->deploy_routing(
+      [&](core::PathSink sink) { routing::wcmp(sched, sink); },
+      LookupMode::PerHop, MultipathMode::PerFlow);
   require_routing("jupiter", inst, p, ok);
 
   // Gradual evolution: new WCMP routes overlay at higher priority before
@@ -217,8 +222,9 @@ Instance make_jupiter(const Params& p) {
         // Production fabrics never deploy a partitioning topology; keep the
         // incumbent if the optimizer ever proposes one.
         if (!connected(next)) return;
-        ctl->deploy_routing(routing::wcmp(next), LookupMode::PerHop,
-                            MultipathMode::PerFlow, ++*prio, &next);
+        ctl->deploy_routing(
+            [&](core::PathSink sink) { routing::wcmp(next, sink); },
+            LookupMode::PerHop, MultipathMode::PerFlow, ++*prio, &next);
         ctl->deploy_topo(circuits, 1, delay);
         *prev = std::move(circuits);
         (void)net;
@@ -245,7 +251,8 @@ Instance make_mordia(const Params& p) {
   auto sched = compile("mordia", p.tors, 1, period, p.slice, circuits);
   auto inst = build("mordia", mcfg, sched, optics::ocs_liquid_crystal());
   const bool ok = inst.ctl->deploy_routing(
-      routing::direct_to(sched), LookupMode::PerHop, MultipathMode::None);
+      [&](core::PathSink sink) { routing::direct_to(sched, sink); },
+      LookupMode::PerHop, MultipathMode::None);
   require_routing("mordia", inst, p, ok);
 
   auto* net = inst.net.get();
@@ -260,8 +267,9 @@ Instance make_mordia(const Params& p) {
         // state is replaced rather than overlaid (stale entries would point
         // at circuits that no longer exist in any slice).
         ctl->clear_routing();
-        ctl->deploy_routing(routing::direct_to(next), LookupMode::PerHop,
-                            MultipathMode::None, 0, &next);
+        ctl->deploy_routing(
+            [&](core::PathSink sink) { routing::direct_to(next, sink); },
+            LookupMode::PerHop, MultipathMode::None, 0, &next);
         ctl->deploy_topo(next_circuits, period, SimTime::micros(12));
       });
   inst.collector->start();
@@ -287,53 +295,58 @@ Instance make_rotornet(const Params& p, RotorRouting routing_kind,
   auto circuits = topo::round_robin_1d(p.tors, p.uplinks);
   auto sched = compile(name, p.tors, p.uplinks, period, p.slice, circuits);
 
-  std::vector<core::Path> paths;
   LookupMode lookup = LookupMode::PerHop;
   MultipathMode mp = MultipathMode::None;
   switch (routing_kind) {
     case RotorRouting::Vlb:
-      paths = routing::vlb(sched);
       mp = MultipathMode::PerPacket;
       cfg.congestion_response = core::CongestionResponse::Drop;
       break;
     case RotorRouting::Direct:
-      // Hybrid merges per-slice electrical alternatives into the optical
-      // entries by TFT key below — that needs the expanded per-slice form.
-      paths = hybrid_electrical ? routing::direct_to_expanded(sched)
-                                : routing::direct_to(sched);
       cfg.congestion_response = core::CongestionResponse::Drop;
       break;
     case RotorRouting::Ucmp:
-      paths = routing::ucmp(sched);
       lookup = LookupMode::SourceRouting;
       mp = MultipathMode::PerPacket;
       cfg.congestion_response = core::CongestionResponse::Defer;
       break;
     case RotorRouting::Hoho:
-      paths = routing::hoho(sched);
       cfg.congestion_response = core::CongestionResponse::Defer;
       break;
   }
-  if (hybrid_electrical) {
+  if (hybrid_electrical) mp = MultipathMode::PerPacket;
+  auto paths = [&](core::PathSink sink) {
+    bool more = true;
+    switch (routing_kind) {
+      case RotorRouting::Vlb: more = routing::vlb(sched, sink); break;
+      case RotorRouting::Direct:
+        // Hybrid merges per-slice electrical alternatives into the optical
+        // entries by TFT key below — that needs the expanded per-slice
+        // form.
+        more = hybrid_electrical ? routing::direct_to_expanded(sched, sink)
+                                 : routing::direct_to(sched, sink);
+        break;
+      case RotorRouting::Ucmp: more = routing::ucmp(sched, sink); break;
+      case RotorRouting::Hoho: more = routing::hoho(sched, sink); break;
+    }
+    if (!more || !hybrid_electrical) return;
     // Per-slice electrical alternatives merge into the optical entries as
     // bandwidth-weighted multipath (TDTCP-style hybrid).
-    const double w_el = cfg.electrical_bw / p.bw;
+    core::Path ep;
+    ep.weight = cfg.electrical_bw / p.bw;
+    ep.hops.resize(1);
     for (NodeId n = 0; n < p.tors; ++n) {
       for (NodeId d = 0; d < p.tors; ++d) {
         if (n == d) continue;
         for (SliceId s = 0; s < period; ++s) {
-          core::Path ep;
           ep.dst = d;
           ep.start_slice = s;
-          ep.weight = w_el;
-          ep.hops.push_back(
-              core::PathHop{n, core::kElectricalEgress, kAnySlice});
-          paths.push_back(std::move(ep));
+          ep.hops[0] = core::PathHop{n, core::kElectricalEgress, kAnySlice};
+          if (!sink(ep)) return;
         }
       }
     }
-    mp = MultipathMode::PerPacket;
-  }
+  };
 
   auto inst = build(name, cfg, sched, optics::ocs_emulated());
   const bool ok = inst.ctl->deploy_routing(paths, lookup, mp);
@@ -359,7 +372,9 @@ Instance make_opera(const Params& p, bool bulk) {
   auto sched = compile(name, p.tors, uplinks, period, p.slice, circuits);
   auto inst = build(name, cfg, sched, optics::ocs_emulated());
   const bool ok = inst.ctl->deploy_routing(
-      bulk ? routing::direct_to(sched) : routing::opera(sched),
+      [&](core::PathSink sink) {
+        bulk ? routing::direct_to(sched, sink) : routing::opera(sched, sink);
+      },
       LookupMode::PerHop, MultipathMode::None);
   require_routing(name, inst, p, ok);
   inst.net->start();
@@ -375,7 +390,8 @@ Instance make_semi_oblivious(const Params& p) {
   auto sched = compile("semi-oblivious", p.tors, 1, period, p.slice, circuits);
   auto inst = build("semi-oblivious", cfg, sched, optics::ocs_emulated());
   const bool ok = inst.ctl->deploy_routing(
-      routing::vlb(sched), LookupMode::PerHop, MultipathMode::PerPacket);
+      [&](core::PathSink sink) { routing::vlb(sched, sink); },
+      LookupMode::PerHop, MultipathMode::PerPacket);
   require_routing("semi-oblivious", inst, p, ok);
 
   // Every collection interval the optical schedule itself is re-skewed
@@ -391,8 +407,9 @@ Instance make_semi_oblivious(const Params& p) {
         auto next_circuits = topo::sorn(tm, tors, period);
         optics::Schedule next;
         if (!ctl->compile_schedule(next_circuits, period, next)) return;
-        ctl->deploy_routing(routing::vlb(next), LookupMode::PerHop,
-                            MultipathMode::PerPacket, ++*prio, &next);
+        ctl->deploy_routing(
+            [&](core::PathSink sink) { routing::vlb(next, sink); },
+            LookupMode::PerHop, MultipathMode::PerPacket, ++*prio, &next);
         ctl->deploy_topo(next_circuits, period, SimTime::micros(20));
       });
   inst.collector->start();
@@ -402,6 +419,18 @@ Instance make_semi_oblivious(const Params& p) {
 
 Instance make_shale(const Params& p, int dimension) {
   NetworkConfig cfg = base_config("shale", p);
+  // The grid schedule pairs nodes along each of `dimension` axes, so it
+  // needs tors = side^dimension with an even side.
+  const auto side =
+      std::llround(std::pow(static_cast<double>(p.tors),
+                            1.0 / static_cast<double>(std::max(dimension, 1))));
+  std::int64_t grid = 1;
+  for (int d = 0; d < dimension && grid <= p.tors; ++d) grid *= side;
+  if (grid != p.tors || side % 2 != 0) {
+    reject("shale", "tors must be side^dimension with an even side, got tors=" +
+                        std::to_string(p.tors) +
+                        " dimension=" + std::to_string(dimension));
+  }
   cfg.calendar_mode = true;
   cfg.congestion_response = core::CongestionResponse::Defer;
   const SliceId period = topo::round_robin_period(p.tors, dimension);
@@ -412,8 +441,10 @@ Instance make_shale(const Params& p, int dimension) {
   // reach any coordinate; the time-expanded search finds the fastest
   // interleaving with the slice rotation.
   const bool ok = inst.ctl->deploy_routing(
-      routing::hoho(sched, /*max_hops=*/2 * dimension), LookupMode::PerHop,
-      MultipathMode::None);
+      [&](core::PathSink sink) {
+        routing::hoho(sched, sink, /*max_hops=*/2 * dimension);
+      },
+      LookupMode::PerHop, MultipathMode::None);
   require_routing("shale", inst, p, ok);
   inst.net->start();
   return inst;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <span>
 #include <tuple>
 
@@ -223,16 +224,24 @@ bool Controller::check_path(const Path& path,
   return true;
 }
 
-bool Controller::validate_routing(const std::vector<Path>& paths,
+bool Controller::check_paths(PathStream paths, const optics::Schedule& sched,
+                             PathSink then) const {
+  bool ok = true;
+  paths([&](const Path& p) {
+    // Sticky, so a producer that ignores the stop cannot clear the error.
+    ok = ok && check_path(p, sched);
+    return ok && then(p);
+  });
+  return ok;
+}
+
+bool Controller::validate_routing(PathStream paths,
                                   const optics::Schedule* validate_against) {
   last_error_.clear();
   if (!control_plane_up()) return false;
   const optics::Schedule& sched =
       validate_against != nullptr ? *validate_against : net_.schedule();
-  for (const auto& p : paths) {
-    if (!check_path(p, sched)) return false;
-  }
-  return true;
+  return check_paths(paths, sched, [](const Path&) { return true; });
 }
 
 namespace {
@@ -248,12 +257,12 @@ struct NodeMatch {
   auto tied() const { return std::tie(node, arr, src, dst); }
 };
 
-// One action while compiling: the hops of paths[path] from hops[hop] on,
-// all of them when source-routed and one per hop otherwise. The actions of
-// one match form a list, in path order, through `next`.
+// One action while compiling: hops[hop, hop + count) of the compile's hop
+// pool, all of a path's hops when source-routed and one otherwise. The
+// actions of one match form a list, in path order, through `next`.
 struct PendingAction {
-  std::uint32_t path;
   std::uint32_t hop;
+  std::uint32_t count;
   double weight;
   std::int32_t next;
 };
@@ -266,12 +275,16 @@ struct PendingMatch {
 
 }  // namespace
 
-std::vector<std::vector<TftEntry>> compile_routing(
-    const std::vector<Path>& paths, LookupMode lookup, int priority,
-    int num_nodes) {
+std::vector<std::vector<TftEntry>> compile_routing(PathStream paths,
+                                                   LookupMode lookup,
+                                                   int priority,
+                                                   int num_nodes) {
   const bool source_routed = lookup == LookupMode::SourceRouting;
   std::vector<PendingMatch> matches;
   std::vector<PendingAction> actions;
+  // Every new action's hops, copied, so no action refers to a path once
+  // that path's sink call returns.
+  std::vector<net::SourceHop> hops;
   // Open-addressing index from a key to its position in `matches`, at most
   // half full, Fibonacci-hashed on the packed key.
   constexpr std::int32_t kEmpty = -1;
@@ -294,18 +307,19 @@ std::vector<std::vector<TftEntry>> compile_routing(
     }
   };
   auto hops_of = [&](const PendingAction& a) {
-    const std::span<const PathHop> hops = paths[a.path].hops;
-    return source_routed ? hops : hops.subspan(a.hop, 1);
+    return std::span<const net::SourceHop>(hops).subspan(a.hop, a.count);
   };
-  auto same_hop = [](const PathHop& x, const PathHop& y) {
+  auto same_hop = [](const net::SourceHop& x, const PathHop& y) {
     return x.egress == y.egress && x.dep_slice == y.dep_slice;
   };
 
   // Merge per-(node, match) action sets so parallel paths become one
   // multipath entry. Identical actions merge by summing their weights.
-  auto add_action = [&](const NodeMatch& key, std::uint32_t path,
-                        std::uint32_t hop) {
-    const PendingAction action{path, hop, paths[path].weight, kEmpty};
+  auto add_action = [&](const NodeMatch& key,
+                        std::span<const PathHop> path_hops, double weight) {
+    const PendingAction action{static_cast<std::uint32_t>(hops.size()),
+                               static_cast<std::uint32_t>(path_hops.size()),
+                               weight, kEmpty};
     const auto a = static_cast<std::int32_t>(actions.size());
     std::size_t slot = slot_of(key);
     if (slots[slot] == kEmpty) {
@@ -319,48 +333,51 @@ std::vector<std::vector<TftEntry>> compile_routing(
       }
       slots[slot] = static_cast<std::int32_t>(matches.size());
       matches.push_back(PendingMatch{key, a, a});
-      actions.push_back(action);
-      return;
-    }
-    auto& pm = matches[static_cast<std::size_t>(slots[slot])];
-    const auto hops = hops_of(action);
-    for (std::int32_t i = pm.first; i != kEmpty;) {
-      auto& existing = actions[static_cast<std::size_t>(i)];
-      const auto existing_hops = hops_of(existing);
-      if (std::equal(existing_hops.begin(), existing_hops.end(), hops.begin(),
-                     hops.end(), same_hop)) {
-        existing.weight += action.weight;
-        return;
+    } else {
+      auto& pm = matches[static_cast<std::size_t>(slots[slot])];
+      for (std::int32_t i = pm.first; i != kEmpty;) {
+        auto& existing = actions[static_cast<std::size_t>(i)];
+        const auto existing_hops = hops_of(existing);
+        if (std::equal(existing_hops.begin(), existing_hops.end(),
+                       path_hops.begin(), path_hops.end(), same_hop)) {
+          existing.weight += weight;
+          return;
+        }
+        i = existing.next;
       }
-      i = existing.next;
+      actions[static_cast<std::size_t>(pm.last)].next = a;
+      pm.last = a;
     }
-    actions[static_cast<std::size_t>(pm.last)].next = a;
-    pm.last = a;
     actions.push_back(action);
+    for (const PathHop& h : path_hops) {
+      hops.push_back(net::SourceHop{h.egress, h.dep_slice});
+    }
   };
 
-  for (std::uint32_t pi = 0; pi < paths.size(); ++pi) {
-    const Path& path = paths[pi];
+  paths([&](const Path& path) {
+    const std::span<const PathHop> path_hops = path.hops;
     if (source_routed) {
-      add_action({path.hops.front().node, path.start_slice, path.src,
+      add_action({path_hops.front().node, path.start_slice, path.src,
                   path.dst},
-                 pi, 0);
-      continue;
+                 path_hops, path.weight);
+      return true;
     }
     // Per-hop lookup: one single-hop entry at every node on the path. The
     // first hop matches the path's source explicitly (so per-source policy
     // like VLB spraying applies only to locally originated traffic); transit
     // hops use a source wildcard.
     SliceId arr = path.start_slice;
-    for (std::uint32_t i = 0; i < path.hops.size(); ++i) {
-      const PathHop& h = path.hops[i];
+    for (std::size_t i = 0; i < path_hops.size(); ++i) {
+      const PathHop& h = path_hops[i];
       const NodeId src_match = (i == 0) ? path.src : kInvalidNode;
-      add_action({h.node, arr, src_match, path.dst}, pi, i);
+      add_action({h.node, arr, src_match, path.dst}, path_hops.subspan(i, 1),
+                 path.weight);
       // The next node sees the packet in the slice this hop departed in
       // (fabric latency is far below a slice); wildcard stays wildcard.
       arr = h.dep_slice;
     }
-  }
+    return true;
+  });
   slots = {};
 
   std::sort(matches.begin(), matches.end(),
@@ -379,13 +396,10 @@ std::vector<std::vector<TftEntry>> compile_routing(
     entry.priority = priority;
     for (std::int32_t i = pm.first; i != kEmpty;) {
       const auto& pa = actions[static_cast<std::size_t>(i)];
-      const auto hops = hops_of(pa);
+      const auto action_hops = hops_of(pa);
       TftAction action;
       action.weight = pa.weight;
-      action.hops.reserve(hops.size());
-      for (const auto& h : hops) {
-        action.hops.push_back(net::SourceHop{h.egress, h.dep_slice});
-      }
+      action.hops.assign(action_hops.begin(), action_hops.end());
       entry.actions.push_back(std::move(action));
       i = pa.next;
     }
@@ -394,12 +408,30 @@ std::vector<std::vector<TftEntry>> compile_routing(
   return out;
 }
 
-bool Controller::deploy_routing(const std::vector<Path>& paths,
-                                LookupMode lookup, MultipathMode multipath,
-                                int priority,
+std::optional<std::vector<std::vector<TftEntry>>> Controller::compile_checked(
+    PathStream paths, const optics::Schedule& sched, LookupMode lookup,
+    int priority) const {
+  bool ok = false;
+  auto entries = compile_routing(
+      [&](PathSink sink) { ok = check_paths(paths, sched, sink); }, lookup,
+      priority, net_.num_tors());
+  if (!ok) return std::nullopt;
+  return entries;
+}
+
+bool Controller::deploy_routing(PathStream paths, LookupMode lookup,
+                                MultipathMode multipath, int priority,
                                 const optics::Schedule* validate_against) {
   auto& sim = net_.sim();
-  if (!validate_routing(paths, validate_against)) {
+  last_error_.clear();
+  std::optional<std::vector<std::vector<TftEntry>>> entries;
+  if (control_plane_up()) {
+    entries = compile_checked(
+        paths,
+        validate_against != nullptr ? *validate_against : net_.schedule(),
+        lookup, priority);
+  }
+  if (!entries) {
     if (auto* tr = sim.recorder()) {
       tr->control_deploy(sim.now(), /*routing=*/true, false);
     }
@@ -407,7 +439,7 @@ bool Controller::deploy_routing(const std::vector<Path>& paths,
   }
   auto txn = std::make_unique<Txn>();
   txn->has_routing = true;
-  txn->entries = compile_routing(paths, lookup, priority, net_.num_tors());
+  txn->entries = std::move(*entries);
   txn->multipath = multipath;
   const bool issued = begin_txn(std::move(txn));
   sim.metrics().counter("controller.deploys", {{"kind", "routing"}}).inc();
@@ -418,21 +450,20 @@ bool Controller::deploy_routing(const std::vector<Path>& paths,
 }
 
 bool Controller::deploy_update(const optics::Schedule& sched,
-                               const std::vector<Path>& paths,
-                               LookupMode lookup, MultipathMode multipath,
-                               int priority, int clear_priority,
-                               SimTime reconfig_delay, TxnDoneFn on_done) {
+                               PathStream paths, LookupMode lookup,
+                               MultipathMode multipath, int priority,
+                               int clear_priority, SimTime reconfig_delay,
+                               TxnDoneFn on_done) {
   last_error_.clear();
   if (!control_plane_up()) return false;
-  for (const auto& p : paths) {
-    if (!check_path(p, sched)) return false;
-  }
+  auto entries = compile_checked(paths, sched, lookup, priority);
+  if (!entries) return false;
   auto txn = std::make_unique<Txn>();
   txn->has_topo = true;
   txn->topo = sched;
   txn->reconfig_delay = reconfig_delay;
   txn->has_routing = true;
-  txn->entries = compile_routing(paths, lookup, priority, net_.num_tors());
+  txn->entries = std::move(*entries);
   txn->multipath = multipath;
   txn->clear_prio = clear_priority;
   txn->on_done = std::move(on_done);

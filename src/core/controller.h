@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,13 +49,15 @@ class ControllerQuorum;
 
 // Compiles `paths` into the time-flow table entries of each of `num_nodes`
 // nodes at `priority`: deploy_routing's compile step, without validation or
-// install. Paths that meet at one node with one match merge into a
+// install. Reads the stream once and keeps nothing of a path after its sink
+// call returns. Paths that meet at one node with one match merge into a
 // multipath entry; identical actions merge by summing their weights in path
 // order. Each node's entries are ordered by (arrival slice, source,
 // destination).
-std::vector<std::vector<TftEntry>> compile_routing(
-    const std::vector<Path>& paths, LookupMode lookup, int priority,
-    int num_nodes);
+std::vector<std::vector<TftEntry>> compile_routing(PathStream paths,
+                                                   LookupMode lookup,
+                                                   int priority,
+                                                   int num_nodes);
 
 class Controller {
  public:
@@ -82,31 +85,51 @@ class Controller {
 
   // deploy_routing([Path], LOOKUP, MULTIPATH) -> bool (Tab. 1). Verifies
   // every hop against the schedule, compiles to time-flow table entries
-  // (merging multipath sets), and installs them at `priority`.
+  // (merging multipath sets), and installs them at `priority`. One pass:
+  // each streamed path is checked, then merged. The first invalid path
+  // stops the producer, and the deploy fails and installs nothing.
   // `validate_against` supports the TA make-before-break pattern (§4.1):
   // routes computed for a topology that is deployed *after* them validate
   // against that upcoming schedule instead of the live one.
-  bool deploy_routing(const std::vector<Path>& paths, LookupMode lookup,
+  bool deploy_routing(PathStream paths, LookupMode lookup,
                       MultipathMode multipath, int priority = 0,
                       const optics::Schedule* validate_against = nullptr);
+  bool deploy_routing(const std::vector<Path>& paths, LookupMode lookup,
+                      MultipathMode multipath, int priority = 0,
+                      const optics::Schedule* validate_against = nullptr) {
+    return deploy_routing(stream_of(paths), lookup, multipath, priority,
+                          validate_against);
+  }
 
   // Combined transactional update (failure recovery's redeploy path): one
   // epoch that atomically clears the `clear_priority` overlay, installs
   // `paths` at `priority`, and swaps the fabric to `sched` — all-or-nothing
   // across every ToR. `on_done` fires once with the outcome (synchronously
   // for inline transactions). Returns false only on upfront rejection, in
-  // which case on_done is never invoked.
+  // which case on_done is never invoked. Reads `paths` in one pass, as
+  // deploy_routing does.
+  bool deploy_update(const optics::Schedule& sched, PathStream paths,
+                     LookupMode lookup, MultipathMode multipath, int priority,
+                     int clear_priority, SimTime reconfig_delay,
+                     TxnDoneFn on_done = nullptr);
   bool deploy_update(const optics::Schedule& sched,
                      const std::vector<Path>& paths, LookupMode lookup,
                      MultipathMode multipath, int priority,
                      int clear_priority, SimTime reconfig_delay,
-                     TxnDoneFn on_done = nullptr);
+                     TxnDoneFn on_done = nullptr) {
+    return deploy_update(sched, stream_of(paths), lookup, multipath, priority,
+                         clear_priority, reconfig_delay, std::move(on_done));
+  }
 
   // Feasibility check only: would deploy_routing accept these paths right
   // now? Lets callers (failure recovery) validate before tearing down a
   // superseded overlay, so a rejected deploy never leaves the table bare.
-  bool validate_routing(const std::vector<Path>& paths,
+  bool validate_routing(PathStream paths,
                         const optics::Schedule* validate_against = nullptr);
+  bool validate_routing(const std::vector<Path>& paths,
+                        const optics::Schedule* validate_against = nullptr) {
+    return validate_routing(stream_of(paths), validate_against);
+  }
 
   // add(Entry, node) -> bool: direct entry installation (debugging, Tab. 1).
   bool add(const TftEntry& entry, NodeId node);
@@ -223,6 +246,16 @@ class Controller {
   struct Txn;
 
   bool check_path(const Path& path, const optics::Schedule& sched) const;
+  // The one validator: checks each streamed path against `sched` and hands
+  // the valid ones to `then`. The first invalid path stops the producer
+  // and returns false, with last_error() saying why.
+  bool check_paths(PathStream paths, const optics::Schedule& sched,
+                   PathSink then) const;
+  // The deploys' one pass: compile_routing over check_paths, so each path
+  // is checked, then merged. Nothing when a path is invalid.
+  std::optional<std::vector<std::vector<TftEntry>>> compile_checked(
+      PathStream paths, const optics::Schedule& sched, LookupMode lookup,
+      int priority) const;
   bool control_plane_up();
   bool begin_txn(std::unique_ptr<Txn> txn);
   void on_install(std::uint64_t epoch, std::uint64_t term, NodeId n);

@@ -81,9 +81,14 @@ class EventHandle {
 // reassignment. The root cause of a recurring lifetime-bug class — timers
 // whose owner dies while the event is queued — is an owner that forgets the
 // destructor cancel; holding the timer as a ScopedEventHandle makes the
-// cancel structural. Assigning a fresh handle (the re-arm idiom
-// `wake_ = sim.schedule_at(...)`) cancels the previous event first, so
-// owners also can't double-arm.
+// cancel structural, and owners can't double-arm. In the re-arm idiom
+// `wake_ = sim.schedule_at(...)` the right-hand side runs first: the new
+// event is inserted while the previous one is still live, and only then
+// does the assignment cancel it. The dead-key count at that insert decides
+// whether the queue compacts there, so assign-only and cancel-then-assign
+// compact at different points, and events_pending(), the clock after
+// run() and the sharded window grid all see it. Owners such as
+// TrafficEngine::arm depend on the assign-only order; keep it.
 class ScopedEventHandle {
  public:
   ScopedEventHandle() = default;

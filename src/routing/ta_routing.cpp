@@ -60,12 +60,13 @@ void append_chain(const BfsResult& r, NodeId from, NodeId dst,
 // Shared ECMP/WCMP generator. `one_port_per_neighbor` collapses parallel
 // circuits to a neighbor into a single option (classical ECMP); otherwise
 // every parallel circuit is its own option (WCMP capacity weighting).
-std::vector<Path> multipath_shortest(const optics::Schedule& sched,
-                                     bool one_port_per_neighbor) {
-  std::vector<Path> out;
+bool multipath_shortest(const optics::Schedule& sched,
+                        bool one_port_per_neighbor, core::PathSink sink) {
   const int n = sched.num_nodes();
+  Path p;  // any source, any slice
   for (NodeId dst = 0; dst < n; ++dst) {
     const BfsResult r = bfs_to(sched, dst);
+    p.dst = dst;
     for (NodeId m = 0; m < n; ++m) {
       if (m == dst || r.dist[static_cast<std::size_t>(m)] < 0) continue;
       std::set<NodeId> seen_neighbors;
@@ -75,47 +76,53 @@ std::vector<Path> multipath_shortest(const optics::Schedule& sched,
           continue;
         if (one_port_per_neighbor && !seen_neighbors.insert(v).second)
           continue;
-        Path p;
-        p.src = kInvalidNode;
-        p.dst = dst;
-        p.start_slice = kAnySlice;
-        p.hops.push_back(PathHop{m, port, kAnySlice});
+        p.hops.assign({PathHop{m, port, kAnySlice}});
         if (v != dst) append_chain(r, v, dst, p.hops);
-        out.push_back(std::move(p));
+        if (!sink(p)) return false;
       }
     }
   }
-  return out;
+  return true;
 }
 
 }  // namespace
 
+bool ecmp(const optics::Schedule& sched, core::PathSink sink) {
+  return multipath_shortest(sched, /*one_port_per_neighbor=*/true, sink);
+}
+
 std::vector<Path> ecmp(const optics::Schedule& sched) {
-  return multipath_shortest(sched, /*one_port_per_neighbor=*/true);
+  return core::collect([&](core::PathSink sink) { ecmp(sched, sink); });
+}
+
+bool wcmp(const optics::Schedule& sched, core::PathSink sink) {
+  return multipath_shortest(sched, /*one_port_per_neighbor=*/false, sink);
 }
 
 std::vector<Path> wcmp(const optics::Schedule& sched) {
-  return multipath_shortest(sched, /*one_port_per_neighbor=*/false);
+  return core::collect([&](core::PathSink sink) { wcmp(sched, sink); });
 }
 
-std::vector<Path> electrical_default(int num_nodes) {
-  std::vector<Path> out;
+bool electrical_default(int num_nodes, core::PathSink sink) {
+  Path p;  // any source, any slice
+  p.hops.resize(1);
   for (NodeId m = 0; m < num_nodes; ++m) {
     for (NodeId dst = 0; dst < num_nodes; ++dst) {
       if (m == dst) continue;
-      Path p;
-      p.src = kInvalidNode;
       p.dst = dst;
-      p.start_slice = kAnySlice;
-      p.hops.push_back(PathHop{m, kElectricalEgress, kAnySlice});
-      out.push_back(std::move(p));
+      p.hops[0] = PathHop{m, kElectricalEgress, kAnySlice};
+      if (!sink(p)) return false;
     }
   }
-  return out;
+  return true;
 }
 
-std::vector<Path> ksp(const optics::Schedule& sched, int k) {
-  std::vector<Path> out;
+std::vector<Path> electrical_default(int num_nodes) {
+  return core::collect(
+      [&](core::PathSink sink) { electrical_default(num_nodes, sink); });
+}
+
+bool ksp(const optics::Schedule& sched, core::PathSink sink, int k) {
   const int n = sched.num_nodes();
   assert(k >= 1);
 
@@ -219,21 +226,23 @@ std::vector<Path> ksp(const optics::Schedule& sched, int k) {
         found.push_back(std::move(*best));
         candidates.erase(best);
       }
-      const double w = 1.0 / static_cast<double>(found.size());
+      Path p;  // any source, any slice
+      p.dst = dst;
+      p.weight = 1.0 / static_cast<double>(found.size());
       for (const auto& hops : found) {
-        Path p;
-        p.src = kInvalidNode;
-        p.dst = dst;
-        p.start_slice = kAnySlice;
-        p.weight = w;
+        p.hops.clear();
         for (const auto& h : hops) {
           p.hops.push_back(PathHop{h.node, h.port, kAnySlice});
         }
-        out.push_back(std::move(p));
+        if (!sink(p)) return false;
       }
     }
   }
-  return out;
+  return true;
+}
+
+std::vector<Path> ksp(const optics::Schedule& sched, int k) {
+  return core::collect([&](core::PathSink sink) { ksp(sched, sink, k); });
 }
 
 }  // namespace oo::routing

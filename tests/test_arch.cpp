@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "workload/kv.h"
 
@@ -202,6 +205,58 @@ TEST(ArchValidation, MessageNamesPresetAndParameter) {
     const std::string what = e.what();
     EXPECT_NE(what.find("rotornet-direct"), std::string::npos) << what;
     EXPECT_NE(what.find("tors"), std::string::npos) << what;
+  }
+}
+
+TEST(ArchValidation, ShaleRejectsTorCountsOffAnEvenGrid) {
+  // Rejected: 9 = 3^2 (odd side), 8 at dimension 2 and 16 at dimension 3
+  // (no integer side), and dimension 0. Built: 16 = 4^2 and 64 = 4^3.
+  Params p = small_params();
+  for (const auto& [tors, dimension] :
+       {std::pair{9, 2}, std::pair{8, 2}, std::pair{16, 3}, std::pair{8, 0}}) {
+    p.tors = tors;
+    try {
+      make_shale(p, dimension);
+      FAIL() << tors << " ToRs at dimension " << dimension << " built shale";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("shale"), std::string::npos) << what;
+      EXPECT_NE(what.find("tors=" + std::to_string(tors)), std::string::npos)
+          << what;
+    }
+  }
+  p.tors = 16;
+  EXPECT_EQ(make_shale(p, 2).name, "shale");
+  p.tors = 64;
+  EXPECT_EQ(make_shale(p, 3).name, "shale");
+}
+
+TEST(ArchValidation, EveryPresetRejectsFewerThanOneUplink) {
+  for (const int uplinks : {0, -1}) {
+    Params p = small_params();
+    p.uplinks = uplinks;
+    const std::vector<std::pair<std::string, std::function<Instance()>>>
+        presets = {
+            {"clos", [&] { return make_clos(p); }},
+            {"c-through", [&] { return make_cthrough(p); }},
+            {"jupiter", [&] { return make_jupiter(p); }},
+            {"mordia", [&] { return make_mordia(p); }},
+            {"rotornet-direct",
+             [&] { return make_rotornet(p, RotorRouting::Direct); }},
+            {"opera", [&] { return make_opera(p); }},
+            {"semi-oblivious", [&] { return make_semi_oblivious(p); }},
+            {"shale", [&] { return make_shale(p); }},
+        };
+    for (const auto& [name, make] : presets) {
+      try {
+        make();
+        ADD_FAILURE() << name << " built with uplinks=" << uplinks;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(name), std::string::npos) << what;
+        EXPECT_NE(what.find("uplinks"), std::string::npos) << what;
+      }
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "parallel/sharded.h"
@@ -193,6 +194,29 @@ TEST(Simulator, CompactsWhenCancelledEventsDominate) {
   EXPECT_EQ(s.events_pending(), 1u);
   s.run();
   EXPECT_EQ(s.events_executed(), 1);
+}
+
+TEST(Simulator, ScopedReArmInsertsBeforeItCancels) {
+  // 62 live timers, then one scoped timer re-armed 130 times. Assigning
+  // schedules the new event first and cancels the old one after, so each
+  // insert sees one dead key fewer than an explicit cancel-then-assign
+  // would: the queue compacts once instead of twice and ends with more
+  // dead keys queued.
+  const auto run = [](bool cancel_first) {
+    Simulator s;
+    for (int i = 0; i < 62; ++i) {
+      s.schedule_at(SimTime::millis(100 + i), []() {});
+    }
+    ScopedEventHandle timer;
+    for (int i = 0; i < 130; ++i) {
+      if (cancel_first) timer.cancel();
+      timer = s.schedule_at(SimTime::millis(1 + i), []() {});
+    }
+    return std::pair{s.compactions(), s.events_pending()};
+  };
+  using Counts = std::pair<std::int64_t, std::size_t>;
+  EXPECT_EQ(run(/*cancel_first=*/false), (Counts{1, 127}));
+  EXPECT_EQ(run(/*cancel_first=*/true), (Counts{2, 64}));
 }
 
 TEST(Simulator, MassCancelledTimersDoNotGrowTheQueue) {

@@ -1,17 +1,22 @@
 // Differential oracles for the time-flow table and the routing compile:
 // core::TimeFlowTable and core::compile_routing against the references in
 // tft_reference.h, on seeded edit scripts and on the paths of every routing
-// scheme.
+// scheme; and the streamed producers, compile and deploy against the vector
+// forms.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/controller.h"
 #include "routing/ta_routing.h"
 #include "routing/to_routing.h"
+#include "telemetry/flight_recorder.h"
 #include "tft_reference.h"
 #include "topo/jupiter.h"
 #include "topo/round_robin.h"
@@ -179,43 +184,258 @@ optics::Schedule mesh(int n) {
   return s;
 }
 
-TEST(CompileOracle, MatchesReferenceForEveryScheme) {
-  using PathsOf = std::function<std::vector<Path>(int n)>;
-  const std::vector<std::pair<std::string, PathsOf>> schemes = {
-      {"direct_to", [](int n) { return routing::direct_to(rotor(n, 2)); }},
-      {"direct_to_expanded",
-       [](int n) { return routing::direct_to_expanded(rotor(n, 1)); }},
-      {"opera", [](int n) { return routing::opera(rotor(n, 2)); }},
-      {"vlb", [](int n) { return routing::vlb(rotor(n, 2)); }},
-      {"hoho", [](int n) { return routing::hoho(rotor(n, 1)); }},
-      {"ucmp", [](int n) { return routing::ucmp(rotor(n, 2)); }},
-      {"ecmp", [](int n) { return routing::ecmp(mesh(n)); }},
-      {"wcmp", [](int n) { return routing::wcmp(mesh(n)); }},
-      {"ksp", [](int n) { return routing::ksp(mesh(n), 3); }},
-      {"electrical_default",
-       [](int n) { return routing::electrical_default(n); }},
+// Every routing scheme in both forms, on the fabric the oracles run it on.
+struct Scheme {
+  std::string name;
+  std::function<optics::Schedule(int n)> fabric;
+  std::function<std::vector<Path>(const optics::Schedule&)> vector_form;
+  std::function<bool(const optics::Schedule&, PathSink)> stream_form;
+};
+
+const std::vector<Scheme>& schemes() {
+  using S = const optics::Schedule&;
+  const auto rotor1 = [](int n) { return rotor(n, 1); };
+  const auto rotor2 = [](int n) { return rotor(n, 2); };
+  static const std::vector<Scheme> all = {
+      {"direct_to", rotor2, [](S s) { return routing::direct_to(s); },
+       [](S s, PathSink k) { return routing::direct_to(s, k); }},
+      {"direct_to_expanded", rotor1,
+       [](S s) { return routing::direct_to_expanded(s); },
+       [](S s, PathSink k) { return routing::direct_to_expanded(s, k); }},
+      {"opera", rotor2, [](S s) { return routing::opera(s); },
+       [](S s, PathSink k) { return routing::opera(s, k); }},
+      {"vlb", rotor2, [](S s) { return routing::vlb(s); },
+       [](S s, PathSink k) { return routing::vlb(s, k); }},
+      {"hoho", rotor1, [](S s) { return routing::hoho(s); },
+       [](S s, PathSink k) { return routing::hoho(s, k); }},
+      {"ucmp", rotor2, [](S s) { return routing::ucmp(s); },
+       [](S s, PathSink k) { return routing::ucmp(s, k); }},
+      {"ecmp", mesh, [](S s) { return routing::ecmp(s); },
+       [](S s, PathSink k) { return routing::ecmp(s, k); }},
+      {"wcmp", mesh, [](S s) { return routing::wcmp(s); },
+       [](S s, PathSink k) { return routing::wcmp(s, k); }},
+      {"ksp", mesh, [](S s) { return routing::ksp(s, 3); },
+       [](S s, PathSink k) { return routing::ksp(s, k, 3); }},
+      {"electrical_default", rotor1,
+       [](S s) { return routing::electrical_default(s.num_nodes()); },
+       [](S s, PathSink k) {
+         return routing::electrical_default(s.num_nodes(), k);
+       }},
   };
+  return all;
+}
+
+// The first difference between two per-node entry sets ("" when equal).
+std::string entries_diff(const std::vector<std::vector<TftEntry>>& got,
+                         const std::vector<std::vector<TftEntry>>& want) {
+  if (got.size() != want.size()) return "node count";
+  for (std::size_t node = 0; node < got.size(); ++node) {
+    const std::string at = "node " + std::to_string(node);
+    if (got[node].size() != want[node].size()) return "entry count at " + at;
+    for (std::size_t i = 0; i < got[node].size(); ++i) {
+      const std::string d = entry_diff(got[node][i], want[node][i]);
+      if (!d.empty()) return d + " of entry " + std::to_string(i) + " at " + at;
+    }
+  }
+  return "";
+}
+
+TEST(CompileOracle, MatchesReferenceForEveryScheme) {
   constexpr int kPriority = 3;
-  for (const auto& [name, paths_of] : schemes) {
+  for (const auto& scheme : schemes()) {
     for (const int n : {8, 16}) {
-      const auto paths = paths_of(n);
-      ASSERT_FALSE(paths.empty()) << name;
+      const auto paths = scheme.vector_form(scheme.fabric(n));
+      ASSERT_FALSE(paths.empty()) << scheme.name;
       for (const auto lookup :
            {LookupMode::PerHop, LookupMode::SourceRouting}) {
-        SCOPED_TRACE(name + " n=" + std::to_string(n) +
+        SCOPED_TRACE(scheme.name + " n=" + std::to_string(n) +
                      (lookup == LookupMode::PerHop ? " per-hop"
                                                    : " source-routed"));
-        const auto got = compile_routing(paths, lookup, kPriority, n);
-        const auto want =
-            reference::compile_routing(paths, lookup, kPriority, n);
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t node = 0; node < got.size(); ++node) {
-          ASSERT_EQ(got[node].size(), want[node].size()) << "node " << node;
-          for (std::size_t i = 0; i < got[node].size(); ++i) {
-            ASSERT_EQ(entry_diff(got[node][i], want[node][i]), "")
-                << "node " << node << " entry " << i;
-          }
-        }
+        EXPECT_EQ(
+            entries_diff(
+                compile_routing(stream_of(paths), lookup, kPriority, n),
+                reference::compile_routing(paths, lookup, kPriority, n)),
+            "");
+      }
+    }
+  }
+}
+
+// ---- streamed producers and the one-pass compile and deploy ---------------
+
+// The first difference between two paths ("" when they are the same),
+// weights compared bit for bit.
+std::string path_diff(const Path& a, const Path& b) {
+  if (a.src != b.src) return "src";
+  if (a.dst != b.dst) return "dst";
+  if (a.start_slice != b.start_slice) return "start_slice";
+  if (std::bit_cast<std::uint64_t>(a.weight) !=
+      std::bit_cast<std::uint64_t>(b.weight)) {
+    return "weight";
+  }
+  if (a.hops.size() != b.hops.size()) return "hop count";
+  for (std::size_t h = 0; h < a.hops.size(); ++h) {
+    if (a.hops[h].node != b.hops[h].node ||
+        a.hops[h].egress != b.hops[h].egress ||
+        a.hops[h].dep_slice != b.hops[h].dep_slice) {
+      return "hop " + std::to_string(h);
+    }
+  }
+  return "";
+}
+
+TEST(StreamOracle, ProducersStreamTheirVectorFormAndStopOnFalse) {
+  for (const auto& scheme : schemes()) {
+    for (const int n : {8, 16}) {
+      SCOPED_TRACE(scheme.name + " n=" + std::to_string(n));
+      const auto sched = scheme.fabric(n);
+      const auto want = scheme.vector_form(sched);
+      ASSERT_FALSE(want.empty());
+      std::size_t i = 0;
+      EXPECT_TRUE(scheme.stream_form(sched, [&](const Path& p) {
+        if (i >= want.size()) return false;
+        EXPECT_EQ(path_diff(p, want[i]), "") << "path " << i;
+        ++i;
+        return true;
+      }));
+      EXPECT_EQ(i, want.size());
+      // A false return is the producer's last call.
+      for (const std::size_t k : {std::size_t{0}, want.size() / 2,
+                                  want.size() - 1}) {
+        std::size_t calls = 0;
+        EXPECT_FALSE(scheme.stream_form(
+            sched, [&](const Path&) { return calls++ < k; }));
+        EXPECT_EQ(calls, k + 1) << "stopped at path " << k;
+      }
+    }
+  }
+}
+
+// Hands each of a producer's paths to `sink` through one reused Path that
+// is overwritten with poison after every call, so a consumer that kept a
+// reference into it would read the poison, not the path.
+void poisoned(const Scheme& scheme, const optics::Schedule& sched,
+              PathSink sink) {
+  Path reused;
+  reused.hops.reserve(64);  // never reallocates: the poison lands in place
+  scheme.stream_form(sched, [&](const Path& p) {
+    reused = p;
+    const bool more = sink(reused);
+    reused.src = reused.dst = reused.start_slice = -7;
+    reused.weight = -7.0;
+    for (auto& h : reused.hops) h = PathHop{-7, -7, -7};
+    return more;
+  });
+}
+
+TEST(StreamOracle, StreamedCompileMatchesReferenceForEveryScheme) {
+  constexpr int kPriority = 3;
+  for (const auto& scheme : schemes()) {
+    for (const int n : {8, 16}) {
+      const auto sched = scheme.fabric(n);
+      const auto paths = scheme.vector_form(sched);
+      for (const auto lookup :
+           {LookupMode::PerHop, LookupMode::SourceRouting}) {
+        SCOPED_TRACE(scheme.name + " n=" + std::to_string(n) +
+                     (lookup == LookupMode::PerHop ? " per-hop"
+                                                   : " source-routed"));
+        const auto got = compile_routing(
+            [&](PathSink sink) { poisoned(scheme, sched, sink); }, lookup,
+            kPriority, n);
+        EXPECT_EQ(entries_diff(got, reference::compile_routing(
+                                        paths, lookup, kPriority, n)),
+                  "");
+      }
+    }
+  }
+}
+
+// What a ToR's table answers for every (arrival slice, source, destination)
+// query, wildcards included: the entries it finds, copied.
+std::vector<std::optional<TftEntry>> answers(const TimeFlowTable& t, int n,
+                                             SliceId period) {
+  std::vector<std::optional<TftEntry>> out;
+  for (SliceId arr = kAnySlice; arr < period; ++arr) {
+    for (NodeId src = kInvalidNode; src < n; ++src) {
+      for (NodeId dst = 0; dst < n; ++dst) {
+        const TftEntry* e = t.lookup(arr, src, dst);
+        out.push_back(e == nullptr ? std::nullopt
+                                   : std::optional<TftEntry>(*e));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(StreamOracle, InvalidPathStopsTheDeployAndInstallsNothing) {
+  constexpr int kTors = 16;
+  constexpr std::size_t kBad = 1000;  // opera emits 3,600 paths here
+  const auto sched = rotor(kTors, 2);
+  auto wrong_egress = [](Path& p) { p.hops.back().egress = 7; };
+  // Same fabric, same base routing and the same bad routing on two
+  // networks: one deploys it as a stream, the other as a vector.
+  struct Side {
+    telemetry::FlightRecorder rec{256};
+    std::unique_ptr<Network> net;
+    std::unique_ptr<Controller> ctl;
+  };
+  auto make_side = [&]() {
+    auto side = std::make_unique<Side>();
+    NetworkConfig cfg;
+    cfg.num_tors = kTors;
+    cfg.calendar_mode = true;
+    side->net = std::make_unique<Network>(cfg, sched, optics::ocs_emulated());
+    side->ctl = std::make_unique<Controller>(*side->net);
+    side->net->sim().set_recorder(&side->rec);
+    EXPECT_TRUE(side->ctl->deploy_routing(routing::direct_to(sched),
+                                          LookupMode::PerHop,
+                                          MultipathMode::None));
+    return side;
+  };
+  auto streamed = make_side();
+  auto vectored = make_side();
+  std::vector<std::vector<std::optional<TftEntry>>> before;
+  for (NodeId n = 0; n < kTors; ++n) {
+    before.push_back(
+        answers(streamed->net->tor(n).tft(), kTors, sched.period()));
+  }
+
+  std::size_t emitted = 0;
+  const bool ok = streamed->ctl->deploy_routing(
+      [&](PathSink sink) {
+        Path copy;
+        routing::opera(sched, [&](const Path& p) {
+          copy = p;
+          if (emitted == kBad) wrong_egress(copy);
+          ++emitted;
+          return sink(copy);
+        });
+      },
+      LookupMode::PerHop, MultipathMode::None, /*priority=*/1);
+  auto paths = routing::opera(sched);
+  ASSERT_GT(paths.size(), kBad);
+  wrong_egress(paths[kBad]);
+  EXPECT_FALSE(vectored->ctl->deploy_routing(paths, LookupMode::PerHop,
+                                             MultipathMode::None, 1));
+
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(emitted, kBad + 1) << "the producer ran past the invalid path";
+  EXPECT_NE(streamed->ctl->last_error(), "");
+  EXPECT_EQ(streamed->ctl->last_error(), vectored->ctl->last_error());
+  EXPECT_EQ(streamed->rec.snapshot(), vectored->rec.snapshot());
+  EXPECT_EQ(streamed->net->sim().metrics().csv(),
+            vectored->net->sim().metrics().csv());
+  EXPECT_EQ(streamed->ctl->committed_epoch(), 1u);
+  for (NodeId n = 0; n < kTors; ++n) {
+    const auto after =
+        answers(streamed->net->tor(n).tft(), kTors, sched.period());
+    ASSERT_EQ(after.size(), before[n].size());
+    for (std::size_t q = 0; q < after.size(); ++q) {
+      ASSERT_EQ(after[q].has_value(), before[n][q].has_value())
+          << "node " << n << " query " << q;
+      if (after[q]) {
+        ASSERT_EQ(entry_diff(*after[q], *before[n][q]), "")
+            << "node " << n << " query " << q;
       }
     }
   }
