@@ -1,8 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot data-plane and
 // control-plane primitives: time-flow table lookup, calendar-queue
 // operations, EQO updates, event-engine throughput, routing computation
-// for a full rotor cycle, and the opera64 routing deploy (with and without
-// generating its paths).
+// for a full rotor cycle, and the opera routing deploy at 64 and 128 ToRs.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -34,14 +33,21 @@ core::TimeFlowTable make_table(int slices, int dsts) {
   return t;
 }
 
+// The first hop of the action a lookup selects, as TorSwitch::route reads
+// it; the lookup benches time this whole step.
+net::SourceHop first_hop(const core::TimeFlowTable& t, SliceId arr,
+                         NodeId src, NodeId dst) {
+  const auto hit = t.lookup(arr, src, dst);
+  return hit == nullptr ? net::SourceHop{} : hit.select(0).first;
+}
+
 void BM_TftLookupHit(benchmark::State& state) {
   const auto t = make_table(107, 108);
   std::uint64_t i = 0;
   for (auto _ : state) {
-    const auto* e = t.lookup(static_cast<SliceId>(i % 107),
-                             static_cast<NodeId>(i % 50),
-                             static_cast<NodeId>(i % 108));
-    benchmark::DoNotOptimize(e);
+    benchmark::DoNotOptimize(first_hop(t, static_cast<SliceId>(i % 107),
+                                       static_cast<NodeId>(i % 50),
+                                       static_cast<NodeId>(i % 108)));
     ++i;
   }
 }
@@ -58,9 +64,8 @@ void BM_TftLookupWildcardFallback(benchmark::State& state) {
   }
   std::uint64_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        t.lookup(static_cast<SliceId>(i % 107), 3,
-                 static_cast<NodeId>(i % 108)));
+    benchmark::DoNotOptimize(first_hop(t, static_cast<SliceId>(i % 107), 3,
+                                       static_cast<NodeId>(i % 108)));
     ++i;
   }
 }
@@ -119,8 +124,8 @@ void run_lookups(benchmark::State& state, const Opera64Tables& t) {
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& q = t.queries[i];
-    benchmark::DoNotOptimize(
-        t.tables[static_cast<std::size_t>(q.tor)].lookup(q.arr, q.src, q.dst));
+    benchmark::DoNotOptimize(first_hop(
+        t.tables[static_cast<std::size_t>(q.tor)], q.arr, q.src, q.dst));
     i = (i + 1) % t.queries.size();
   }
 }
@@ -135,98 +140,68 @@ void BM_TftLookupSourceSpecific(benchmark::State& state) {
 }
 BENCHMARK(BM_TftLookupSourceSpecific);
 
-// deploy_routing of routing::opera's paths at 64 ToRs and 2 uplinks, as
-// the opera64 workload sets up: validate, compile into 254,016 entries,
-// install them. Each iteration starts from empty tables.
-void BM_DeployOperaRouting(benchmark::State& state) {
-  constexpr int kTors = 64;
-  core::NetworkConfig cfg;
-  cfg.num_tors = kTors;
-  cfg.calendar_mode = true;
-  optics::Schedule sched(kTors, 2, topo::round_robin_period(kTors), 100_us);
-  for (const auto& c : topo::round_robin_1d(kTors, 2)) sched.add_circuit(c);
-  core::Network net(cfg, sched, optics::ocs_emulated());
-  core::Controller ctl(net);
-  const auto paths = routing::opera(sched);
-  for (auto _ : state) {
-    state.PauseTiming();
-    ctl.clear_routing();
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(ctl.deploy_routing(
-        paths, core::LookupMode::PerHop, core::MultipathMode::None));
-  }
-  std::size_t entries = 0;
-  for (NodeId n = 0; n < kTors; ++n) entries += net.tor(n).tft().size();
-  state.counters["entries"] = static_cast<double>(entries);
-}
-BENCHMARK(BM_DeployOperaRouting)->Unit(benchmark::kMillisecond);
-
-// routing::opera at 64 ToRs and 2 uplinks generated and deployed, as the
-// opera64 workload sets up: once through the vector form, which holds all
-// 254,016 paths before the deploy reads them, and once through the stream,
-// which checks and merges each path as the producer emits it. Against
-// BM_DeployOperaRouting (deploy only), the vector row adds the producer and
-// the vector, the stream row the producer alone.
-struct OperaDeploy {
-  static constexpr int kTors = 64;
-
-  OperaDeploy() : net(config(), schedule(), optics::ocs_emulated()), ctl(net) {}
-  static core::NetworkConfig config() {
+// A rotor network of `tors` ToRs and 2 uplinks with its controller, as
+// the opera presets build it.
+struct OperaNet {
+  explicit OperaNet(int tors)
+      : net(config(tors), schedule(tors), optics::ocs_emulated()), ctl(net) {}
+  static core::NetworkConfig config(int tors) {
     core::NetworkConfig cfg;
-    cfg.num_tors = kTors;
+    cfg.num_tors = tors;
     cfg.calendar_mode = true;
     return cfg;
   }
-  static optics::Schedule schedule() {
-    optics::Schedule s(kTors, 2, topo::round_robin_period(kTors), 100_us);
-    for (const auto& c : topo::round_robin_1d(kTors, 2)) s.add_circuit(c);
+  static optics::Schedule schedule(int tors) {
+    optics::Schedule s(tors, 2, topo::round_robin_period(tors), 100_us);
+    for (const auto& c : topo::round_robin_1d(tors, 2)) s.add_circuit(c);
     return s;
-  }
-  // Paths and hops the producer emits, counted outside the timed loop.
-  void count(benchmark::State& state) const {
-    std::int64_t paths = 0;
-    std::int64_t hops = 0;
-    routing::opera(net.schedule(), [&](const core::Path& p) {
-      ++paths;
-      hops += static_cast<std::int64_t>(p.hops.size());
-      return true;
-    });
-    state.counters["paths"] = static_cast<double>(paths);
-    state.counters["hops"] = static_cast<double>(hops);
   }
 
   core::Network net;
   core::Controller ctl;
 };
 
-void BM_GenerateDeployOperaVector(benchmark::State& state) {
-  OperaDeploy d;
+// opera's routing at state.range(0) ToRs, streamed from the producer into
+// deploy_routing as the opera presets set up: generate, validate, compile
+// (254,016 entries at 64 ToRs, 2,064,512 at 128) and install. Each
+// iteration starts from empty tables.
+void BM_DeployOperaRouting(benchmark::State& state) {
+  OperaNet o(static_cast<int>(state.range(0)));
+  const optics::Schedule& sched = o.net.schedule();
   for (auto _ : state) {
     state.PauseTiming();
-    d.ctl.clear_routing();
+    o.ctl.clear_routing();
     state.ResumeTiming();
-    benchmark::DoNotOptimize(d.ctl.deploy_routing(
-        routing::opera(d.net.schedule()), core::LookupMode::PerHop,
-        core::MultipathMode::None));
-  }
-  d.count(state);
-}
-BENCHMARK(BM_GenerateDeployOperaVector)->Unit(benchmark::kMillisecond);
-
-void BM_GenerateDeployOperaStream(benchmark::State& state) {
-  OperaDeploy d;
-  const optics::Schedule& sched = d.net.schedule();
-  for (auto _ : state) {
-    state.PauseTiming();
-    d.ctl.clear_routing();
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(d.ctl.deploy_routing(
+    benchmark::DoNotOptimize(o.ctl.deploy_routing(
         [&](core::PathSink sink) { routing::opera(sched, sink); },
         core::LookupMode::PerHop, core::MultipathMode::None));
   }
-  d.count(state);
+  std::size_t entries = 0;
+  for (NodeId n = 0; n < o.net.num_tors(); ++n) {
+    entries += o.net.tor(n).tft().size();
+  }
+  state.counters["entries"] = static_cast<double>(entries);
 }
-BENCHMARK(BM_GenerateDeployOperaStream)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DeployOperaRouting)
+    ->Arg(64)
+    ->Arg(128)
+    ->Unit(benchmark::kMillisecond);
+
+// The 64-ToR deploy through the vector form of routing::opera, which holds
+// all 254,016 paths before the deploy reads them. Against
+// BM_DeployOperaRouting/64, the row adds the vector.
+void BM_GenerateDeployOperaVector(benchmark::State& state) {
+  OperaNet o(64);
+  for (auto _ : state) {
+    state.PauseTiming();
+    o.ctl.clear_routing();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(o.ctl.deploy_routing(
+        routing::opera(o.net.schedule()), core::LookupMode::PerHop,
+        core::MultipathMode::None));
+  }
+}
+BENCHMARK(BM_GenerateDeployOperaVector)->Unit(benchmark::kMillisecond);
 
 void BM_CalendarEnqueueDequeue(benchmark::State& state) {
   core::CalendarQueuePort port(static_cast<int>(state.range(0)), 1 << 30);

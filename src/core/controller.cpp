@@ -4,7 +4,6 @@
 #include <limits>
 #include <optional>
 #include <span>
-#include <tuple>
 
 #include "core/quorum.h"
 
@@ -36,7 +35,7 @@ struct Controller::Txn {
   SimTime reconfig_delay = SimTime::zero();
 
   bool has_routing = false;
-  std::vector<std::vector<TftEntry>> entries;  // per node
+  CompiledRouting routing;
   MultipathMode multipath = MultipathMode::None;
   int clear_prio = kNoClear;
 
@@ -254,7 +253,6 @@ struct NodeMatch {
   NodeId dst;
 
   bool operator==(const NodeMatch&) const = default;
-  auto tied() const { return std::tie(node, arr, src, dst); }
 };
 
 // One action while compiling: hops[hop, hop + count) of the compile's hop
@@ -275,10 +273,15 @@ struct PendingMatch {
 
 }  // namespace
 
-std::vector<std::vector<TftEntry>> compile_routing(PathStream paths,
-                                                   LookupMode lookup,
-                                                   int priority,
-                                                   int num_nodes) {
+CompiledRouting::operator std::vector<std::vector<TftEntry>>() const {
+  std::vector<std::vector<TftEntry>> out;
+  out.reserve(tables.size());
+  for (const TimeFlowTable& t : tables) out.push_back(t.entries());
+  return out;
+}
+
+CompiledRouting compile_routing(PathStream paths, LookupMode lookup,
+                                int priority, int num_nodes) {
   const bool source_routed = lookup == LookupMode::SourceRouting;
   std::vector<PendingMatch> matches;
   std::vector<PendingAction> actions;
@@ -380,43 +383,40 @@ std::vector<std::vector<TftEntry>> compile_routing(PathStream paths,
   });
   slots = {};
 
-  std::sort(matches.begin(), matches.end(),
-            [](const PendingMatch& x, const PendingMatch& y) {
-              return x.key.tied() < y.key.tied();
-            });
-  std::vector<std::vector<TftEntry>> out(static_cast<std::size_t>(num_nodes));
-  std::vector<std::size_t> per_node(out.size(), 0);
+  // Each match is unique, so the order it reaches its node's table in is
+  // free; one entry object carries every match there.
+  CompiledRouting out;
+  out.tables.assign(static_cast<std::size_t>(num_nodes),
+                    TimeFlowTable(static_cast<std::size_t>(num_nodes)));
+  TftEntry entry;
+  entry.priority = priority;
   for (const auto& pm : matches) {
-    ++per_node[static_cast<std::size_t>(pm.key.node)];
-  }
-  for (std::size_t n = 0; n < out.size(); ++n) out[n].reserve(per_node[n]);
-  for (const auto& pm : matches) {
-    TftEntry entry;
     entry.match = TftMatch{pm.key.arr, pm.key.src, pm.key.dst};
-    entry.priority = priority;
-    for (std::int32_t i = pm.first; i != kEmpty;) {
+    std::size_t count = 0;
+    for (std::int32_t i = pm.first; i != kEmpty; ++count) {
       const auto& pa = actions[static_cast<std::size_t>(i)];
+      if (count == entry.actions.size()) entry.actions.emplace_back();
+      TftAction& action = entry.actions[count];
       const auto action_hops = hops_of(pa);
-      TftAction action;
       action.weight = pa.weight;
       action.hops.assign(action_hops.begin(), action_hops.end());
-      entry.actions.push_back(std::move(action));
       i = pa.next;
     }
-    out[static_cast<std::size_t>(pm.key.node)].push_back(std::move(entry));
+    entry.actions.resize(count);
+    out.tables[static_cast<std::size_t>(pm.key.node)].add(entry);
   }
   return out;
 }
 
-std::optional<std::vector<std::vector<TftEntry>>> Controller::compile_checked(
+std::optional<CompiledRouting> Controller::compile_checked(
     PathStream paths, const optics::Schedule& sched, LookupMode lookup,
     int priority) const {
   bool ok = false;
-  auto entries = compile_routing(
+  auto routing = compile_routing(
       [&](PathSink sink) { ok = check_paths(paths, sched, sink); }, lookup,
       priority, net_.num_tors());
   if (!ok) return std::nullopt;
-  return entries;
+  return routing;
 }
 
 bool Controller::deploy_routing(PathStream paths, LookupMode lookup,
@@ -424,14 +424,14 @@ bool Controller::deploy_routing(PathStream paths, LookupMode lookup,
                                 const optics::Schedule* validate_against) {
   auto& sim = net_.sim();
   last_error_.clear();
-  std::optional<std::vector<std::vector<TftEntry>>> entries;
+  std::optional<CompiledRouting> routing;
   if (control_plane_up()) {
-    entries = compile_checked(
+    routing = compile_checked(
         paths,
         validate_against != nullptr ? *validate_against : net_.schedule(),
         lookup, priority);
   }
-  if (!entries) {
+  if (!routing) {
     if (auto* tr = sim.recorder()) {
       tr->control_deploy(sim.now(), /*routing=*/true, false);
     }
@@ -439,7 +439,7 @@ bool Controller::deploy_routing(PathStream paths, LookupMode lookup,
   }
   auto txn = std::make_unique<Txn>();
   txn->has_routing = true;
-  txn->entries = std::move(*entries);
+  txn->routing = std::move(*routing);
   txn->multipath = multipath;
   const bool issued = begin_txn(std::move(txn));
   sim.metrics().counter("controller.deploys", {{"kind", "routing"}}).inc();
@@ -456,14 +456,14 @@ bool Controller::deploy_update(const optics::Schedule& sched,
                                TxnDoneFn on_done) {
   last_error_.clear();
   if (!control_plane_up()) return false;
-  auto entries = compile_checked(paths, sched, lookup, priority);
-  if (!entries) return false;
+  auto routing = compile_checked(paths, sched, lookup, priority);
+  if (!routing) return false;
   auto txn = std::make_unique<Txn>();
   txn->has_topo = true;
   txn->topo = sched;
   txn->reconfig_delay = reconfig_delay;
   txn->has_routing = true;
-  txn->entries = std::move(*entries);
+  txn->routing = std::move(*routing);
   txn->multipath = multipath;
   txn->clear_prio = clear_priority;
   txn->on_done = std::move(on_done);
@@ -491,11 +491,7 @@ bool Controller::begin_txn(std::unique_ptr<Txn> txn) {
   txn->issued_at = sim.now();
   txn->acked.assign(agents_.size(), 0);
   txn->commit_acked.assign(agents_.size(), 0);
-  if (txn->has_routing) {
-    for (auto& node_entries : txn->entries) {
-      for (auto& e : node_entries) e.epoch = txn->epoch;
-    }
-  }
+  for (TimeFlowTable& t : txn->routing.tables) t.set_epoch(txn->epoch);
   txn->term = current_term();
   const std::uint64_t e = txn->epoch;
   const std::uint64_t tm = txn->term;
@@ -796,9 +792,7 @@ void Controller::apply_node(NodeId n) {
   auto& tor = net_.tor(n);
   if (t.clear_prio != kNoClear) tor.tft().remove_priority(t.clear_prio);
   if (t.has_routing) {
-    for (const TftEntry& e : t.entries[static_cast<std::size_t>(n)]) {
-      tor.tft().add(e);
-    }
+    tor.tft().install(t.routing.tables[static_cast<std::size_t>(n)]);
     tor.set_multipath(t.multipath);
   }
   ag.pending_apply = false;

@@ -47,17 +47,23 @@ namespace oo::core {
 
 class ControllerQuorum;
 
+// Compiled routing: node n's entries are tables[n], in the form its ToR
+// installs (TimeFlowTable::install). Converts to per-node entry lists, each
+// ordered by (arrival slice, source, destination).
+struct CompiledRouting {
+  std::vector<TimeFlowTable> tables;
+
+  operator std::vector<std::vector<TftEntry>>() const;
+};
+
 // Compiles `paths` into the time-flow table entries of each of `num_nodes`
 // nodes at `priority`: deploy_routing's compile step, without validation or
 // install. Reads the stream once and keeps nothing of a path after its sink
 // call returns. Paths that meet at one node with one match merge into a
 // multipath entry; identical actions merge by summing their weights in path
-// order. Each node's entries are ordered by (arrival slice, source,
-// destination).
-std::vector<std::vector<TftEntry>> compile_routing(PathStream paths,
-                                                   LookupMode lookup,
-                                                   int priority,
-                                                   int num_nodes);
+// order.
+CompiledRouting compile_routing(PathStream paths, LookupMode lookup,
+                                int priority, int num_nodes);
 
 class Controller {
  public:
@@ -253,9 +259,10 @@ class Controller {
                    PathSink then) const;
   // The deploys' one pass: compile_routing over check_paths, so each path
   // is checked, then merged. Nothing when a path is invalid.
-  std::optional<std::vector<std::vector<TftEntry>>> compile_checked(
-      PathStream paths, const optics::Schedule& sched, LookupMode lookup,
-      int priority) const;
+  std::optional<CompiledRouting> compile_checked(PathStream paths,
+                                                 const optics::Schedule& sched,
+                                                 LookupMode lookup,
+                                                 int priority) const;
   bool control_plane_up();
   bool begin_txn(std::unique_ptr<Txn> txn);
   void on_install(std::uint64_t epoch, std::uint64_t term, NodeId n);

@@ -347,7 +347,7 @@ void TorSwitch::route(Packet&& p) {
     apply_action(std::move(p), hop, arr);
     return;
   }
-  const TftEntry* entry = tft_.lookup(arr, p.src_node, p.dst_node);
+  const auto entry = tft_.lookup(arr, p.src_node, p.dst_node);
   if (entry == nullptr) {
     drops_no_route_->inc();
     if (auto* tr = net_.sim().recorder()) {
@@ -369,13 +369,13 @@ void TorSwitch::route(Packet&& p) {
     case MultipathMode::None:
       break;
   }
-  const TftAction& action = TimeFlowTable::select_action(*entry, hash);
-  if (action.hops.size() > 1) {
+  const TftHops action = entry.select(hash);
+  if (!action.rest.empty()) {
     // Source-routing action: write the remaining hops into the packet.
-    p.source_route.assign(action.hops.begin() + 1, action.hops.end());
+    p.source_route.assign(action.rest.begin(), action.rest.end());
     p.route_idx = 0;
   }
-  apply_action(std::move(p), action.hops.front(), arr);
+  apply_action(std::move(p), action.first, arr);
 }
 
 void TorSwitch::apply_action(Packet&& p, const net::SourceHop& hop,
@@ -551,11 +551,11 @@ bool TorSwitch::try_defer(Packet& p, SliceId arr) {
   const int k = uplinks_[0].cal->num_queues();
   for (int d = 1; d < k; ++d) {
     const SliceId s = sched.slice_of(arr + d);
-    const TftEntry* entry = tft_.lookup(s, p.src_node, p.dst_node);
+    const auto entry = tft_.lookup(s, p.src_node, p.dst_node);
     if (entry == nullptr) continue;
-    const TftAction& action = TimeFlowTable::select_action(
-        *entry, hash_mix(static_cast<std::uint64_t>(p.id) + d));
-    const net::SourceHop& hop = action.hops.front();
+    const TftHops action =
+        entry.select(hash_mix(static_cast<std::uint64_t>(p.id) + d));
+    const net::SourceHop hop = action.first;
     // Source-routed schemes (UCMP) defer by replacing the packet's route
     // with the alternative computed for the later arrival slice.
     if (hop.egress == kElectricalEgress || hop.dep_slice == kAnySlice)
@@ -568,12 +568,12 @@ bool TorSwitch::try_defer(Packet& p, SliceId arr) {
         u.eqo->estimate(qidx) + p.size_bytes > admissible_bytes(rank)) {
       continue;
     }
-    const bool reroute = action.hops.size() > 1;
+    const bool reroute = !action.rest.empty();
     const std::size_t own_idx = p.route_idx;
     std::vector<net::SourceHop> own_route;
     if (reroute) {
-      own_route = std::exchange(
-          p.source_route, {action.hops.begin() + 1, action.hops.end()});
+      own_route = std::exchange(p.source_route,
+                                {action.rest.begin(), action.rest.end()});
       p.route_idx = 0;
     }
     if (admit(p, hop.egress, hop.dep_slice, rank)) return true;

@@ -2,166 +2,350 @@
 
 #include <algorithm>
 #include <cassert>
+#include <tuple>
+#include <type_traits>
 
 namespace oo::core {
 
+namespace {
+
+// The action a packet hash picks from a multipath set: the point
+// hash / 2^32 of the way along the weights' running sum (the last action
+// when rounding runs past it).
+template <class Action>
+std::size_t pick(std::span<const Action> actions, std::uint32_t hash) {
+  assert(!actions.empty());
+  if (actions.size() == 1) return 0;
+  double total = 0.0;
+  for (const auto& a : actions) total += a.weight;
+  const double x =
+      static_cast<double>(hash) / 4294967296.0 * (total > 0 ? total : 1.0);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    acc += actions[i].weight;
+    if (x < acc) return i;
+  }
+  return actions.size() - 1;
+}
+
+}  // namespace
+
+std::uint32_t TimeFlowTable::Pool::add(
+    std::span<const TftAction> entry_actions) {
+  const auto index = static_cast<std::uint32_t>(entries.size());
+  assert(index < kPooled && "pool index overflows a cell");
+  entries.push_back({static_cast<std::uint32_t>(actions.size()),
+                     static_cast<std::uint32_t>(entry_actions.size())});
+  for (const TftAction& a : entry_actions) {
+    actions.push_back({static_cast<std::uint32_t>(hops.size()),
+                       static_cast<std::uint32_t>(a.hops.size()), a.weight});
+    hops.insert(hops.end(), a.hops.begin(), a.hops.end());
+  }
+  return index;
+}
+
+std::uint32_t TimeFlowTable::Pool::copy(const Pool& from,
+                                        std::uint32_t entry) {
+  const auto index = static_cast<std::uint32_t>(entries.size());
+  assert(index < kPooled && "pool index overflows a cell");
+  const PoolEntry& e = from.entries[entry];
+  entries.push_back({static_cast<std::uint32_t>(actions.size()), e.actions});
+  for (std::uint32_t i = e.action; i < e.action + e.actions; ++i) {
+    PoolAction a = from.actions[i];
+    const auto first = from.hops.begin() + a.hop;
+    a.hop = static_cast<std::uint32_t>(hops.size());
+    hops.insert(hops.end(), first, first + a.hops);
+    actions.push_back(a);
+  }
+  return index;
+}
+
+TimeFlowTable::TimeFlowTable(std::size_t destinations)
+    : width_(destinations) {}
+
 std::uint64_t TimeFlowTable::key_of(SliceId arr, NodeId src, NodeId dst) {
-  // +2 biases wildcards (-1) into non-negative space.
+  // +2 biases wildcards (-1) into non-negative space; 21 bits each.
   const auto a = static_cast<std::uint64_t>(std::int64_t{arr} + 2);
   const auto s = static_cast<std::uint64_t>(std::int64_t{src} + 2);
   const auto d = static_cast<std::uint64_t>(std::int64_t{dst} + 2);
   return (d << 42) | (s << 21) | a;
 }
 
-std::int32_t* TimeFlowTable::find_index(const TftMatch& m) {
-  if (m.src != kInvalidNode) {
-    auto it = by_src_.find(key_of(m.arr_slice, m.src, m.dst));
-    return it == by_src_.end() ? nullptr : &it->second;
-  }
-  const auto row = static_cast<std::size_t>(m.arr_slice) + 1;
-  const auto col = static_cast<std::size_t>(m.dst);
-  if (row >= row_of_.size() || row_of_[row] == kNone || col >= width_) {
-    return nullptr;
-  }
-  return &cells_[static_cast<std::size_t>(row_of_[row]) * width_ + col];
+TftMatch TimeFlowTable::match_of(std::uint64_t key) {
+  constexpr std::uint64_t kField = (std::uint64_t{1} << 21) - 1;
+  return {static_cast<SliceId>(key & kField) - 2,
+          static_cast<NodeId>((key >> 21) & kField) - 2,
+          static_cast<NodeId>(key >> 42) - 2};
 }
 
-std::int32_t* TimeFlowTable::make_index(const TftMatch& m) {
-  if (m.src != kInvalidNode) {
-    return &by_src_.try_emplace(key_of(m.arr_slice, m.src, m.dst), kNone)
-                .first->second;
-  }
-  const auto row = static_cast<std::size_t>(m.arr_slice) + 1;
-  const auto col = static_cast<std::size_t>(m.dst);
+std::size_t TimeFlowTable::make_grid_index(SliceId arr, NodeId dst) {
+  const auto row = static_cast<std::size_t>(arr) + 1;
+  const auto col = static_cast<std::size_t>(dst);
   if (col >= width_) widen(col + 1);
   if (row >= row_of_.size()) row_of_.resize(row + 1, kNone);
   if (row_of_[row] == kNone) {
     row_of_[row] = static_cast<std::int32_t>(cells_.size() / width_);
-    cells_.resize(cells_.size() + width_, kNone);
+    const std::size_t cells = cells_.size() + width_;
+    cells_.resize(cells, kEmpty);
+    priority_.resize(cells);
+    epoch_.resize(cells);
+    weight_.resize(cells);
   }
-  return &cells_[static_cast<std::size_t>(row_of_[row]) * width_ + col];
+  return static_cast<std::size_t>(row_of_[row]) * width_ + col;
+}
+
+void TimeFlowTable::set_grid_slot(std::size_t i, const Slot& s) {
+  cells_[i] = s.cell;
+  priority_[i] = s.priority;
+  epoch_[i] = s.epoch;
+  weight_[i] = s.weight;
 }
 
 void TimeFlowTable::widen(std::size_t width) {
   const std::size_t rows = width_ == 0 ? 0 : cells_.size() / width_;
-  std::vector<std::int32_t> cells(rows * width, kNone);
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::copy_n(cells_.begin() + static_cast<std::ptrdiff_t>(r * width_),
-                width_, cells.begin() + static_cast<std::ptrdiff_t>(r * width));
-  }
-  cells_ = std::move(cells);
+  auto relay = [&](auto& column, auto empty) {
+    std::remove_reference_t<decltype(column)> out(rows * width, empty);
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::copy_n(column.begin() + static_cast<std::ptrdiff_t>(r * width_),
+                  width_,
+                  out.begin() + static_cast<std::ptrdiff_t>(r * width));
+    }
+    column = std::move(out);
+  };
+  relay(cells_, kEmpty);
+  relay(priority_, 0);
+  relay(epoch_, std::uint64_t{0});
+  relay(weight_, 0.0);
   width_ = width;
 }
 
-void TimeFlowTable::reindex() {
-  row_of_.clear();
-  cells_.clear();
-  by_src_.clear();
-  width_ = 0;
-  for (const auto& e : entries_) {
-    if (e.match.src == kInvalidNode) {
-      width_ = std::max(width_, static_cast<std::size_t>(e.match.dst) + 1);
-    }
+const TimeFlowTable::Slot* TimeFlowTable::find_by_src(SliceId arr,
+                                                      NodeId src,
+                                                      NodeId dst) const {
+  auto it = by_src_.find(key_of(arr, src, dst));
+  return it == by_src_.end() ? nullptr : &it->second;
+}
+
+TimeFlowTable::Slot TimeFlowTable::slot_of(const TftMatch& m) const {
+  if (m.src != kInvalidNode) return *find_by_src(m.arr_slice, m.src, m.dst);
+  return grid_slot(grid_index(m.arr_slice, m.dst));
+}
+
+template <class MakeSlot>
+void TimeFlowTable::put(const TftMatch& m, int priority, MakeSlot make) {
+  Slot* in_map = nullptr;
+  std::size_t i = kNoCell;
+  Slot current;
+  if (m.src != kInvalidNode) {
+    in_map = &by_src_.try_emplace(key_of(m.arr_slice, m.src, m.dst))
+                  .first->second;
+    current = *in_map;
+  } else {
+    i = make_grid_index(m.arr_slice, m.dst);
+    current = grid_slot(i);
   }
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    *make_index(entries_[i].match) = static_cast<std::int32_t>(i);
+  if (current.cell == kEmpty) {
+    ++size_;
+  } else if (priority < current.priority) {
+    return;
+  } else {
+    release(current.cell);
+  }
+  const Slot s = make();
+  if (in_map != nullptr) {
+    *in_map = s;
+  } else {
+    set_grid_slot(i, s);
   }
 }
 
-void TimeFlowTable::add(TftEntry entry) {
+TimeFlowTable::Slot TimeFlowTable::store(const TftEntry& entry) {
+  Slot s{kEmpty, entry.priority, entry.epoch, 1.0};
+  const TftAction& a = entry.actions.front();
+  if (entry.actions.size() == 1 && a.hops.size() == 1 && fits(a.hops[0])) {
+    s.cell = hop_cell(a.hops[0]);
+    s.weight = a.weight;
+  } else {
+    s.cell = kPooled | pool_.add(entry.actions);
+  }
+  return s;
+}
+
+TimeFlowTable::Slot TimeFlowTable::adopt(const TimeFlowTable& from, Slot s) {
+  if (s.cell & kPooled) {
+    s.cell = kPooled | pool_.copy(from.pool_, s.cell & ~kPooled);
+  }
+  return s;
+}
+
+void TimeFlowTable::release(Cell c) {
+  if (c != kEmpty && (c & kPooled)) ++dead_pooled_;
+}
+
+void TimeFlowTable::compact_if_sparse() {
+  if (dead_pooled_ * 2 <= pool_.entries.size()) return;
+  Pool live;
+  auto move = [&](Cell& c) {
+    if (c != kEmpty && (c & kPooled)) {
+      c = kPooled | live.copy(pool_, c & ~kPooled);
+    }
+  };
+  for (Cell& c : cells_) move(c);
+  for (auto& [key, slot] : by_src_) move(slot.cell);
+  pool_ = std::move(live);
+  dead_pooled_ = 0;
+}
+
+void TimeFlowTable::add(const TftEntry& entry) {
   assert(entry.match.dst >= 0 && "dst is a required match field");
   assert(entry.match.arr_slice >= kAnySlice && entry.match.src >= kInvalidNode);
   assert(!entry.actions.empty());
-  std::int32_t* index = make_index(entry.match);
-  if (*index == kNone) {
-    *index = static_cast<std::int32_t>(entries_.size());
-    entries_.push_back(std::move(entry));
+  put(entry.match, entry.priority, [&] { return store(entry); });
+  compact_if_sparse();
+}
+
+void TimeFlowTable::install(const TimeFlowTable& from) {
+  if (size_ == 0) {
+    *this = from;
     return;
   }
-  auto& current = entries_[static_cast<std::size_t>(*index)];
-  if (entry.priority >= current.priority) current = std::move(entry);
+  if (from.width_ > width_) widen(from.width_);
+  for (std::size_t row = 0; row < from.row_of_.size(); ++row) {
+    if (from.row_of_[row] == kNone) continue;
+    const auto base = static_cast<std::size_t>(from.row_of_[row]) * from.width_;
+    for (std::size_t col = 0; col < from.width_; ++col) {
+      if (from.cells_[base + col] == kEmpty) continue;
+      const Slot s = from.grid_slot(base + col);
+      put({static_cast<SliceId>(row) - 1, kInvalidNode,
+           static_cast<NodeId>(col)},
+          s.priority, [&] { return adopt(from, s); });
+    }
+  }
+  for (const auto& [key, s] : from.by_src_) {
+    put(match_of(key), s.priority, [&] { return adopt(from, s); });
+  }
+  compact_if_sparse();
 }
 
 void TimeFlowTable::remove(const TftMatch& m) {
-  std::int32_t* index = find_index(m);
-  if (index == nullptr || *index == kNone) return;
-  const auto i = static_cast<std::size_t>(*index);
   if (m.src != kInvalidNode) {
-    by_src_.erase(key_of(m.arr_slice, m.src, m.dst));
+    auto it = by_src_.find(key_of(m.arr_slice, m.src, m.dst));
+    if (it == by_src_.end()) return;
+    release(it->second.cell);
+    by_src_.erase(it);
   } else {
-    *index = kNone;
+    const std::size_t i = grid_index(m.arr_slice, m.dst);
+    if (i == kNoCell || cells_[i] == kEmpty) return;
+    release(cells_[i]);
+    cells_[i] = kEmpty;
   }
-  // Fill the hole with the last entry and repoint that entry's cell.
-  if (i + 1 != entries_.size()) {
-    entries_[i] = std::move(entries_.back());
-    *find_index(entries_[i].match) = static_cast<std::int32_t>(i);
-  }
-  entries_.pop_back();
+  --size_;
+  compact_if_sparse();
 }
 
 void TimeFlowTable::remove_priority(int priority) {
-  const auto removed = std::erase_if(entries_, [priority](const TftEntry& e) {
-    return e.priority == priority;
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    if (cells_[i] != kEmpty && priority_[i] == priority) {
+      release(cells_[i]);
+      cells_[i] = kEmpty;
+      --size_;
+    }
+  }
+  std::erase_if(by_src_, [&](const auto& kv) {
+    if (kv.second.priority != priority) return false;
+    release(kv.second.cell);
+    --size_;
+    return true;
   });
-  if (removed > 0) reindex();
+  compact_if_sparse();
 }
 
-void TimeFlowTable::clear() {
-  entries_.clear();
-  row_of_.clear();
-  cells_.clear();
-  by_src_.clear();
-  width_ = 0;
+void TimeFlowTable::clear() { *this = TimeFlowTable(); }
+
+void TimeFlowTable::set_epoch(std::uint64_t epoch) {
+  std::fill(epoch_.begin(), epoch_.end(), epoch);
+  for (auto& [key, s] : by_src_) s.epoch = epoch;
 }
 
-const TftEntry* TimeFlowTable::find_by_src(SliceId arr, NodeId src,
-                                           NodeId dst) const {
-  auto it = by_src_.find(key_of(arr, src, dst));
-  return it == by_src_.end() ? nullptr
-                             : &entries_[static_cast<std::size_t>(it->second)];
-}
-
-const TftEntry* TimeFlowTable::find_wildcard(SliceId arr, NodeId dst) const {
-  // kAnySlice wraps to row 0; a slice below it or a negative destination
-  // wraps past every row or column.
-  const auto row = static_cast<std::size_t>(arr) + 1;
-  const auto col = static_cast<std::size_t>(dst);
-  if (row >= row_of_.size() || col >= width_) return nullptr;
-  const std::int32_t r = row_of_[row];
-  if (r == kNone) return nullptr;
-  const std::int32_t i = cells_[static_cast<std::size_t>(r) * width_ + col];
-  return i == kNone ? nullptr : &entries_[static_cast<std::size_t>(i)];
-}
-
-const TftEntry* TimeFlowTable::lookup(SliceId arr_slice, NodeId src,
-                                      NodeId dst) const {
+TimeFlowTable::Hit TimeFlowTable::lookup_by_src(SliceId arr_slice,
+                                                NodeId src,
+                                                NodeId dst) const {
   // Specificity order mirrors TCAM priority: exact slice+src first, then
   // exact slice, then exact src, then the pure flow-table wildcard.
-  const bool by_src = !by_src_.empty();
-  if (by_src) {
-    if (const auto* e = find_by_src(arr_slice, src, dst)) return e;
+  if (const Slot* s = find_by_src(arr_slice, src, dst)) {
+    return Hit(this, {arr_slice, src, dst}, s->cell);
   }
-  if (const auto* e = find_wildcard(arr_slice, dst)) return e;
-  if (by_src) {
-    if (const auto* e = find_by_src(kAnySlice, src, dst)) return e;
+  if (const Cell c = wildcard_cell(arr_slice, dst); c != kEmpty) {
+    return Hit(this, {arr_slice, kInvalidNode, dst}, c);
   }
-  return find_wildcard(kAnySlice, dst);
+  if (const Slot* s = find_by_src(kAnySlice, src, dst)) {
+    return Hit(this, {kAnySlice, src, dst}, s->cell);
+  }
+  return Hit(this, {kAnySlice, kInvalidNode, dst},
+             wildcard_cell(kAnySlice, dst));
+}
+
+TftHops TimeFlowTable::select_pooled(std::uint32_t entry,
+                                     std::uint32_t hash) const {
+  const PoolEntry& e = pool_.entries[entry];
+  const auto actions =
+      std::span<const PoolAction>(pool_.actions).subspan(e.action, e.actions);
+  const PoolAction& a = actions[pick(actions, hash)];
+  const auto hops =
+      std::span<const net::SourceHop>(pool_.hops).subspan(a.hop, a.hops);
+  return {hops.front(), hops.subspan(1)};
 }
 
 const TftAction& TimeFlowTable::select_action(const TftEntry& entry,
                                               std::uint32_t hash) {
-  assert(!entry.actions.empty());
-  if (entry.actions.size() == 1) return entry.actions.front();
-  double total = 0.0;
-  for (const auto& a : entry.actions) total += a.weight;
-  const double x =
-      static_cast<double>(hash) / 4294967296.0 * (total > 0 ? total : 1.0);
-  double acc = 0.0;
-  for (const auto& a : entry.actions) {
-    acc += a.weight;
-    if (x < acc) return a;
+  return entry.actions[pick(std::span<const TftAction>(entry.actions), hash)];
+}
+
+void TimeFlowTable::rebuild(const TftMatch& m, const Slot& s,
+                            TftEntry& out) const {
+  out.match = m;
+  out.priority = s.priority;
+  out.epoch = s.epoch;
+  if ((s.cell & kPooled) == 0) {
+    out.actions.assign(1, TftAction{{hop_of(s.cell)}, s.weight});
+    return;
   }
-  return entry.actions.back();
+  const PoolEntry& e = pool_.entries[s.cell & ~kPooled];
+  out.actions.clear();
+  for (std::uint32_t i = e.action; i < e.action + e.actions; ++i) {
+    const PoolAction& a = pool_.actions[i];
+    const auto first = pool_.hops.begin() + a.hop;
+    out.actions.push_back(TftAction{{first, first + a.hops}, a.weight});
+  }
+}
+
+std::vector<TftEntry> TimeFlowTable::entries() const {
+  std::vector<TftEntry> out;
+  out.reserve(size_);
+  for (std::size_t row = 0; row < row_of_.size(); ++row) {
+    if (row_of_[row] == kNone) continue;
+    const auto base = static_cast<std::size_t>(row_of_[row]) * width_;
+    for (std::size_t col = 0; col < width_; ++col) {
+      if (cells_[base + col] == kEmpty) continue;
+      rebuild({static_cast<SliceId>(row) - 1, kInvalidNode,
+               static_cast<NodeId>(col)},
+              grid_slot(base + col), out.emplace_back());
+    }
+  }
+  for (const auto& [key, s] : by_src_) {
+    rebuild(match_of(key), s, out.emplace_back());
+  }
+  std::sort(out.begin(), out.end(), [](const TftEntry& a, const TftEntry& b) {
+    return std::tie(a.match.arr_slice, a.match.src, a.match.dst) <
+           std::tie(b.match.arr_slice, b.match.src, b.match.dst);
+  });
+  return out;
+}
+
+TimeFlowTable::Hit::operator const TftEntry*() const {
+  if (cell_ == kEmpty) return nullptr;
+  table_->rebuild(match_, table_->slot_of(match_), table_->rebuilt_);
+  return &table_->rebuilt_;
 }
 
 }  // namespace oo::core

@@ -21,8 +21,8 @@ class FifoQueue {
   std::optional<Packet> dequeue();
   const Packet* peek() const;
 
-  bool empty() const { return pkts_.empty(); }
-  std::size_t size() const { return pkts_.size(); }
+  bool empty() const { return !pkts_ || pkts_->empty(); }
+  std::size_t size() const { return pkts_ ? pkts_->size() : 0; }
   std::int64_t bytes() const { return bytes_; }
   std::int64_t capacity() const { return capacity_; }
   std::int64_t free_bytes() const { return capacity_ - bytes_; }
@@ -35,7 +35,10 @@ class FifoQueue {
   std::int64_t peak_bytes() const { return peak_bytes_; }
 
  private:
-  std::deque<Packet> pkts_;
+  // Built by the first enqueue: an empty std::deque already holds a
+  // heap map and node, and most per-destination and calendar queues are
+  // never used.
+  std::optional<std::deque<Packet>> pkts_;
   std::int64_t capacity_;
   std::int64_t bytes_ = 0;
   std::int64_t peak_bytes_ = 0;

@@ -22,6 +22,7 @@ std::int64_t ceil_ns(double ns) {
 
 void FctAggregate::add(double x) {
   stats_.add(x);
+  sorted_valid_ = false;
   // Algorithm R on a dedicated derived stream: deterministic for a
   // deterministic arrival order, bounded at `cap_` samples.
   if (reservoir_.size() < cap_) {
@@ -36,9 +37,12 @@ void FctAggregate::add(double x) {
 }
 
 double FctAggregate::percentile(double p) const {
-  std::vector<double> sorted = reservoir_;
-  std::sort(sorted.begin(), sorted.end());
-  return percentile_of_sorted(sorted, p);
+  if (!sorted_valid_) {
+    sorted_ = reservoir_;
+    std::sort(sorted_.begin(), sorted_.end());
+    sorted_valid_ = true;
+  }
+  return percentile_of_sorted(sorted_, p);
 }
 
 TrafficEngine::TrafficEngine(core::Network& net, TrafficSpec spec)

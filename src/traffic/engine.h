@@ -72,6 +72,9 @@ class FctAggregate {
  private:
   RunningStats stats_;
   std::vector<double> reservoir_;
+  // The reservoir, sorted by the first percentile() after an add().
+  mutable std::vector<double> sorted_;
+  mutable bool sorted_valid_ = false;
   std::size_t cap_ = 1 << 16;
   Rng rng_;
 };

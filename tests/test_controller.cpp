@@ -83,12 +83,12 @@ TEST_F(ControllerTest, PerHopCompilesEveryHop) {
   ASSERT_TRUE(
       ctl->deploy_routing({p}, LookupMode::PerHop, MultipathMode::None));
   // Entry at node 0: (arr=0, src=0, dst=3).
-  const auto* e0 = net->tor(0).tft().lookup(0, 0, 3);
+  const TftEntry* e0 = net->tor(0).tft().lookup(0, 0, 3);
   ASSERT_NE(e0, nullptr);
   EXPECT_EQ(e0->actions[0].hops.size(), 1u);
   EXPECT_EQ(e0->actions[0].hops[0].dep_slice, 0);
   // Entry at node 1: wildcard src, arr = previous dep (0).
-  const auto* e1 = net->tor(1).tft().lookup(0, 99, 3);
+  const TftEntry* e1 = net->tor(1).tft().lookup(0, 99, 3);
   ASSERT_NE(e1, nullptr);
   EXPECT_EQ(e1->actions[0].hops[0].dep_slice, 1);
 }
@@ -102,7 +102,7 @@ TEST_F(ControllerTest, SourceRoutingCompilesOnlyAtSource) {
   p.hops.push_back(PathHop{1, 0, 1});
   ASSERT_TRUE(ctl->deploy_routing({p}, LookupMode::SourceRouting,
                                   MultipathMode::None));
-  const auto* e0 = net->tor(0).tft().lookup(0, 0, 3);
+  const TftEntry* e0 = net->tor(0).tft().lookup(0, 0, 3);
   ASSERT_NE(e0, nullptr);
   EXPECT_EQ(e0->actions[0].hops.size(), 2u);  // whole path in the action
   EXPECT_EQ(net->tor(1).tft().lookup(0, 0, 3), nullptr);  // nothing at hop 2
@@ -123,7 +123,7 @@ TEST_F(ControllerTest, MultipathMergesAndDedupes) {
   c.hops.push_back(PathHop{1, 0, 1});
   ASSERT_TRUE(ctl->deploy_routing({a, b, c}, LookupMode::PerHop,
                                   MultipathMode::PerPacket));
-  const auto* e = net->tor(0).tft().lookup(0, 5, 3);
+  const TftEntry* e = net->tor(0).tft().lookup(0, 5, 3);
   ASSERT_NE(e, nullptr);
   ASSERT_EQ(e->actions.size(), 2u);
   double wa = 0, wc = 0;

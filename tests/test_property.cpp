@@ -211,7 +211,7 @@ TEST(TftFuzz, LookupMatchesReferenceModel) {
     for (SliceId arr = 0; arr < 4; ++arr) {
       for (NodeId src = 0; src < 4; ++src) {
         for (NodeId dst = 0; dst < 4; ++dst) {
-          const auto* got = tft.lookup(arr, src, dst);
+          const core::TftEntry* got = tft.lookup(arr, src, dst);
           // Reference: specificity order.
           const Ref* want = nullptr;
           for (auto key : {std::make_tuple(arr, src, dst),

@@ -19,7 +19,7 @@ TftEntry entry(SliceId arr, NodeId src, NodeId dst, PortId egress,
 TEST(TimeFlowTable, ExactMatch) {
   TimeFlowTable t;
   t.add(entry(0, 1, 3, 5, 2));
-  const auto* e = t.lookup(0, 1, 3);
+  const TftEntry* e = t.lookup(0, 1, 3);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->actions[0].hops[0].egress, 5);
   EXPECT_EQ(e->actions[0].hops[0].dep_slice, 2);
@@ -46,7 +46,7 @@ TEST(TimeFlowTable, FlowTableDegeneration) {
   TimeFlowTable t;
   t.add(entry(kAnySlice, kInvalidNode, 7, 4, kAnySlice));
   for (SliceId s : {0, 1, 99}) {
-    const auto* e = t.lookup(s, 123, 7);
+    const TftEntry* e = t.lookup(s, 123, 7);
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->actions[0].hops[0].egress, 4);
     EXPECT_EQ(e->actions[0].hops[0].dep_slice, kAnySlice);
@@ -103,7 +103,7 @@ TEST(TimeFlowTable, SourceRoutingActionCarriesHops) {
       TftAction{{net::SourceHop{1, 0}, net::SourceHop{2, 1}}, 1.0});
   TimeFlowTable t;
   t.add(e);
-  const auto* found = t.lookup(0, 5, 3);
+  const TftEntry* found = t.lookup(0, 5, 3);
   ASSERT_NE(found, nullptr);
   ASSERT_EQ(found->actions[0].hops.size(), 2u);
   EXPECT_EQ(found->actions[0].hops[1].egress, 2);
@@ -120,7 +120,7 @@ TEST(TimeFlowTable, ManyEntriesLookup) {
     }
   }
   EXPECT_EQ(t.size(), 107u * 108u);
-  const auto* e = t.lookup(50, 3, 77);
+  const TftEntry* e = t.lookup(50, 3, 77);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->actions[0].hops[0].dep_slice, (50 + 77) % 107);
 }

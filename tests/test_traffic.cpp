@@ -62,6 +62,11 @@ TEST(FctAggregateTest, PercentilesMatchPercentileSampler) {
     const double fct_us = 5.0 + rng.uniform01() * 5000.0;
     agg.add(fct_us);
     sampler.add(fct_us);
+    // A percentile read between adds sees every sample added so far.
+    if (i % 250 == 0) {
+      EXPECT_EQ(agg.percentile(50), sampler.percentile(50)) << "after " << i;
+      EXPECT_EQ(agg.percentile(99), sampler.percentile(99)) << "after " << i;
+    }
   }
   for (int tenths = 0; tenths <= 1000; ++tenths) {
     const double p = tenths / 10.0;
