@@ -1,8 +1,13 @@
 // Microbenchmarks (google-benchmark) for the hot data-plane and
 // control-plane primitives: time-flow table lookup, calendar-queue
 // operations, EQO updates, event-engine throughput, routing computation
-// for a full rotor cycle, and the opera routing deploy at 64 and 128 ToRs.
+// for a full rotor cycle, the opera routing deploy at 64 and 128 ToRs, and
+// one packet flow's life in a transfer pool.
 #include <benchmark/benchmark.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "common/rng.h"
 #include "core/calendar_queue.h"
@@ -10,9 +15,30 @@
 #include "core/eqo.h"
 #include "core/time_flow_table.h"
 #include "eventsim/simulator.h"
+#include "routing/ta_routing.h"
 #include "routing/time_expanded.h"
 #include "routing/to_routing.h"
 #include "topo/round_robin.h"
+#include "workload/transfer_pool.h"
+
+// Every heap allocation this binary makes goes through here, so a bench
+// can report allocations per item.
+namespace {
+std::atomic<std::int64_t> g_allocs{0};
+}  // namespace
+
+// GCC pairs these by name once inlined and would flag the malloc/free
+// inside them as a mismatch.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 using namespace oo;
 using namespace oo::literals;
@@ -297,6 +323,39 @@ void BM_EventTimerChurn(benchmark::State& state) {
   state.SetItemsProcessed(events);
 }
 BENCHMARK(BM_EventTimerChurn);
+
+// One 4 KB packet flow on a 2-ToR electrical network, launched through a
+// TransferPool and run through its completion and the reclaim that frees
+// its slot. Items are flows; allocs_per_flow counts every heap allocation
+// on the way, the packets' event closures included.
+void BM_TransferPoolFlowLifecycle(benchmark::State& state) {
+  core::NetworkConfig cfg;
+  cfg.num_tors = 2;
+  cfg.calendar_mode = false;
+  cfg.electrical_bw = 100e9;
+  optics::Schedule sched(2, 1, 1, SimTime::seconds(3600));
+  core::Network net(cfg, sched, optics::ocs_emulated());
+  core::Controller ctl(net);
+  ctl.deploy_routing(routing::electrical_default(2), core::LookupMode::PerHop,
+                     core::MultipathMode::None);
+  net.start();
+  workload::TransferPool pool(net);
+  std::int64_t done = 0;
+  std::int64_t allocs = 0;
+  for (auto _ : state) {
+    const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
+    pool.launch(0, 1, 4000, {}, [&done](SimTime, std::int64_t) { ++done; });
+    net.sim().run_until(net.sim().now() + 100_us);
+    allocs += g_allocs.load(std::memory_order_relaxed) - before;
+  }
+  if (done != state.iterations() || pool.active() != 0) {
+    state.SkipWithError("a flow did not complete and reclaim");
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["allocs_per_flow"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_TransferPoolFlowLifecycle);
 
 void BM_EarliestArrivalPerDestination(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

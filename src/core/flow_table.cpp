@@ -13,7 +13,7 @@ FlowSinkTable::Sink* FlowSinkTable::find(FlowId flow) {
   for (std::size_t i = home(flow);; i = (i + 1) & mask) {
     const Entry& e = entries_[i];
     if (e.id == kEmpty) return nullptr;
-    if (e.id == flow) return &sink(e.sink);
+    if (e.id == flow) return &sinks_[e.sink];
   }
 }
 
@@ -24,33 +24,24 @@ void FlowSinkTable::assign(FlowId flow, Sink fn) {
   for (std::size_t i = home(flow);; i = (i + 1) & mask) {
     Entry& e = entries_[i];
     if (e.id == flow) {
-      sink(e.sink) = std::move(fn);
+      sinks_[e.sink] = std::move(fn);
       return;
     }
     if (e.id == kEmpty) {
       e.id = flow;
-      if (free_sinks_.empty()) {
-        if (sinks_ % kChunk == 0) {
-          chunks_.push_back(std::make_unique<Sink[]>(kChunk));
-        }
-        e.sink = sinks_++;
-      } else {
-        e.sink = free_sinks_.back();
-        free_sinks_.pop_back();
-      }
-      sink(e.sink) = std::move(fn);
+      e.sink = sinks_.emplace(std::move(fn));
       ++size_;
       return;
     }
   }
 }
 
-void FlowSinkTable::erase(FlowId flow) {
-  if (size_ == 0) return;
+bool FlowSinkTable::erase(FlowId flow) {
+  if (size_ == 0) return false;
   const std::size_t mask = entries_.size() - 1;
   std::size_t i = home(flow);
   for (;; i = (i + 1) & mask) {
-    if (entries_[i].id == kEmpty) return;
+    if (entries_[i].id == kEmpty) return false;
     if (entries_[i].id == flow) break;
   }
   const std::uint32_t freed = entries_[i].sink;
@@ -65,9 +56,9 @@ void FlowSinkTable::erase(FlowId flow) {
   }
   entries_[i] = Entry{};
   --size_;
-  free_sinks_.push_back(freed);
   // Destroyed last: a closure's destructor may unbind other flows.
-  const Sink doomed = std::move(sink(freed));
+  sinks_.erase(freed);
+  return true;
 }
 
 void FlowSinkTable::grow() {

@@ -2,7 +2,7 @@
 // delivered to. Open addressing with linear probing over a power-of-two
 // array of (id, sink index) entries, kept at most 75% full, and
 // backward-shift erase, so lookups never meet tombstones. The sinks
-// themselves live in fixed-size chunks that never move: a sink may bind
+// themselves live in a Slab, whose slots never move: a sink may bind
 // further flows while it runs (a completion that launches the next
 // transfer) without relocating its own closure. A host that binds nothing
 // allocates nothing.
@@ -11,10 +11,10 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "common/ids.h"
+#include "common/slab.h"
 #include "net/packet.h"
 
 namespace oo::core {
@@ -28,8 +28,8 @@ class FlowSinkTable {
   Sink* find(FlowId flow);
   // Bind `flow` to `fn`, replacing an earlier binding.
   void assign(FlowId flow, Sink fn);
-  // Unbind `flow`; a no-op when it is not bound.
-  void erase(FlowId flow);
+  // Unbind `flow`; false (and nothing done) when it is not bound.
+  bool erase(FlowId flow);
 
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return entries_.size(); }
@@ -37,10 +37,9 @@ class FlowSinkTable {
  private:
   // Marks an empty entry; no allocator hands out the minimum id.
   static constexpr FlowId kEmpty = std::numeric_limits<FlowId>::min();
-  static constexpr std::uint32_t kChunk = 64;  // sinks per chunk
   struct Entry {
     FlowId id = kEmpty;
-    std::uint32_t sink = 0;  // chunks_[sink / kChunk][sink % kChunk]
+    std::uint32_t sink = 0;  // slot in sinks_
   };
 
   // Home entry of `flow`: Fibonacci hashing spreads the sequential and
@@ -49,13 +48,10 @@ class FlowSinkTable {
     return static_cast<std::size_t>(
         (static_cast<std::uint64_t>(flow) * 0x9E3779B97F4A7C15ull) >> shift_);
   }
-  Sink& sink(std::uint32_t i) { return chunks_[i / kChunk][i % kChunk]; }
   void grow();
 
   std::vector<Entry> entries_;
-  std::vector<std::unique_ptr<Sink[]>> chunks_;
-  std::uint32_t sinks_ = 0;  // sink indices handed out so far
-  std::vector<std::uint32_t> free_sinks_;
+  Slab<Sink> sinks_;
   std::size_t size_ = 0;
   int shift_ = 64;  // 64 - log2(capacity)
 };

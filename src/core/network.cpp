@@ -39,23 +39,35 @@ Host::DstState& Host::dst_state(NodeId dst) {
   return dsts_[static_cast<std::size_t>(dst)];
 }
 
-void Host::bind_flow(FlowId flow, ReceiveFn sink) {
+bool Host::bind_flow(FlowId flow, ReceiveFn sink) {
   // flows_ is read by deliver() on this host's ToR lane. A bind issued from
   // another context (transports launch from the control queue) crosses onto
   // that lane; control-phase pushes land before the current window's lane
   // events run, and the first data packet trails the bind by at least the
   // fabric latency (>= one window), so the sink is always installed in time.
-  net_.sim().run_on(
+  return net_.sim().run_on(
       tor_,
       [this, flow, s = std::move(sink)]() mutable {
+        const auto dead =
+            std::find(dead_binds_.begin(), dead_binds_.end(), flow);
+        if (dead != dead_binds_.end()) {
+          *dead = dead_binds_.back();
+          dead_binds_.pop_back();
+          return;
+        }
         flows_.assign(flow, std::move(s));
       },
       "host.bind");
 }
 
-void Host::unbind_flow(FlowId flow) {
+void Host::unbind_flow(FlowId flow, bool bind_posted) {
   net_.sim().run_on(
-      tor_, [this, flow]() { flows_.erase(flow); }, "host.unbind");
+      tor_,
+      [this, flow, bind_posted]() {
+        // Not bound although the bind was posted: it is still in flight.
+        if (!flows_.erase(flow) && bind_posted) dead_binds_.push_back(flow);
+      },
+      "host.unbind");
 }
 
 SimTime Host::stack_delay() {

@@ -13,6 +13,7 @@
 
 #include "common/ids.h"
 #include "common/rng.h"
+#include "common/slab.h"
 #include "common/time.h"
 #include "core/calendar_queue.h"
 #include "core/eqo.h"
@@ -122,9 +123,14 @@ class Host {
   HostId id() const { return id_; }
   NodeId tor() const { return tor_; }
 
-  // Transport attach points.
-  void bind_flow(FlowId flow, ReceiveFn sink);
-  void unbind_flow(FlowId flow);
+  // Transport attach points. bind_flow returns true when the bind was
+  // posted to this host's lane and lands later (a sharded bind from
+  // another lane). Pass that to unbind_flow: an unbind that runs before
+  // such a bind lands leaves it nothing to install, so a flow that dies
+  // with its bind in flight is never bound.
+  bool bind_flow(FlowId flow, ReceiveFn sink);
+  void unbind_flow(FlowId flow, bool bind_posted = false);
+  std::size_t bound_flows() const { return flows_.size(); }
   // Catch-all sink for packets with no bound flow.
   void bind_default(ReceiveFn sink) { default_sink_ = std::move(sink); }
   // Invoked on every outgoing packet before pausing/queueing decisions —
@@ -193,6 +199,9 @@ class Host {
   std::unique_ptr<net::Link> up_link_;  // host -> ToR, wired by Network
   std::vector<DstState> dsts_;
   FlowSinkTable flows_;
+  // Flows unbound while their posted bind was still in flight; each entry
+  // cancels that one bind when it lands.
+  std::vector<FlowId> dead_binds_;
   ReceiveFn default_sink_;
   std::function<void(Packet&)> send_hook_;
   SimTime stack_last_release_ = SimTime::zero();
@@ -490,6 +499,12 @@ class Network {
   }
   Rng fork_rng() { return master_rng_.fork(); }
 
+  // A pointer-sized cell that this network keeps until it dies, for an
+  // owner whose posted callbacks may outlive it: the owner points the cell
+  // at itself and clears it when it dies, and a callback that finds it
+  // cleared does nothing. Cells never move. Call from a serial context.
+  void*& liveness_cell() { return cells_[cells_.emplace(nullptr)]; }
+
   // Aggregate drop/delivery counters across all components.
   struct Totals {
     std::int64_t delivered = 0;
@@ -552,6 +567,7 @@ class Network {
   std::vector<std::unique_ptr<TorSwitch>> tors_;
   std::vector<std::unique_ptr<Host>> hosts_;
   std::unique_ptr<parallel::ShardedEngine> engine_;
+  Slab<void*> cells_;  // liveness_cell()s
   PacketId packet_seq_ = 0;
   std::atomic<std::int64_t> packets_injected_{0};
   FlowId flow_seq_ = 0;

@@ -196,13 +196,15 @@ class Simulator {
   // inline when the calling context may touch that state — legacy mode,
   // setup, the serial phases, or a worker already on `lane` — otherwise
   // post it to `lane` at now(), delivered at the next window barrier.
+  // True when it was posted.
   template <typename F>
-  void run_on(int lane, F&& fn, const char* tag) {
+  bool run_on(int lane, F&& fn, const char* tag) {
     if (cross_lane(lane)) {
       schedule_at_lane(lane, now(), std::forward<F>(fn), tag);
-    } else {
-      fn();
+      return true;
     }
+    fn();
+    return false;
   }
 
   // Run until the queue drains or `until` is reached, whichever first.

@@ -13,6 +13,19 @@ namespace {
 
 constexpr std::int64_t kMiceThreshold = 100'000;  // Fig. 8's mice cut
 
+// A lane's emission count fits in kCountBits (2^40 flows is far beyond any
+// run); a trace ordinal keeps its lane tag above them.
+constexpr int kCountBits = 40;
+
+// What a packet flow's completion needs, in one word, so that its closure
+// (this word and the engine) stays inline in std::function.
+struct PacketFlow {
+  std::uint64_t count : kCountBits;  // the lane's emission count
+  std::uint64_t src_tor : 23;        // sharded: also the emitting slot
+  std::uint64_t mouse : 1;
+};
+static_assert(sizeof(PacketFlow) == sizeof(std::uint64_t));
+
 std::int64_t ceil_ns(double ns) {
   const double c = std::ceil(ns);
   return c < 1.0 ? 1 : static_cast<std::int64_t>(c);
@@ -81,9 +94,10 @@ TrafficEngine::TrafficEngine(core::Network& net, TrafficSpec spec)
 
 TrafficEngine::~TrafficEngine() {
   stop();
-  // Transfers launched through fluid_/pool_ may have completion events
-  // already queued past this engine's lifetime; their callbacks check this
-  // flag before touching the (now destroyed) aggregates.
+  // Fluid launches and completions may be queued past this engine's
+  // lifetime; they check this flag before touching the (now destroyed)
+  // solver and aggregates. The pools, destroyed with lanes_, drop the
+  // packet completions themselves.
   *alive_ = false;
 }
 
@@ -180,15 +194,8 @@ void TrafficEngine::emit(std::size_t slot, Source& s) {
   const std::int64_t bytes = sample_size(s.rng);
   const bool fluid = bytes >= spec_.hybrid_threshold;
   const bool mouse = bytes < kMiceThreshold;
-  // Trace-pairing ordinal. Legacy: the plain global emission count (one
-  // lane => same value as before). Sharded: lane-tagged so per-lane
-  // counts stay disjoint without a shared counter, mirroring the packet-
-  // id scheme.
   const std::int64_t lane_count = le.emitted_packet + le.emitted_fluid;
-  const std::int64_t ordinal =
-      lanes_.size() == 1
-          ? lane_count
-          : ((static_cast<std::int64_t>(slot) + 1) << 40) | lane_count;
+  const std::int64_t ordinal = trace_ordinal(slot, lane_count);
 
   le.bytes_offered += bytes;
   le.fingerprint ^= mix64(
@@ -200,26 +207,9 @@ void TrafficEngine::emit(std::size_t slot, Source& s) {
   if (auto* rec = net_.sim().recorder()) {
     rec->flow_start(now, src_tor, fluid, ordinal, bytes);
   }
-  // `alive` outlives the engine: completions from transfers still in
-  // flight when the engine is destroyed (owner swapped in a new one) must
-  // not touch the freed aggregates/recorder. Sharded: this callback always
-  // lands on the control context (packet transports post their done_ to
-  // the control queue; the fluid solver already lives there), so the
-  // aggregates stay serial.
-  auto record = [this, alive = alive_, mouse, fluid, src_tor,
-                 ordinal](SimTime fct) {
-    if (!*alive) return;
-    if (mouse) {
-      mice_.add(fct.us());
-    } else {
-      elephant_.add(fct.us());
-    }
-    if (auto* rec = net_.sim().recorder()) {
-      rec->flow_complete(net_.sim().now(), src_tor, fluid, ordinal,
-                         fct.ns());
-    }
-  };
-
+  // Completions always land on the control context (packet transports
+  // post theirs to the control queue; the fluid solver already lives
+  // there), so the aggregates stay serial.
   if (fluid) {
     ++le.emitted_fluid;
     flows_fluid_ctr_->inc();
@@ -228,13 +218,20 @@ void TrafficEngine::emit(std::size_t slot, Source& s) {
     // computation for the whole fabric), so a lane can't call into it
     // directly: mailbox the launch to the control queue. The barrier
     // clamp delays the launch by at most one sync window — the same
-    // amount at every shard count, so results stay byte-identical.
+    // amount at every shard count, so results stay byte-identical. Both
+    // the mailboxed launch and the solver's posted completion can outlive
+    // this engine (its owner swapped in a new one), so both check `alive`.
     net_.sim().run_on(
         sim::Simulator::kControlLane,
-        [this, alive = alive_, src, dst, bytes, record]() {
+        [this, alive = alive_, src, dst, bytes, mouse, src_tor, ordinal]() {
           if (!*alive) return;
           fluid_.launch(src, dst, bytes,
-                        [record](SimTime fct, std::int64_t) { record(fct); });
+                        [this, alive, mouse, src_tor, ordinal](
+                            SimTime fct, std::int64_t) {
+                          if (*alive) {
+                            flow_done(mouse, true, src_tor, ordinal, fct);
+                          }
+                        });
         },
         "traffic.fluid");
   } else {
@@ -244,9 +241,37 @@ void TrafficEngine::emit(std::size_t slot, Source& s) {
     if (spec_.open_loop) {
       send_train(src, dst, bytes);
     } else {
+      // The pool dies with this engine and drops the completions of its
+      // flows from then on, so this closure needs no liveness check.
+      const PacketFlow f{static_cast<std::uint64_t>(lane_count),
+                         static_cast<std::uint64_t>(src_tor), mouse};
       le.pool->launch(src, dst, bytes, spec_.transfer,
-                      [record](SimTime fct, std::int64_t) { record(fct); });
+                      [this, f](SimTime fct, std::int64_t) {
+                        flow_done(f.mouse, false, f.src_tor,
+                                  trace_ordinal(f.src_tor, f.count), fct);
+                      });
     }
+  }
+}
+
+std::int64_t TrafficEngine::trace_ordinal(std::size_t slot,
+                                          std::int64_t count) const {
+  // Legacy: the plain global emission count (one lane => same value as
+  // before). Sharded: lane-tagged so per-lane counts stay disjoint without
+  // a shared counter, mirroring the packet-id scheme.
+  if (lanes_.size() == 1) return count;
+  return ((static_cast<std::int64_t>(slot) + 1) << kCountBits) | count;
+}
+
+void TrafficEngine::flow_done(bool mouse, bool fluid, NodeId src_tor,
+                              std::int64_t ordinal, SimTime fct) {
+  if (mouse) {
+    mice_.add(fct.us());
+  } else {
+    elephant_.add(fct.us());
+  }
+  if (auto* rec = net_.sim().recorder()) {
+    rec->flow_complete(net_.sim().now(), src_tor, fluid, ordinal, fct.ns());
   }
 }
 

@@ -83,8 +83,9 @@ class TrafficEngine {
  public:
   TrafficEngine(core::Network& net, TrafficSpec spec);
   // Safe to destroy with flows in flight (e.g. when the owner swaps in a
-  // new engine): the wave timer is cancelled and completion callbacks from
-  // transfers that outlive the engine become no-ops via `alive_`.
+  // new engine): the wave timer is cancelled, the transfer pools die with
+  // the engine and drop their flows' completions, and fluid launches and
+  // completions that outlive it become no-ops via `alive_`.
   ~TrafficEngine();
   TrafficEngine(const TrafficEngine&) = delete;
   TrafficEngine& operator=(const TrafficEngine&) = delete;
@@ -179,6 +180,11 @@ class TrafficEngine {
   // inversion: draw per constant-rate segment, restart at boundaries).
   // Returns SimTime::max() when the curve pins the rate to zero forever.
   SimTime next_arrival(Source& s, SimTime from);
+  // Trace-pairing ordinal of a lane slot's count-th emission.
+  std::int64_t trace_ordinal(std::size_t slot, std::int64_t count) const;
+  // Adds a completed flow's FCT to its class and pairs its trace record.
+  void flow_done(bool mouse, bool fluid, NodeId src_tor, std::int64_t ordinal,
+                 SimTime fct);
   HostId pick_dst(NodeId src_tor, Rng& rng);
   std::int64_t sample_size(Rng& rng);
   const std::vector<double>& dst_row(NodeId src_tor);
@@ -192,9 +198,11 @@ class TrafficEngine {
   std::vector<LaneEmit> lanes_;  // sized by start(): 1, or num_tors sharded
   bool running_ = false;
   bool started_ = false;
-  // Shared liveness flag captured by completion callbacks handed to the
-  // fluid solver / transfer pool; flipped false in the destructor so
-  // callbacks from transfers that outlive the engine become no-ops.
+  // Shared liveness flag captured by the fluid launches mailboxed to the
+  // control queue and by their completions; flipped false in the
+  // destructor so those that outlive the engine become no-ops. Packet
+  // flows need none: their pools die with the engine and drop the
+  // completions that land later.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   double lambda_on_;   // per-source arrivals/sec inside ON windows, scale 1

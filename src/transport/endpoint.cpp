@@ -9,15 +9,17 @@ using core::PacketType;
 
 FlowEndpoint::FlowEndpoint(core::Network& net, HostId src, HostId dst,
                            ReceiveFn at_src, ReceiveFn at_dst)
-    : net_(net), src_(src), dst_(dst), flow_(net.alloc_flow_id()) {
-  net_.host(src_).bind_flow(flow_, std::move(at_src));
-  net_.host(dst_).bind_flow(flow_, std::move(at_dst));
-}
+    : net_(net),
+      flow_(net.alloc_flow_id()),
+      src_(src),
+      dst_(dst),
+      src_bind_posted_(net_.host(src_).bind_flow(flow_, std::move(at_src))),
+      dst_bind_posted_(net_.host(dst_).bind_flow(flow_, std::move(at_dst))) {}
 
 // Serial destruction makes both unbinds inline, so their order is moot.
 FlowEndpoint::~FlowEndpoint() {
-  net_.host(src_).unbind_flow(flow_);
-  net_.host(dst_).unbind_flow(flow_);
+  net_.host(src_).unbind_flow(flow_, src_bind_posted_);
+  net_.host(dst_).unbind_flow(flow_, dst_bind_posted_);
 }
 
 bool FlowEndpoint::start() {
@@ -56,17 +58,25 @@ Packet FlowEndpoint::ack(std::int64_t seq) const {
 
 bool CumulativeReceiver::receive(const Packet& p) {
   if (p.trimmed || p.seq < next_) return false;
+  const std::int64_t end = p.seq + p.payload;
   if (p.seq > next_) {
-    auto [it, inserted] = ooo_.emplace(p.seq, p.seq + p.payload);
-    if (!inserted) it->second = std::max(it->second, p.seq + p.payload);
+    const auto it = std::lower_bound(
+        ooo_.begin(), ooo_.end(), p.seq,
+        [](const Run& r, std::int64_t seq) { return r.start < seq; });
+    if (it != ooo_.end() && it->start == p.seq) {
+      it->end = std::max(it->end, end);
+    } else {
+      ooo_.insert(it, Run{p.seq, end});
+    }
     return true;
   }
-  next_ += p.payload;
+  next_ = end;
   // Pull the buffered runs that are now contiguous.
-  for (auto it = ooo_.begin(); it != ooo_.end() && it->first <= next_;
-       it = ooo_.erase(it)) {
-    next_ = std::max(next_, it->second);
+  auto it = ooo_.begin();
+  for (; it != ooo_.end() && it->start <= next_; ++it) {
+    next_ = std::max(next_, it->end);
   }
+  ooo_.erase(ooo_.begin(), it);
   return false;
 }
 

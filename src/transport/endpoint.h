@@ -8,16 +8,21 @@
 // Destruction is serial: a transport (and so its endpoint) is destroyed only
 // from the control context — TransferPool's deferred reclaim,
 // RingAllreduce's step, a bench's or test's own control-queue event — where
-// Host::unbind_flow runs inline. Every timer a transport arms is a
-// sim::ScopedEventHandle member, so no event it armed runs after it dies.
-// The sinks hold the transport's `this`: an endpoint can be neither copied
-// nor moved, and so neither can a transport that holds one.
+// Host::unbind_flow runs inline. A bind need not have landed by then: a
+// sharded transport launched on one ToR's lane posts its bind at the other
+// host through the barrier, and the endpoint can die (its engine replaced)
+// before that bind runs. The endpoint remembers which binds it posted, and
+// the unbind of one that has not landed leaves it nothing to install.
+// Every timer a transport arms is a sim::ScopedEventHandle member, so no
+// event it armed runs after it dies. The sinks hold the transport's
+// `this`: an endpoint can be neither copied nor moved, and so neither can
+// a transport that holds one.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <type_traits>
+#include <vector>
 
 #include "common/ids.h"
 #include "common/time.h"
@@ -43,6 +48,7 @@ class FlowEndpoint {
 
   HostId src() const { return src_; }
   HostId dst() const { return dst_; }
+  sim::Simulator& sim() const { return net_.sim(); }
 
   // Marks the flow started now; false if it already was.
   bool start();
@@ -79,16 +85,18 @@ class FlowEndpoint {
 
  private:
   core::Network& net_;
-  HostId src_;
-  HostId dst_;
   FlowId flow_;
   SimTime start_time_;
+  HostId src_;
+  HostId dst_;
   bool started_ = false;
+  bool src_bind_posted_;
+  bool dst_bind_posted_;
 };
 
 // The in-order prefix plus the out-of-order runs buffered past it
 // (multipath fabrics reorder heavily; discarding would conflate reordering
-// with loss).
+// with loss). The runs are kept by start, one per start, and may overlap.
 class CumulativeReceiver {
  public:
   // Takes a data packet's bytes; true when they arrived past the in-order
@@ -99,8 +107,12 @@ class CumulativeReceiver {
   std::int64_t next() const { return next_; }
 
  private:
+  struct Run {
+    std::int64_t start;
+    std::int64_t end;
+  };
   std::int64_t next_ = 0;
-  std::map<std::int64_t, std::int64_t> ooo_;  // start -> end
+  std::vector<Run> ooo_;  // sorted by start
 };
 
 }  // namespace oo::transport

@@ -10,8 +10,7 @@ using core::PacketType;
 FlowTransfer::FlowTransfer(core::Network& net, HostId src, HostId dst,
                            std::int64_t bytes, FlowTransferConfig cfg,
                            DoneFn done)
-    : net_(net),
-      ep_(net, src, dst,
+    : ep_(net, src, dst,
           [this](Packet&& p) { on_sender_packet(std::move(p)); },
           [this](Packet&& p) { on_receiver_packet(std::move(p)); }),
       total_bytes_(bytes),
@@ -74,7 +73,7 @@ void FlowTransfer::arm_rto() {
   // queue's dead-key count at each insert decides when it compacts, which
   // the pending-key count and the sharded window grid see.
   rto_.cancel();
-  rto_ = net_.sim().schedule_in(cfg_.rto, [this]() { on_rto(); }, "tcp.rto");
+  rto_ = ep_.sim().schedule_in(cfg_.rto, [this]() { on_rto(); }, "tcp.rto");
 }
 
 void FlowTransfer::on_rto() {

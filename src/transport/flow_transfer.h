@@ -44,8 +44,10 @@ class FlowTransfer {
   void on_rto();
   void finish();
 
-  core::Network& net_;
-  FlowEndpoint ep_;
+  // Potentially overlapping, so the flags below fill its tail padding.
+  [[no_unique_address]] FlowEndpoint ep_;
+  bool finished_ = false;
+  bool blocked_ = false;  // host segment queue backpressure
   std::int64_t total_bytes_;
   FlowTransferConfig cfg_;
   DoneFn done_;
@@ -55,8 +57,6 @@ class FlowTransfer {
   std::int64_t snd_una_ = 0;   // lowest unacked byte
   std::int64_t retrans_ = 0;
   sim::ScopedEventHandle rto_;
-  bool finished_ = false;
-  bool blocked_ = false;  // host segment queue backpressure
 
   CumulativeReceiver rcv_;
 };

@@ -35,12 +35,13 @@ using namespace oo::literals;
 constexpr std::int64_t kPacketOnly = std::numeric_limits<std::int64_t>::max();
 
 arch::Instance make_rotor(int tors, int hosts_per_tor, int uplinks,
-                          std::uint64_t seed = 7) {
+                          std::uint64_t seed = 7, int shards = 0) {
   arch::Params p;
   p.tors = tors;
   p.hosts_per_tor = hosts_per_tor;
   p.uplinks = uplinks;
   p.seed = seed;
+  p.shards = shards;
   return runner::make_arch("rotornet-direct", p);
 }
 
@@ -412,6 +413,36 @@ TEST(TrafficEngineTest, ReplacementWithInFlightFlowsIsSafe) {
   // And tearing down with everything still in flight is equally safe.
   eng.reset();
   inst.run_for(20_ms);
+}
+
+// The same under the lane engine, cut while flows are in flight. A packet
+// flow launched on its source ToR's lane posts the bind at its destination
+// through the barrier, and its completion to the control queue; either can
+// still be queued when the engine dies. A late bind must install nothing
+// (it would hand the next data packet to a freed transfer, k = 1 at the
+// parent), and a late completion must not touch the dead engine's pool
+// (k = 7). Once the network drains, no dead flow is left bound. The CI
+// asan job is the real assertion for the completion.
+TEST(TrafficEngineTest, ShardedReplacementWithInFlightFlowsIsSafe) {
+  for (const int shards : {1, 2}) {
+    for (int k = 1; k <= 8; ++k) {
+      auto inst = make_rotor(4, 2, 1, 7, shards);
+      TrafficSpec spec = small_spec(33 + static_cast<std::uint64_t>(k));
+      spec.hybrid_threshold = 100'000;  // both fidelities in flight
+      auto eng = std::make_unique<TrafficEngine>(*inst.net, std::move(spec));
+      eng->start();
+      for (int i = 0; i < 7; ++i) {
+        inst.run_for(SimTime::nanos(713'000 + 997 * k));
+      }
+      ASSERT_GT(eng->flows_emitted(), 0) << "shards " << shards << " k " << k;
+      eng.reset();
+      inst.run_for(20_ms);
+      for (HostId h = 0; h < inst.net->num_hosts(); ++h) {
+        EXPECT_EQ(inst.net->host(h).bound_flows(), 0u)
+            << "shards " << shards << " k " << k << " host " << h;
+      }
+    }
+  }
 }
 
 // Degenerate skew: when the source's own rack is the only hot rack at

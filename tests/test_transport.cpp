@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "common/rng.h"
 #include "core/controller.h"
 #include "routing/ta_routing.h"
 #include "routing/to_routing.h"
@@ -126,6 +130,69 @@ TEST(FlowTransfer, UniqueFlowIdsPerNetwork) {
   // history: a fresh network replays the same id sequence.
   auto net2 = make_electrical_net();
   EXPECT_EQ(net2->alloc_flow_id(), a);
+}
+
+// CumulativeReceiver's runs as a std::map, as they were kept before they
+// became a sorted vector: the oracle for next() and receive().
+class MapReceiver {
+ public:
+  bool receive(const core::Packet& p) {
+    if (p.trimmed || p.seq < next_) return false;
+    if (p.seq > next_) {
+      auto [it, inserted] = ooo_.emplace(p.seq, p.seq + p.payload);
+      if (!inserted) it->second = std::max(it->second, p.seq + p.payload);
+      return true;
+    }
+    next_ += p.payload;
+    for (auto it = ooo_.begin(); it != ooo_.end() && it->first <= next_;
+         it = ooo_.erase(it)) {
+      next_ = std::max(next_, it->second);
+    }
+    return false;
+  }
+  std::int64_t next() const { return next_; }
+
+ private:
+  std::int64_t next_ = 0;
+  std::map<std::int64_t, std::int64_t> ooo_;
+};
+
+TEST(CumulativeReceiver, MatchesAMapOfRunsAtEveryArrival) {
+  constexpr std::int64_t kBytes = 200'000;
+  for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    // The message cut at two segment sizes, so resent segments overlap the
+    // runs the first cut left buffered; some arrive twice, some trimmed.
+    std::vector<core::Packet> arrivals;
+    for (const std::int64_t mss : {std::int64_t{8900},
+                                   std::int64_t{1500 + rng.uniform(4000)}}) {
+      for (std::int64_t seq = 0; seq < kBytes; seq += mss) {
+        core::Packet p;
+        p.type = core::PacketType::Data;
+        p.seq = seq;
+        p.payload = std::min(mss, kBytes - seq);
+        p.trimmed = rng.uniform(10) == 0;
+        arrivals.push_back(p);
+        if (rng.uniform(8) == 0) arrivals.push_back(p);
+      }
+    }
+    // Odd seeds arrive in any order; even seeds reorder within a window of
+    // eight, so the in-order prefix advances as it goes.
+    const std::size_t window = seed % 2 == 1 ? arrivals.size() : 8;
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+      const std::size_t span = std::min(window, arrivals.size() - i);
+      std::swap(arrivals[i],
+                arrivals[i + rng.uniform(static_cast<std::uint32_t>(span))]);
+    }
+    CumulativeReceiver rcv;
+    MapReceiver ref;
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+      ASSERT_EQ(rcv.receive(arrivals[i]), ref.receive(arrivals[i]))
+          << "seed " << seed << " arrival " << i;
+      ASSERT_EQ(rcv.next(), ref.next()) << "seed " << seed << " arrival " << i;
+    }
+    EXPECT_GT(rcv.next(), 0) << "seed " << seed;
+  }
 }
 
 TEST(TcpLite, SaturatesCleanPathUpToCap) {

@@ -48,6 +48,85 @@ TEST(TransferPool, LaunchesAndReclaims) {
   EXPECT_EQ(pool.active(), 0u);  // reclaimed after completion
 }
 
+TEST(TransferPool, ReusesReclaimedSlots) {
+  auto net = make_electrical_net(2);
+  TransferPool pool(*net);
+  int done = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      pool.launch(0, 1, 10000, {}, [&](SimTime, std::int64_t) { ++done; });
+    }
+    net->sim().run_until(net->sim().now() + 10_ms);
+    EXPECT_EQ(pool.active(), 0u);
+    EXPECT_EQ(pool.slots(), 3u) << "round " << round;
+  }
+  EXPECT_EQ(done, 9);
+  EXPECT_EQ(pool.launched(), 9);
+}
+
+TEST(TransferPool, CountsATransferUntilItsReclaimRuns) {
+  auto net = make_electrical_net(2);
+  TransferPool pool(*net);
+  std::vector<std::size_t> seen;
+  pool.launch(0, 1, 10000, {}, [&](SimTime, std::int64_t) {
+    seen.push_back(pool.active());
+    // Scheduled before the pool schedules the reclaim, so it runs first.
+    net->sim().schedule_at(net->sim().now(),
+                           [&]() { seen.push_back(pool.active()); });
+  });
+  net->sim().run_until(10_ms);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{1, 1}));
+  EXPECT_EQ(pool.active(), 0u);
+  EXPECT_EQ(pool.completed(), 1);
+}
+
+TEST(TransferPool, CompletionThatLaunchesGrowsTheSlabInPlace) {
+  // The flows fill the first chunk of slots, so the first completion's
+  // launch grows the slab while that completion's closure, held inline in
+  // its slot (it captures one reference), still runs and reads its capture
+  // afterwards; the asan job checks that read.
+  constexpr int kFlows = 64;
+  auto net = make_electrical_net(2);
+  TransferPool pool(*net);
+  struct {
+    TransferPool& pool;
+    int first = 0;
+    int second = 0;
+  } c{pool};
+  for (int i = 0; i < kFlows; ++i) {
+    pool.launch(0, 1, 20000, {}, [&c](SimTime, std::int64_t) {
+      c.pool.launch(1, 0, 20000, {},
+                    [&c](SimTime, std::int64_t) { ++c.second; });
+      ++c.first;
+    });
+  }
+  EXPECT_EQ(pool.slots(), static_cast<std::size_t>(kFlows));
+  net->sim().run_until(50_ms);
+  EXPECT_EQ(c.first, kFlows);
+  EXPECT_EQ(c.second, kFlows);
+  EXPECT_GT(pool.slots(), static_cast<std::size_t>(kFlows));
+  EXPECT_EQ(pool.active(), 0u);
+}
+
+TEST(TransferPool, DestroyedWithReclaimsPendingRunsNothing) {
+  auto net = make_electrical_net(2);
+  auto pool = std::make_unique<TransferPool>(*net);
+  int done = 0;
+  for (int i = 0; i < 4; ++i) {
+    pool->launch(0, 1, 10000, {}, [&](SimTime, std::int64_t) {
+      ++done;
+      // Destroy the pool between this completion and its reclaim, with the
+      // other transfers still in flight.
+      net->sim().schedule_at(net->sim().now(), [&]() { pool.reset(); });
+    });
+  }
+  net->sim().run_until(50_ms);
+  EXPECT_EQ(pool, nullptr);
+  EXPECT_EQ(done, 1);
+  EXPECT_EQ(net->host(0).bound_flows(), 0u);
+  EXPECT_EQ(net->host(1).bound_flows(), 0u);
+}
+
 TEST(KvWorkload, RecordsFcts) {
   auto net = make_electrical_net(4);
   KvWorkload kv(*net, /*server=*/0, {1, 2, 3}, /*mean_interval=*/500_us);
