@@ -69,8 +69,8 @@ int run_fault_drill(const std::string& trace_path) {
 
   services::FailureRecovery recovery(
       *inst.net, *inst.ctl,
-      [&](const optics::Schedule&) {
-        return routing::electrical_default(p.tors);
+      [&](const optics::Schedule&, core::PathSink sink) {
+        return routing::electrical_default(p.tors, sink);
       },
       /*scrub=*/1_ms);
   auto steering = inst.steering;

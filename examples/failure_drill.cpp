@@ -22,7 +22,9 @@ int main() {
 
   services::FailureRecovery recovery(
       *inst.net, *inst.ctl,
-      [](const optics::Schedule& s) { return routing::direct_to(s); },
+      [](const optics::Schedule& s, core::PathSink sink) {
+        return routing::direct_to(s, sink);
+      },
       /*poll=*/500_us);
   recovery.start();
 

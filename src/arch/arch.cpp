@@ -55,6 +55,18 @@ void check_even_tors(const std::string& preset, const Params& p) {
   }
 }
 
+// A 1-D rotor of N ToRs cycles through N - 1 matchings, and each uplink is
+// phase-shifted by a share of that cycle: an uplink beyond N - 1 repeats
+// another uplink's circuits.
+void check_rotor_uplinks(const std::string& preset, int tors, int uplinks) {
+  if (uplinks > tors - 1) {
+    reject(preset, "uplinks must be <= tors - 1 = " +
+                       std::to_string(tors - 1) +
+                       " (the rotor's matchings), got " +
+                       std::to_string(uplinks));
+  }
+}
+
 // The preset's base routing must install on the schedule it just built.
 void require_routing(const std::string& preset, const Instance& inst,
                      const Params& p, bool ok) {
@@ -289,6 +301,7 @@ Instance make_rotornet(const Params& p, RotorRouting routing_kind,
   if (hybrid_electrical) name += "-hybrid";
   NetworkConfig cfg = base_config(name, p);
   check_even_tors(name, p);
+  check_rotor_uplinks(name, p.tors, p.uplinks);
   cfg.calendar_mode = true;
   if (hybrid_electrical) cfg.electrical_bw = 10e9;
   const SliceId period = topo::round_robin_period(p.tors);
@@ -367,6 +380,7 @@ Instance make_opera(const Params& p, bool bulk) {
   cfg.congestion_response = bulk ? core::CongestionResponse::Defer
                                  : core::CongestionResponse::Trim;
   const int uplinks = std::max(2, p.uplinks);
+  check_rotor_uplinks(name, p.tors, uplinks);
   const SliceId period = topo::round_robin_period(p.tors);
   auto circuits = topo::round_robin_1d(p.tors, uplinks);
   auto sched = compile(name, p.tors, uplinks, period, p.slice, circuits);

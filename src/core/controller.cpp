@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
-#include <span>
 
 #include "core/quorum.h"
 
@@ -196,9 +195,21 @@ bool Controller::check_path(const Path& path,
   }
   for (std::size_t i = 0; i < path.hops.size(); ++i) {
     const PathHop& h = path.hops[i];
+    const NodeId expect =
+        (i + 1 < path.hops.size()) ? path.hops[i + 1].node : path.dst;
     if (h.egress == kElectricalEgress) {
       if (net_.electrical() == nullptr) {
         last_error_ = "path uses electrical fabric but none is configured";
+        return false;
+      }
+      // The electrical fabric reaches every ToR, so only its ends need a
+      // check: the compile indexes its tables by a hop's node.
+      const auto on_net = [&](NodeId n) {
+        return n >= 0 && n < net_.num_tors();
+      };
+      if (!on_net(h.node) || !on_net(expect)) {
+        last_error_ = "electrical hop from node " + std::to_string(h.node) +
+                      " to " + std::to_string(expect) + " leaves the network";
         return false;
       }
       continue;
@@ -211,8 +222,6 @@ bool Controller::check_path(const Path& path,
                     std::to_string(s);
       return false;
     }
-    const NodeId expect =
-        (i + 1 < path.hops.size()) ? path.hops[i + 1].node : path.dst;
     if (peer->node != expect) {
       last_error_ = "circuit at node " + std::to_string(h.node) +
                     " leads to " + std::to_string(peer->node) + ", not " +
@@ -223,56 +232,6 @@ bool Controller::check_path(const Path& path,
   return true;
 }
 
-bool Controller::check_paths(PathStream paths, const optics::Schedule& sched,
-                             PathSink then) const {
-  bool ok = true;
-  paths([&](const Path& p) {
-    // Sticky, so a producer that ignores the stop cannot clear the error.
-    ok = ok && check_path(p, sched);
-    return ok && then(p);
-  });
-  return ok;
-}
-
-bool Controller::validate_routing(PathStream paths,
-                                  const optics::Schedule* validate_against) {
-  last_error_.clear();
-  if (!control_plane_up()) return false;
-  const optics::Schedule& sched =
-      validate_against != nullptr ? *validate_against : net_.schedule();
-  return check_paths(paths, sched, [](const Path&) { return true; });
-}
-
-namespace {
-
-// A compiled entry's key: the node it is installed at and its match.
-struct NodeMatch {
-  NodeId node;
-  SliceId arr;
-  NodeId src;
-  NodeId dst;
-
-  bool operator==(const NodeMatch&) const = default;
-};
-
-// One action while compiling: hops[hop, hop + count) of the compile's hop
-// pool, all of a path's hops when source-routed and one otherwise. The
-// actions of one match form a list, in path order, through `next`.
-struct PendingAction {
-  std::uint32_t hop;
-  std::uint32_t count;
-  double weight;
-  std::int32_t next;
-};
-
-struct PendingMatch {
-  NodeMatch key;
-  std::int32_t first;  // action list
-  std::int32_t last;
-};
-
-}  // namespace
-
 CompiledRouting::operator std::vector<std::vector<TftEntry>>() const {
   std::vector<std::vector<TftEntry>> out;
   out.reserve(tables.size());
@@ -282,87 +241,22 @@ CompiledRouting::operator std::vector<std::vector<TftEntry>>() const {
 
 CompiledRouting compile_routing(PathStream paths, LookupMode lookup,
                                 int priority, int num_nodes) {
-  const bool source_routed = lookup == LookupMode::SourceRouting;
-  std::vector<PendingMatch> matches;
-  std::vector<PendingAction> actions;
-  // Every new action's hops, copied, so no action refers to a path once
-  // that path's sink call returns.
-  std::vector<net::SourceHop> hops;
-  // Open-addressing index from a key to its position in `matches`, at most
-  // half full, Fibonacci-hashed on the packed key.
-  constexpr std::int32_t kEmpty = -1;
-  std::vector<std::int32_t> slots(1024, kEmpty);
-  int shift = 64 - 10;  // 64 - log2(slots.size())
-  auto slot_of = [&](const NodeMatch& k) {
-    const auto word = [](std::int32_t a, std::int32_t b) {
-      return (std::uint64_t{static_cast<std::uint32_t>(a)} << 32) |
-             static_cast<std::uint32_t>(b);
-    };
-    const std::uint64_t h =
-        (word(k.node, k.arr) ^ (word(k.src, k.dst) * 0x9E3779B97F4A7C15ull)) *
-        0xC2B2AE3D27D4EB4Full;
-    const std::size_t mask = slots.size() - 1;
-    for (auto i = static_cast<std::size_t>(h >> shift);; i = (i + 1) & mask) {
-      const std::int32_t m = slots[i];
-      if (m == kEmpty || matches[static_cast<std::size_t>(m)].key == k) {
-        return i;
-      }
-    }
+  CompiledRouting out;
+  out.tables.assign(static_cast<std::size_t>(num_nodes),
+                    TimeFlowTable(static_cast<std::size_t>(num_nodes)));
+  auto table = [&out](NodeId n) -> TimeFlowTable& {
+    return out.tables[static_cast<std::size_t>(n)];
   };
-  auto hops_of = [&](const PendingAction& a) {
-    return std::span<const net::SourceHop>(hops).subspan(a.hop, a.count);
-  };
-  auto same_hop = [](const net::SourceHop& x, const PathHop& y) {
-    return x.egress == y.egress && x.dep_slice == y.dep_slice;
-  };
-
-  // Merge per-(node, match) action sets so parallel paths become one
-  // multipath entry. Identical actions merge by summing their weights.
-  auto add_action = [&](const NodeMatch& key,
-                        std::span<const PathHop> path_hops, double weight) {
-    const PendingAction action{static_cast<std::uint32_t>(hops.size()),
-                               static_cast<std::uint32_t>(path_hops.size()),
-                               weight, kEmpty};
-    const auto a = static_cast<std::int32_t>(actions.size());
-    std::size_t slot = slot_of(key);
-    if (slots[slot] == kEmpty) {
-      if ((matches.size() + 1) * 2 > slots.size()) {
-        slots.assign(slots.size() * 2, kEmpty);
-        --shift;
-        for (std::size_t m = 0; m < matches.size(); ++m) {
-          slots[slot_of(matches[m].key)] = static_cast<std::int32_t>(m);
-        }
-        slot = slot_of(key);
-      }
-      slots[slot] = static_cast<std::int32_t>(matches.size());
-      matches.push_back(PendingMatch{key, a, a});
-    } else {
-      auto& pm = matches[static_cast<std::size_t>(slots[slot])];
-      for (std::int32_t i = pm.first; i != kEmpty;) {
-        auto& existing = actions[static_cast<std::size_t>(i)];
-        const auto existing_hops = hops_of(existing);
-        if (std::equal(existing_hops.begin(), existing_hops.end(),
-                       path_hops.begin(), path_hops.end(), same_hop)) {
-          existing.weight += weight;
-          return;
-        }
-        i = existing.next;
-      }
-      actions[static_cast<std::size_t>(pm.last)].next = a;
-      pm.last = a;
-    }
-    actions.push_back(action);
-    for (const PathHop& h : path_hops) {
-      hops.push_back(net::SourceHop{h.egress, h.dep_slice});
-    }
-  };
-
+  std::vector<net::SourceHop> route;  // a source-routed path's hops
   paths([&](const Path& path) {
-    const std::span<const PathHop> path_hops = path.hops;
-    if (source_routed) {
-      add_action({path_hops.front().node, path.start_slice, path.src,
-                  path.dst},
-                 path_hops, path.weight);
+    if (lookup == LookupMode::SourceRouting) {
+      route.clear();
+      for (const PathHop& h : path.hops) {
+        route.push_back(net::SourceHop{h.egress, h.dep_slice});
+      }
+      table(path.hops.front().node)
+          .merge({path.start_slice, path.src, path.dst}, route, path.weight,
+                 priority);
       return true;
     }
     // Per-hop lookup: one single-hop entry at every node on the path. The
@@ -370,51 +264,37 @@ CompiledRouting compile_routing(PathStream paths, LookupMode lookup,
     // like VLB spraying applies only to locally originated traffic); transit
     // hops use a source wildcard.
     SliceId arr = path.start_slice;
-    for (std::size_t i = 0; i < path_hops.size(); ++i) {
-      const PathHop& h = path_hops[i];
-      const NodeId src_match = (i == 0) ? path.src : kInvalidNode;
-      add_action({h.node, arr, src_match, path.dst}, path_hops.subspan(i, 1),
-                 path.weight);
+    for (std::size_t i = 0; i < path.hops.size(); ++i) {
+      const PathHop& h = path.hops[i];
+      const net::SourceHop hop{h.egress, h.dep_slice};
+      table(h.node).merge({arr, i == 0 ? path.src : kInvalidNode, path.dst},
+                          {&hop, 1}, path.weight, priority);
       // The next node sees the packet in the slice this hop departed in
       // (fabric latency is far below a slice); wildcard stays wildcard.
       arr = h.dep_slice;
     }
     return true;
   });
-  slots = {};
-
-  // Each match is unique, so the order it reaches its node's table in is
-  // free; one entry object carries every match there.
-  CompiledRouting out;
-  out.tables.assign(static_cast<std::size_t>(num_nodes),
-                    TimeFlowTable(static_cast<std::size_t>(num_nodes)));
-  TftEntry entry;
-  entry.priority = priority;
-  for (const auto& pm : matches) {
-    entry.match = TftMatch{pm.key.arr, pm.key.src, pm.key.dst};
-    std::size_t count = 0;
-    for (std::int32_t i = pm.first; i != kEmpty; ++count) {
-      const auto& pa = actions[static_cast<std::size_t>(i)];
-      if (count == entry.actions.size()) entry.actions.emplace_back();
-      TftAction& action = entry.actions[count];
-      const auto action_hops = hops_of(pa);
-      action.weight = pa.weight;
-      action.hops.assign(action_hops.begin(), action_hops.end());
-      i = pa.next;
-    }
-    entry.actions.resize(count);
-    out.tables[static_cast<std::size_t>(pm.key.node)].add(entry);
-  }
+  // Merges leave replaced multipath entries in the pools; each ToR's copy
+  // and the committed payload should not carry them.
+  for (TimeFlowTable& t : out.tables) t.compact();
   return out;
 }
 
 std::optional<CompiledRouting> Controller::compile_checked(
     PathStream paths, const optics::Schedule& sched, LookupMode lookup,
     int priority) const {
-  bool ok = false;
+  bool ok = true;
   auto routing = compile_routing(
-      [&](PathSink sink) { ok = check_paths(paths, sched, sink); }, lookup,
-      priority, net_.num_tors());
+      [&](PathSink merge) {
+        paths([&](const Path& p) {
+          // Sticky, so a producer that ignores the stop cannot clear the
+          // error.
+          ok = ok && check_path(p, sched);
+          return ok && merge(p);
+        });
+      },
+      lookup, priority, net_.num_tors());
   if (!ok) return std::nullopt;
   return routing;
 }

@@ -58,10 +58,10 @@ struct CompiledRouting {
 
 // Compiles `paths` into the time-flow table entries of each of `num_nodes`
 // nodes at `priority`: deploy_routing's compile step, without validation or
-// install. Reads the stream once and keeps nothing of a path after its sink
-// call returns. Paths that meet at one node with one match merge into a
-// multipath entry; identical actions merge by summing their weights in path
-// order.
+// install. Reads the stream once, merging each path straight into the
+// tables (TimeFlowTable::merge), so nothing of a path is kept after its sink
+// call returns: paths that meet at one node with one match form a multipath
+// entry, and identical actions sum their weights in path order.
 CompiledRouting compile_routing(PathStream paths, LookupMode lookup,
                                 int priority, int num_nodes);
 
@@ -111,9 +111,10 @@ class Controller {
   // epoch that atomically clears the `clear_priority` overlay, installs
   // `paths` at `priority`, and swaps the fabric to `sched` — all-or-nothing
   // across every ToR. `on_done` fires once with the outcome (synchronously
-  // for inline transactions). Returns false only on upfront rejection, in
-  // which case on_done is never invoked. Reads `paths` in one pass, as
-  // deploy_routing does.
+  // for inline transactions). Returns false on upfront rejection (control
+  // plane down, an invalid path), which installs nothing and never invokes
+  // on_done, or when the transaction aborts inline. Reads `paths` in one
+  // pass, as deploy_routing does.
   bool deploy_update(const optics::Schedule& sched, PathStream paths,
                      LookupMode lookup, MultipathMode multipath, int priority,
                      int clear_priority, SimTime reconfig_delay,
@@ -125,16 +126,6 @@ class Controller {
                      TxnDoneFn on_done = nullptr) {
     return deploy_update(sched, stream_of(paths), lookup, multipath, priority,
                          clear_priority, reconfig_delay, std::move(on_done));
-  }
-
-  // Feasibility check only: would deploy_routing accept these paths right
-  // now? Lets callers (failure recovery) validate before tearing down a
-  // superseded overlay, so a rejected deploy never leaves the table bare.
-  bool validate_routing(PathStream paths,
-                        const optics::Schedule* validate_against = nullptr);
-  bool validate_routing(const std::vector<Path>& paths,
-                        const optics::Schedule* validate_against = nullptr) {
-    return validate_routing(stream_of(paths), validate_against);
   }
 
   // add(Entry, node) -> bool: direct entry installation (debugging, Tab. 1).
@@ -252,13 +243,10 @@ class Controller {
   struct Txn;
 
   bool check_path(const Path& path, const optics::Schedule& sched) const;
-  // The one validator: checks each streamed path against `sched` and hands
-  // the valid ones to `then`. The first invalid path stops the producer
-  // and returns false, with last_error() saying why.
-  bool check_paths(PathStream paths, const optics::Schedule& sched,
-                   PathSink then) const;
-  // The deploys' one pass: compile_routing over check_paths, so each path
-  // is checked, then merged. Nothing when a path is invalid.
+  // The deploys' one pass: compile_routing over the stream, each path
+  // checked against `sched` (check_path), then merged. The first invalid
+  // path stops the producer, and the result is nothing, with last_error()
+  // saying why.
   std::optional<CompiledRouting> compile_checked(PathStream paths,
                                                  const optics::Schedule& sched,
                                                  LookupMode lookup,

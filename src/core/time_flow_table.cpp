@@ -151,7 +151,7 @@ void TimeFlowTable::put(const TftMatch& m, int priority, MakeSlot make) {
   } else {
     release(current.cell);
   }
-  const Slot s = make();
+  const Slot s = make(current);
   if (in_map != nullptr) {
     *in_map = s;
   } else {
@@ -183,7 +183,11 @@ void TimeFlowTable::release(Cell c) {
 }
 
 void TimeFlowTable::compact_if_sparse() {
-  if (dead_pooled_ * 2 <= pool_.entries.size()) return;
+  if (dead_pooled_ * 2 > pool_.entries.size()) compact();
+}
+
+void TimeFlowTable::compact() {
+  if (dead_pooled_ == 0) return;
   Pool live;
   auto move = [&](Cell& c) {
     if (c != kEmpty && (c & kPooled)) {
@@ -200,7 +204,7 @@ void TimeFlowTable::add(const TftEntry& entry) {
   assert(entry.match.dst >= 0 && "dst is a required match field");
   assert(entry.match.arr_slice >= kAnySlice && entry.match.src >= kInvalidNode);
   assert(!entry.actions.empty());
-  put(entry.match, entry.priority, [&] { return store(entry); });
+  put(entry.match, entry.priority, [&](const Slot&) { return store(entry); });
   compact_if_sparse();
 }
 
@@ -218,12 +222,53 @@ void TimeFlowTable::install(const TimeFlowTable& from) {
       const Slot s = from.grid_slot(base + col);
       put({static_cast<SliceId>(row) - 1, kInvalidNode,
            static_cast<NodeId>(col)},
-          s.priority, [&] { return adopt(from, s); });
+          s.priority, [&](const Slot&) { return adopt(from, s); });
     }
   }
   for (const auto& [key, s] : from.by_src_) {
-    put(match_of(key), s.priority, [&] { return adopt(from, s); });
+    put(match_of(key), s.priority,
+        [&](const Slot&) { return adopt(from, s); });
   }
+  compact_if_sparse();
+}
+
+void TimeFlowTable::merge(const TftMatch& m,
+                          std::span<const net::SourceHop> hops, double weight,
+                          int priority) {
+  assert(m.dst >= 0 && "dst is a required match field");
+  assert(m.arr_slice >= kAnySlice && m.src >= kInvalidNode);
+  assert(!hops.empty());
+  // Only a hop that fits() has a cell: an out-of-range hop's hop_cell()
+  // can equal a pooled cell.
+  const bool one_cell = hops.size() == 1 && fits(hops[0]);
+  put(m, priority, [&](Slot s) {
+    const bool fresh = s.cell == kEmpty || s.priority < priority;
+    if (fresh && one_cell) return Slot{hop_cell(hops[0]), priority, 0, weight};
+    if (!fresh && one_cell && s.cell == hop_cell(hops[0])) {
+      s.weight += weight;
+      return s;
+    }
+    TftEntry& e = rebuilt_;
+    if (fresh) {
+      e = TftEntry{m, {}, priority, 0};
+    } else {
+      rebuild(m, s, e);
+    }
+    const auto same = std::find_if(
+        e.actions.begin(), e.actions.end(), [&](const TftAction& a) {
+          return std::equal(a.hops.begin(), a.hops.end(), hops.begin(),
+                            hops.end(), [](const auto& x, const auto& y) {
+                              return x.egress == y.egress &&
+                                     x.dep_slice == y.dep_slice;
+                            });
+        });
+    if (same != e.actions.end()) {
+      same->weight += weight;
+    } else {
+      e.actions.push_back({{hops.begin(), hops.end()}, weight});
+    }
+    return store(e);
+  });
   compact_if_sparse();
 }
 

@@ -84,6 +84,17 @@ class TimeFlowTable {
   void add(const TftEntry& entry);
   // add()s every entry of `from`, in one pass over its cells.
   void install(const TimeFlowTable& from);
+  // Merges one action, `hops` at `weight`, into the entry at match `m`: a
+  // new match (or one held at a lower priority) gets an entry of that
+  // action alone; an action whose hops equal one of the entry's adds its
+  // weight to that action, so weights sum in merge order; any other is
+  // appended after the entry's actions. A higher-priority entry is kept.
+  // The compile's merge rule (compile_routing).
+  void merge(const TftMatch& m, std::span<const net::SourceHop> hops,
+             double weight, int priority);
+  // Frees the pool space of replaced and removed entries, which the table
+  // otherwise reclaims only once dead entries outnumber live ones.
+  void compact();
   // Removes the entry whose match equals `m`, if any.
   void remove(const TftMatch& m);
   // Removes every entry installed at exactly `priority` — clearing a
@@ -187,8 +198,9 @@ class TimeFlowTable {
   Slot slot_of(const TftMatch& m) const;
   void widen(std::size_t width);
 
-  // Stores the slot `make` builds at match `m`, unless a higher-priority
-  // entry holds that match; `make` runs only when the slot is stored.
+  // Stores the slot `make` builds from the current one (kEmpty when the
+  // match is new) at match `m`, unless a higher-priority entry holds that
+  // match; `make` runs only when the slot is stored.
   template <class MakeSlot>
   void put(const TftMatch& m, int priority, MakeSlot make);
   Slot store(const TftEntry& entry);
@@ -212,7 +224,7 @@ class TimeFlowTable {
   Pool pool_;
   std::size_t dead_pooled_ = 0;  // pooled entries no cell refers to
   std::size_t size_ = 0;
-  mutable TftEntry rebuilt_;     // Hit's rebuilt entry
+  mutable TftEntry rebuilt_;     // Hit's rebuilt entry; merge's scratch
 };
 
 // lookup()'s answer: the matched entry's cell, or none (== nullptr). Valid

@@ -395,7 +395,9 @@ json::Object run_control_chaos(RunContext& ctx) {
 
   services::FailureRecovery recovery(
       *net, *ctl,
-      [](const optics::Schedule& s) { return routing::direct_to(s); },
+      [](const optics::Schedule& s, core::PathSink sink) {
+        return routing::direct_to(s, sink);
+      },
       /*scrub=*/1_ms);
   recovery.start();
 
@@ -489,7 +491,9 @@ json::Object run_quorum_chaos(RunContext& ctx) {
 
   services::FailureRecovery recovery(
       *net, *ctl,
-      [](const optics::Schedule& s) { return routing::direct_to(s); },
+      [](const optics::Schedule& s, core::PathSink sink) {
+        return routing::direct_to(s, sink);
+      },
       /*scrub=*/1_ms);
   recovery.start();
 
@@ -613,7 +617,9 @@ std::int64_t chaos_run_once(RunContext& ctx,
 
   services::FailureRecovery recovery(
       *net, *ctl,
-      [](const optics::Schedule& s) { return routing::direct_to(s); },
+      [](const optics::Schedule& s, core::PathSink sink) {
+        return routing::direct_to(s, sink);
+      },
       /*scrub=*/1_ms);
   recovery.start();
 

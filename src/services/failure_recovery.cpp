@@ -117,31 +117,33 @@ optics::Schedule FailureRecovery::healthy_schedule() const {
 
 bool FailureRecovery::recover_now() {
   retry_handle_.cancel();
-  auto healthy = healthy_schedule();
-  auto paths = reroute_(healthy);
-  if (paths.empty()) {
+  const auto healthy = healthy_schedule();
+  bool any = false;
+  reroute_(healthy, [&any](const core::Path&) {
+    any = true;
+    return false;  // one path answers the question
+  });
+  if (!any) {
     last_error_ = "reroute produced no paths";
-    schedule_retry();
-    return false;
-  }
-  // Validate before touching the table so a rejected deploy (control-plane
-  // outage, infeasible path) leaves the previous overlay serving traffic.
-  if (!ctl_.validate_routing(paths, &healthy)) {
-    last_error_ = ctl_.last_error();
     schedule_retry();
     return false;
   }
   // Make-before-break through ONE transaction: clearing the superseded
   // overlay, installing the next one, and swapping the fabric are a single
   // epoch — all-or-nothing on every ToR, so no packet ever routes in the
-  // gap and a lossy southbound can't leave the fabric half-recovered. On
-  // an ideal channel the whole transaction (and this callback) completes
-  // synchronously inside this call; on a modeled southbound it resolves
-  // later — possibly after this recovery is gone, hence the flag — and a
-  // failed commit re-arms the retry backoff.
+  // gap and a lossy southbound can't leave the fabric half-recovered. The
+  // deploy checks and compiles the reroute in one pass and installs nothing
+  // when it is rejected (control-plane outage, infeasible path), so the
+  // previous overlay keeps serving traffic. On an ideal channel the whole
+  // transaction (and this callback) completes synchronously inside this
+  // call; on a modeled southbound it resolves later — possibly after this
+  // recovery is gone, hence the flag — and a failed commit re-arms the
+  // retry backoff.
   const bool issued = ctl_.deploy_update(
-      healthy, paths, core::LookupMode::PerHop, core::MultipathMode::None,
-      kOverlayPriority, kOverlayPriority, SimTime::zero(),
+      healthy,
+      [&](core::PathSink sink) { reroute_(healthy, sink); },
+      core::LookupMode::PerHop, core::MultipathMode::None, kOverlayPriority,
+      kOverlayPriority, SimTime::zero(),
       [this, alive = alive_](bool committed) {
         if (!*alive) return;
         if (committed) {

@@ -31,10 +31,11 @@ namespace oo::services {
 
 class FailureRecovery {
  public:
-  // `reroute` maps a repaired schedule to the replacement paths (the
-  // architecture's routing scheme, e.g. routing::direct_to).
+  // `reroute` streams a repaired schedule's replacement paths into a sink
+  // (the architecture's routing scheme, e.g. routing::direct_to) and
+  // returns false when the sink stopped it.
   using RerouteFn =
-      std::function<std::vector<core::Path>(const optics::Schedule&)>;
+      std::function<bool(const optics::Schedule&, core::PathSink)>;
   // Degraded-mode hook: invoked with true when the first port fails, false
   // when the last failed port is repaired.
   using DegradedFn = std::function<void(bool degraded)>;

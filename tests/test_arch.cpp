@@ -231,6 +231,38 @@ TEST(ArchValidation, ShaleRejectsTorCountsOffAnEvenGrid) {
   EXPECT_EQ(make_shale(p, 3).name, "shale");
 }
 
+TEST(ArchValidation, RotorPresetsRejectMoreUplinksThanMatchings) {
+  // 8 ToRs cycle through 7 matchings: an eighth uplink would repeat one.
+  Params p = small_params();
+  const std::vector<std::pair<std::string, std::function<Instance()>>>
+      presets = {
+          {"rotornet-vlb", [&] { return make_rotornet(p, RotorRouting::Vlb); }},
+          {"rotornet-direct",
+           [&] { return make_rotornet(p, RotorRouting::Direct); }},
+          {"rotornet-ucmp",
+           [&] { return make_rotornet(p, RotorRouting::Ucmp); }},
+          {"rotornet-hoho",
+           [&] { return make_rotornet(p, RotorRouting::Hoho); }},
+          {"opera", [&] { return make_opera(p); }},
+          {"opera-bulk", [&] { return make_opera(p, /*bulk=*/true); }},
+      };
+  for (const auto& [name, make] : presets) {
+    for (const int uplinks : {8, 9}) {
+      p.uplinks = uplinks;
+      try {
+        make();
+        ADD_FAILURE() << name << " built with uplinks=" << uplinks;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("arch " + name + ":"), std::string::npos) << what;
+        EXPECT_NE(what.find("uplinks"), std::string::npos) << what;
+      }
+    }
+    p.uplinks = 7;
+    EXPECT_EQ(make().name, name);
+  }
+}
+
 TEST(ArchValidation, EveryPresetRejectsFewerThanOneUplink) {
   for (const int uplinks : {0, -1}) {
     Params p = small_params();

@@ -171,5 +171,32 @@ TEST_F(ControllerTest, ElectricalHopNeedsFabric) {
   EXPECT_NE(ctl->last_error().find("electrical"), std::string::npos);
 }
 
+TEST(ControllerElectrical, HopOutsideTheNetworkRejected) {
+  NetworkConfig cfg;
+  cfg.num_tors = 4;
+  cfg.electrical_bw = 10e9;
+  optics::Schedule sched(4, 1, 3, 100_us);
+  Network net(cfg, sched, optics::ocs_emulated());
+  Controller ctl(net);
+  // From node 9, to node 7 and to node -5: none of them is one of the 4
+  // ToRs, and the compile would index a table that does not exist.
+  for (const auto& [node, dst] :
+       {std::pair{9, 1}, std::pair{0, 7}, std::pair{0, -5}}) {
+    Path p;
+    p.dst = dst;
+    p.hops.push_back(PathHop{node, kElectricalEgress, kAnySlice});
+    EXPECT_FALSE(
+        ctl.deploy_routing({p}, LookupMode::PerHop, MultipathMode::None))
+        << node << " -> " << dst;
+    EXPECT_NE(ctl.last_error().find("leaves the network"), std::string::npos)
+        << ctl.last_error();
+  }
+  Path ok;
+  ok.dst = 3;
+  ok.hops.push_back(PathHop{0, kElectricalEgress, kAnySlice});
+  EXPECT_TRUE(
+      ctl.deploy_routing({ok}, LookupMode::PerHop, MultipathMode::None));
+}
+
 }  // namespace
 }  // namespace oo::core

@@ -4,6 +4,10 @@
 // JSON plan loader.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "arch/arch.h"
 #include "routing/to_routing.h"
 #include "services/failure_recovery.h"
@@ -25,7 +29,9 @@ arch::Instance rotor_instance(std::uint64_t seed = 1) {
 }
 
 services::FailureRecovery::RerouteFn direct_reroute() {
-  return [](const optics::Schedule& s) { return routing::direct_to(s); };
+  return [](const optics::Schedule& s, core::PathSink sink) {
+    return routing::direct_to(s, sink);
+  };
 }
 
 // Drive steady cross-ToR mice so fault classes that need traffic (BER,
@@ -329,6 +335,50 @@ TEST(FailureRecovery, StopSilencesDetectionAndScrub) {
   // A drained-down service reacts to nothing: no recoveries, no counters.
   EXPECT_EQ(recovery.recoveries(), 0);
   EXPECT_EQ(recovery.port_downs(), 0);
+}
+
+// Every entry of a ToR's table, weights bit for bit, as one string.
+std::string table_dump(const core::TimeFlowTable& t) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  for (const auto& e : t.entries()) {
+    out << e.match.arr_slice << ',' << e.match.src << ',' << e.match.dst
+        << " p" << e.priority << " e" << e.epoch << ':';
+    for (const auto& a : e.actions) {
+      out << ' ' << a.weight;
+      for (const auto& h : a.hops) out << '/' << h.egress << '@' << h.dep_slice;
+    }
+    out << '\n';
+  }
+  return out.str();
+}
+
+TEST(FailureRecovery, EmptyRerouteRetriesWithoutDeploying) {
+  auto inst = rotor_instance();
+  services::FailureRecovery recovery(
+      *inst.net, *inst.ctl,
+      [](const optics::Schedule&, core::PathSink) { return true; },
+      /*scrub=*/SimTime::zero());
+  recovery.start();
+  const auto& prepares =
+      inst.net->sim().metrics().counter("controller.txn_prepares");
+  const std::int64_t prepared = prepares.value();
+  const std::uint64_t epoch = inst.ctl->committed_epoch();
+  std::vector<std::string> tables;
+  for (NodeId n = 0; n < inst.net->num_tors(); ++n) {
+    tables.push_back(table_dump(inst.net->tor(n).tft()));
+  }
+
+  EXPECT_FALSE(recovery.recover_now());
+  EXPECT_EQ(prepares.value(), prepared);
+  EXPECT_EQ(inst.ctl->committed_epoch(), epoch);
+  for (NodeId n = 0; n < inst.net->num_tors(); ++n) {
+    EXPECT_EQ(table_dump(inst.net->tor(n).tft()),
+              tables[static_cast<std::size_t>(n)])
+        << "ToR " << n;
+  }
+  EXPECT_EQ(recovery.last_error(), "reroute produced no paths");
+  EXPECT_EQ(recovery.retries(), 1);
 }
 
 }  // namespace

@@ -104,7 +104,9 @@ TEST(FailureRecovery, ReroutesAroundDarkTransceiver) {
   auto inst = arch::make_rotornet(p, arch::RotorRouting::Direct);
   services::FailureRecovery recovery(
       *inst.net, *inst.ctl,
-      [](const optics::Schedule& s) { return routing::direct_to(s); },
+      [](const optics::Schedule& s, core::PathSink sink) {
+        return routing::direct_to(s, sink);
+      },
       /*poll=*/500_us);
   recovery.start();
 
@@ -150,7 +152,9 @@ TEST(FailureRecovery, FlapRecoversAndReadmitsPerTransition) {
   auto inst = arch::make_rotornet(p, arch::RotorRouting::Direct);
   services::FailureRecovery recovery(
       *inst.net, *inst.ctl,
-      [](const optics::Schedule& s) { return routing::direct_to(s); },
+      [](const optics::Schedule& s, core::PathSink sink) {
+        return routing::direct_to(s, sink);
+      },
       /*scrub=*/500_us);
   recovery.start();
   auto& fab = inst.net->optical();
@@ -193,7 +197,9 @@ TEST(FailureRecovery, NoFalseRecoveriesWhenHealthy) {
   auto inst = arch::make_rotornet(p, arch::RotorRouting::Direct);
   services::FailureRecovery recovery(
       *inst.net, *inst.ctl,
-      [](const optics::Schedule& s) { return routing::direct_to(s); },
+      [](const optics::Schedule& s, core::PathSink sink) {
+        return routing::direct_to(s, sink);
+      },
       500_us);
   // Never started, nothing ran: every counter is zero, nothing is sampled,
   // and availability is exactly 1 over the empty horizon.

@@ -231,8 +231,8 @@ std::int64_t events_after(const std::function<void(arch::Instance&)>& scoped) {
   return inst.net->sim().events_executed();
 }
 
-std::vector<core::Path> direct_reroute(const optics::Schedule& s) {
-  return routing::direct_to(s);
+bool direct_reroute(const optics::Schedule& s, core::PathSink sink) {
+  return routing::direct_to(s, sink);
 }
 
 TEST(ServiceLifetime, SyncWatchdogCancelsItsCheckTimer) {

@@ -113,7 +113,8 @@ TEST_F(SouthboundTest, LastErrorClearedByEachDeploy) {
   good.dst = 2;
   good.start_slice = 0;
   good.hops.push_back(PathHop{0, 0, 0});  // schedule B: slice 0 is 0->2
-  EXPECT_TRUE(ctl->validate_routing({good}));
+  EXPECT_TRUE(ctl->deploy_routing({good}, LookupMode::PerHop,
+                                  MultipathMode::None));
   EXPECT_TRUE(ctl->last_error().empty());
 }
 

@@ -120,7 +120,9 @@ void run_chaos(arch::Instance& inst) {
   });
   services::FailureRecovery recovery(
       *inst.net, *inst.ctl,
-      [](const optics::Schedule& s) { return routing::direct_to(s); },
+      [](const optics::Schedule& s, core::PathSink sink) {
+        return routing::direct_to(s, sink);
+      },
       /*scrub=*/500_us);
   recovery.start();
   services::FaultPlan plan(*inst.net, /*seed=*/99, inst.ctl.get());

@@ -224,9 +224,9 @@ TEST(TftInstallOracle, EveryTransactionPathInstallsWhatTheReferenceHolds) {
   std::vector<Path> overlay;
   services::FailureRecovery recovery(
       *net, *ctl,
-      [&](const optics::Schedule& s) {
+      [&](const optics::Schedule& s, PathSink sink) {
         overlay = routing::direct_to(s);
-        return overlay;
+        return routing::direct_to(s, sink);
       },
       /*scrub=*/SimTime::zero());
   recovery.start();

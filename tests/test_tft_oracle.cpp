@@ -261,6 +261,80 @@ TEST(CompileOracle, MatchesReferenceForEveryScheme) {
   }
 }
 
+// The hybrid rotor's stream as make_rotornet(..., hybrid_electrical=true)
+// builds it at its default rates: the expanded direct paths, then a
+// per-slice electrical alternative at weight 0.1 for every (node,
+// destination, slice). Each entry gains its second action after the rest
+// of its table was written.
+void hybrid_rotor(const optics::Schedule& sched, PathSink sink) {
+  if (!routing::direct_to_expanded(sched, sink)) return;
+  Path ep;
+  ep.weight = 10e9 / 100e9;
+  ep.hops.resize(1);
+  for (NodeId n = 0; n < sched.num_nodes(); ++n) {
+    for (NodeId d = 0; d < sched.num_nodes(); ++d) {
+      if (n == d) continue;
+      for (SliceId s = 0; s < sched.period(); ++s) {
+        ep.dst = d;
+        ep.start_slice = s;
+        ep.hops[0] = PathHop{n, kElectricalEgress, kAnySlice};
+        if (!sink(ep)) return;
+      }
+    }
+  }
+}
+
+// Paths whose hops fall outside a table cell (egress above 0x7FFF - 2 or
+// below -2, departure above 0xFFFF - 1), beside hops that fit. Egress
+// 0x7FFE at kAnySlice would read as the cell kPooled | 0, so it comes
+// first: node 0's first pooled entry, merged twice, then given a second
+// action. Departure 0xFFFF would read as the cell of the next egress at
+// kAnySlice, and it merges into exactly that cell.
+std::vector<Path> outside_a_cell(int n) {
+  auto path = [](NodeId src, NodeId dst, SliceId start,
+                 std::vector<PathHop> hops, double weight) {
+    return Path{src, dst, start, std::move(hops), weight};
+  };
+  return {
+      path(kInvalidNode, 1, 0, {{0, 0x7FFE, kAnySlice}}, 0.5),
+      path(kInvalidNode, 1, 0, {{0, 0x7FFE, kAnySlice}}, 0.25),
+      path(kInvalidNode, 1, 0, {{0, 1, 0}}, 1.5),
+      path(kInvalidNode, 2, kAnySlice, {{0, 1, kAnySlice}}, 1.0),
+      path(kInvalidNode, 2, kAnySlice, {{0, 0, 0xFFFF}}, 2.0),
+      path(kInvalidNode, 3, 1, {{0, 2, 1}}, 0.5),
+      path(kInvalidNode, 3, 1, {{0, 2, 1}}, 0.75),
+      path(0, n - 1, 2, {{0, -3, 2}, {1, 0x7FFF, 0xFFFF}, {2, 1, 3}}, 1.0),
+      path(0, n - 1, 2, {{0, -3, 2}, {1, 0x7FFF, 0xFFFF}, {2, 1, 3}}, 2.0),
+      path(0, n - 1, 2, {{0, 1, 2}, {1, 0x7FFF, 0xFFFF}, {2, 1, 3}}, 0.5),
+      path(kInvalidNode, 1, 0, {{0, 0x7FFE, kAnySlice}}, 0.125),
+  };
+}
+
+TEST(CompileOracle, MatchesReferenceForMergesNoSchemeMakesAlone) {
+  constexpr int kPriority = 3;
+  for (const int n : {8, 16}) {
+    const auto sched = rotor(n, 1);
+    const std::vector<std::pair<std::string, std::vector<Path>>> streams = {
+        {"hybrid rotor",
+         collect([&](PathSink sink) { hybrid_rotor(sched, sink); })},
+        {"hops outside a cell", outside_a_cell(n)},
+    };
+    for (const auto& [name, paths] : streams) {
+      for (const auto lookup :
+           {LookupMode::PerHop, LookupMode::SourceRouting}) {
+        SCOPED_TRACE(name + " n=" + std::to_string(n) +
+                     (lookup == LookupMode::PerHop ? " per-hop"
+                                                   : " source-routed"));
+        EXPECT_EQ(
+            entries_diff(
+                compile_routing(stream_of(paths), lookup, kPriority, n),
+                reference::compile_routing(paths, lookup, kPriority, n)),
+            "");
+      }
+    }
+  }
+}
+
 // ---- streamed producers and the one-pass compile and deploy ---------------
 
 // The first difference between two paths ("" when they are the same),
