@@ -1,9 +1,12 @@
 // Microbenchmarks (google-benchmark) for the hot data-plane and
 // control-plane primitives: time-flow table lookup, calendar-queue
-// operations, EQO updates, event-engine throughput, routing computation
-// for a full rotor cycle, the opera routing deploy at 64 and 128 ToRs, and
-// one packet flow's life in a transfer pool.
+// operations and the heap a calendar port holds per packet, EQO updates,
+// event-engine throughput, routing computation for a full rotor cycle, the
+// opera routing deploy at 64 and 128 ToRs, and one packet flow's life in a
+// transfer pool.
 #include <benchmark/benchmark.h>
+
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -252,6 +255,33 @@ void BM_CalendarRotate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CalendarRotate);
+
+// Heap bytes a calendar port holds per queued packet, as malloc counts
+// them: a 127-day port (a 128-ToR rotor's period) filled with 17 per-hop
+// packets a day, the mean depth of rotor128's non-empty days at its
+// horizon. The port's empty days are built before the count starts.
+void BM_CalendarPortHolds(benchmark::State& state) {
+  constexpr int kDays = 127;
+  constexpr int kPerDay = 17;
+  double per_packet = 0;
+  for (auto _ : state) {
+    core::CalendarQueuePort port(kDays, 1 << 30);
+    const std::size_t before = mallinfo2().uordblks;
+    for (int d = 0; d < kDays; ++d) {
+      for (int i = 0; i < kPerDay; ++i) {
+        net::Packet p;
+        p.size_bytes = 1500;
+        port.try_enqueue(std::move(p), d);
+      }
+    }
+    per_packet = static_cast<double>(mallinfo2().uordblks - before) /
+                 (kDays * kPerDay);
+    benchmark::DoNotOptimize(port.total_packets());
+  }
+  state.SetItemsProcessed(state.iterations() * kDays * kPerDay);
+  state.counters["heap_bytes_per_packet"] = per_packet;
+}
+BENCHMARK(BM_CalendarPortHolds);
 
 void BM_EqoUpdate(benchmark::State& state) {
   core::QueueOccupancyEstimator eqo(107, 100e9, 50_ns);

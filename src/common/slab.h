@@ -56,6 +56,9 @@ class Slab {
     return i;
   }
   T& operator[](std::uint32_t i) { return *std::launder(address(i)); }
+  const T& operator[](std::uint32_t i) const {
+    return *std::launder(address(i));
+  }
   // Destroys slot i's object, then frees the slot. The destructor may add
   // to or erase from this slab; it never gets slot i back.
   void erase(std::uint32_t i) {
@@ -72,7 +75,7 @@ class Slab {
   struct Chunk {
     alignas(T) std::byte bytes[kChunk * sizeof(T)];
   };
-  T* address(std::uint32_t i) {
+  T* address(std::uint32_t i) const {
     return reinterpret_cast<T*>(chunks_[i / kChunk]->bytes) + i % kChunk;
   }
 

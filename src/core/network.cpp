@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace oo::core {
@@ -83,7 +85,6 @@ SimTime Host::stack_delay() {
 }
 
 bool Host::send(Packet&& p) {
-  p.src_host = id_;
   p.src_node = tor_;
   if (p.dst_node == kInvalidNode && p.dst_host >= 0) {
     p.dst_node = net_.tor_of(p.dst_host);
@@ -384,8 +385,7 @@ void TorSwitch::route(Packet&& p) {
   const TftHops action = entry.select(hash);
   if (!action.rest.empty()) {
     // Source-routing action: write the remaining hops into the packet.
-    p.source_route.assign(action.rest.begin(), action.rest.end());
-    p.route_idx = 0;
+    p.source_route.assign(action.rest);
   }
   apply_action(std::move(p), action.first, arr);
 }
@@ -453,6 +453,7 @@ void TorSwitch::enqueue_optical(Packet&& p, PortId port, SliceId dep,
   const int rank = (dep - arr + period) % period;
   const int k = u.cal->num_queues();
   if (rank >= k) {
+    u.cal->count_rank_overflow();
     if (cfg.offload) {
       p.intended_slice = dep;
       p.intended_port = port;
@@ -581,20 +582,15 @@ bool TorSwitch::try_defer(Packet& p, SliceId arr) {
       continue;
     }
     const bool reroute = !action.rest.empty();
-    const std::size_t own_idx = p.route_idx;
-    std::vector<net::SourceHop> own_route;
+    net::SourceRoute own_route;
     if (reroute) {
-      own_route = std::exchange(p.source_route,
-                                {action.rest.begin(), action.rest.end()});
-      p.route_idx = 0;
+      own_route =
+          std::exchange(p.source_route, net::SourceRoute(action.rest));
     }
     if (admit(p, hop.egress, hop.dep_slice, rank)) return true;
     // Rejected on bytes: the fallback parks the packet in its intended
     // queue, so it must leave with its own remaining hops.
-    if (reroute) {
-      p.source_route = std::move(own_route);
-      p.route_idx = own_idx;
-    }
+    if (reroute) p.source_route = std::move(own_route);
     return false;
   }
   return false;
@@ -700,8 +696,7 @@ void TorSwitch::try_send(PortId port) {
   }
   if (now >= we) return;  // next rotation re-kicks the drain
 
-  const auto& q = u.cal->active_queue();
-  while (const Packet* head = q.peek()) {
+  while (const Packet* head = u.cal->peek()) {
     if (head->intended_slice != current_slice() ||
         head->intended_port != port) {
       // The packet missed its slice (congestion) and wrapped with the
@@ -822,6 +817,19 @@ Network::Network(NetworkConfig cfg, optics::Schedule schedule,
                  optics::OcsProfile profile)
     : cfg_(cfg), schedule_(std::move(schedule)), master_rng_(cfg.seed) {
   assert(schedule_.num_nodes() == cfg_.num_tors);
+  // A queued packet stamps its departure slice and uplink in 16 bits.
+  if (schedule_.period() > net::kMaxStampedSlices) {
+    throw std::invalid_argument(
+        "network: a period of " + std::to_string(schedule_.period()) +
+        " slices is past the " + std::to_string(net::kMaxStampedSlices) +
+        " a packet's calendar stamp holds");
+  }
+  if (schedule_.uplinks() > net::kMaxStampedPorts) {
+    throw std::invalid_argument(
+        "network: " + std::to_string(schedule_.uplinks()) +
+        " uplinks are past the " + std::to_string(net::kMaxStampedPorts) +
+        " a packet's calendar stamp holds");
+  }
   sync_ = std::make_unique<SyncModel>(cfg_.num_tors, cfg_.sync_error,
                                       master_rng_.fork());
   // Usable slice window: the configured guardband (which the operator must

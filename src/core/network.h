@@ -23,6 +23,7 @@
 #include "core/time_flow_table.h"
 #include "eventsim/simulator.h"
 #include "net/electrical_fabric.h"
+#include "net/fifo_queue.h"
 #include "net/link.h"
 #include "net/packet.h"
 #include "optics/fabric.h"

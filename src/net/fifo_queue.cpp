@@ -8,7 +8,7 @@ bool FifoQueue::enqueue(Packet&& p) {
   if (bytes_ + p.size_bytes > capacity_) return false;
   bytes_ += p.size_bytes;
   peak_bytes_ = std::max(peak_bytes_, bytes_);
-  if (!pkts_) pkts_.emplace();
+  if (!pkts_) pkts_ = std::make_unique<std::deque<Packet>>();
   pkts_->push_back(std::move(p));
   return true;
 }

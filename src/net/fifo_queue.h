@@ -1,10 +1,10 @@
-// Byte-bounded FIFO packet queue with pause/resume — the building block for
-// both classical egress queues and the slice-indexed calendar queues built
-// on top of it (§5.1).
+// Byte-bounded FIFO packet queue with pause/resume: a host's per-destination
+// segment queue and a ToR uplink's classical egress queue (§3 (c)).
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 
 #include "net/packet.h"
@@ -36,9 +36,9 @@ class FifoQueue {
 
  private:
   // Built by the first enqueue: an empty std::deque already holds a
-  // heap map and node, and most per-destination and calendar queues are
-  // never used.
-  std::optional<std::deque<Packet>> pkts_;
+  // heap map and node, and most per-destination queues are never used.
+  // Behind a pointer, an unused queue holds 8 bytes for it instead of 88.
+  std::unique_ptr<std::deque<Packet>> pkts_;
   std::int64_t capacity_;
   std::int64_t bytes_ = 0;
   std::int64_t peak_bytes_ = 0;

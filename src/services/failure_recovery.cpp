@@ -139,6 +139,7 @@ bool FailureRecovery::recover_now() {
   // call; on a modeled southbound it resolves later — possibly after this
   // recovery is gone, hence the flag — and a failed commit re-arms the
   // retry backoff.
+  const int retries = retries_;
   const bool issued = ctl_.deploy_update(
       healthy,
       [&](core::PathSink sink) { reroute_(healthy, sink); },
@@ -158,7 +159,10 @@ bool FailureRecovery::recover_now() {
       });
   if (!issued) {
     last_error_ = ctl_.last_error();
-    schedule_retry();
+    // One failed attempt arms one retry. An inline abort (an install NACK
+    // on an ideal channel) has armed it through the callback already; a
+    // deploy rejected before its transaction began has not.
+    if (retries_ == retries) schedule_retry();
     return false;
   }
   return true;

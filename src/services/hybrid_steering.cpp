@@ -31,8 +31,8 @@ void HybridSteering::prepare(core::Packet& p, NodeId src_tor) {
   // Static (TA) schedule: slice 0 is the topology instance.
   for (PortId u = 0; u < sched.uplinks(); ++u) {
     if (auto peer = sched.peer(src_tor, u, 0); peer && peer->node == dst) {
-      p.source_route.assign(1, net::SourceHop{u, kAnySlice});
-      p.route_idx = 0;
+      const net::SourceHop hop{u, kAnySlice};
+      p.source_route.assign({&hop, 1});
       ++steered_;
       return;
     }

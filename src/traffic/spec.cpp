@@ -82,6 +82,10 @@ void validate(const TrafficSpec& spec) {
   if (spec.transfer.mss <= 0) {
     throw std::invalid_argument("traffic spec: transfer.mss must be positive");
   }
+  if (spec.transfer.mss > net::kMaxPacketBytes - transport::kHeaderBytes) {
+    throw std::invalid_argument(
+        "traffic spec: transfer.mss must fit a packet with its header");
+  }
   if (spec.transfer.window <= 0) {
     throw std::invalid_argument(
         "traffic spec: transfer.window must be positive");

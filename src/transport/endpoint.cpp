@@ -1,6 +1,8 @@
 #include "transport/endpoint.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace oo::transport {
 
@@ -36,6 +38,10 @@ double FlowEndpoint::goodput_bps(std::int64_t acked) const {
 }
 
 Packet FlowEndpoint::data(std::int64_t seq, std::int64_t payload) const {
+  if (payload < 0 || payload > net::kMaxPacketBytes - kHeaderBytes) {
+    throw std::invalid_argument("transport: a " + std::to_string(payload) +
+                                " B payload does not fit a packet");
+  }
   Packet p;
   p.type = PacketType::Data;
   p.flow = flow_;

@@ -1,6 +1,7 @@
 #include "transport/udp_probe.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 namespace oo::transport {
@@ -26,7 +27,12 @@ UdpProbe::UdpProbe(core::Network& net, HostId pinger, HostId responder,
       // Labeled by prober ToR so the (non-atomic) sampler is only ever
       // touched from that node's lane — concurrent probes never share it.
       rtt_cell_(&net.sim().metrics().histogram(
-          "probe.rtt_us", {{"node", std::to_string(net.tor_of(pinger))}})) {}
+          "probe.rtt_us", {{"node", std::to_string(net.tor_of(pinger))}})) {
+  if (size_bytes < 0 || size_bytes > net::kMaxPacketBytes) {
+    throw std::invalid_argument("udp probe: a " + std::to_string(size_bytes) +
+                                " B probe does not fit a packet");
+  }
+}
 
 void UdpProbe::start() {
   timer_ = net_.sim().schedule_every(net_.sim().now() + interval_, interval_,

@@ -381,5 +381,29 @@ TEST(FailureRecovery, EmptyRerouteRetriesWithoutDeploying) {
   EXPECT_EQ(recovery.retries(), 1);
 }
 
+// An install NACK on the ideal southbound aborts the deploy inside
+// recover_now(): the failure reaches the deploy callback and then the
+// return value, and the attempt still arms one retry and doubles the
+// backoff once.
+TEST(FailureRecovery, InlineAbortArmsOneRetry) {
+  auto inst = rotor_instance();
+  services::FailureRecovery recovery(*inst.net, *inst.ctl, direct_reroute(),
+                                     /*scrub=*/SimTime::zero());
+  recovery.start();
+  inst.ctl->set_install_fail(3, true);
+  EXPECT_FALSE(recovery.recover_now());
+  EXPECT_EQ(recovery.retries(), 1);
+  // The retry at 100 us fails too and arms the next 200 us later.
+  inst.run_for(150_us);
+  EXPECT_EQ(recovery.retries(), 2);
+  EXPECT_EQ(recovery.recoveries(), 0);
+  inst.ctl->set_install_fail(3, false);
+  inst.run_for(200_us);  // t = 350 us: the retry at 300 us committed
+  EXPECT_EQ(recovery.recoveries(), 1);
+  inst.run_for(5_ms);
+  EXPECT_EQ(recovery.recoveries(), 1);
+  EXPECT_EQ(recovery.retries(), 2);
+}
+
 }  // namespace
 }  // namespace oo

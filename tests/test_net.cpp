@@ -108,6 +108,33 @@ TEST(FifoQueue, PeakTracking) {
   EXPECT_EQ(q.peak_bytes(), 300);
 }
 
+// A packet owns its source route: a copy takes the hops and the cursor as
+// they stand, and from then on each copy pops its own.
+TEST(Packet, CopiedSourceRouteIsIndependent) {
+  const SourceHop hops[] = {{0, 1}, {1, 2}, {2, 3}};
+  Packet p;
+  EXPECT_TRUE(p.source_route.empty());
+  EXPECT_FALSE(p.has_source_route());
+  p.source_route.assign(hops);
+  p.pop_hop();
+  Packet q = p;
+  q.pop_hop();
+  EXPECT_EQ(p.next_hop().egress, 1);
+  EXPECT_EQ(q.next_hop().egress, 2);
+  p = q;
+  q.pop_hop();
+  EXPECT_EQ(p.next_hop().egress, 2);
+  EXPECT_FALSE(q.has_source_route());
+  EXPECT_EQ(q.source_route.size(), 3u);  // every hop written stays readable
+  EXPECT_EQ(q.source_route[0].dep_slice, 1);
+  Packet r = std::move(p);
+  EXPECT_EQ(r.next_hop().egress, 2);
+  EXPECT_TRUE(p.source_route.empty());  // NOLINT(bugprone-use-after-move)
+  r.clear_route();
+  EXPECT_TRUE(r.source_route.empty());
+  EXPECT_FALSE(r.has_source_route());
+}
+
 TEST(ElectricalFabric, DeliversToDestination) {
   sim::Simulator s;
   ElectricalFabric fab(s, 4, 100e9, 1_us, 16 << 20);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/controller.h"
 #include "routing/to_routing.h"
 #include "routing/ta_routing.h"
@@ -351,6 +353,158 @@ TEST(Network, OffloadRoundTrip) {
   net->sim().run_until(3_ms);
   EXPECT_GT(net->tor(0).offloads(), 0);
   EXPECT_EQ(got, 7);  // all packets still arrive
+}
+
+// "calendar.rank_overflows" counts every packet whose departure is past
+// the calendar horizon, whether it is offloaded or handed to the
+// congestion response. Host 0 sends one packet to every other ToR of an
+// 8-ToR rotor (period 7) with direct routing.
+std::int64_t rank_overflows(NetworkConfig cfg, std::int64_t* offloads,
+                            std::int64_t* drops) {
+  auto net = make_rotor_net(cfg, 8, 1, 100_us);
+  Controller ctl(*net);
+  EXPECT_TRUE(ctl.deploy_routing(routing::direct_to(net->schedule()),
+                                 LookupMode::PerHop, MultipathMode::None));
+  net->start();
+  net->sim().schedule_at(1_us, [&]() {
+    for (HostId d = 1; d < 8; ++d) {
+      net->host(0).send(data_packet(d, 1500));
+    }
+  });
+  net->sim().run_until(3_ms);
+  *offloads = net->tor(0).offloads();
+  *drops = net->tor(0).drops_congestion();
+  return net->sim().metrics().counter_value("calendar.rank_overflows");
+}
+
+TEST(Network, RankOverflowsCountPacketsPastTheHorizon) {
+  std::int64_t offloads = 0, drops = 0;
+  NetworkConfig cfg;
+  cfg.offload = true;
+  cfg.calendar_queues = 4;
+  const std::int64_t offloaded = rank_overflows(cfg, &offloads, &drops);
+  EXPECT_GT(offloads, 0);
+  EXPECT_EQ(offloaded, offloads);
+  EXPECT_EQ(drops, 0);
+
+  cfg.offload = false;
+  const std::int64_t dropped = rank_overflows(cfg, &offloads, &drops);
+  EXPECT_GT(dropped, 0);
+  EXPECT_EQ(dropped, drops);  // the Drop response takes each one
+
+  cfg.calendar_queues = 7;  // the whole period
+  EXPECT_EQ(rank_overflows(cfg, &offloads, &drops), 0);
+  EXPECT_EQ(drops, 0);
+}
+
+// A queued packet stamps its slice and uplink in 16 bits, so a network
+// whose schedule would not fit is rejected when it is built.
+TEST(Network, RejectsAPeriodPastThePacketsSliceStamp) {
+  NetworkConfig cfg;
+  cfg.num_tors = 2;
+  EXPECT_THROW(Network(cfg, optics::Schedule(2, 1, 32768, 1_us),
+                       optics::ocs_emulated()),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Network(cfg, optics::Schedule(2, 1, 32767, 1_us),
+                          optics::ocs_emulated()));
+}
+
+// A source route longer than a 16-bit cursor could index is carried hop
+// by hop: ToR a's packet for b bounces between a and c, then takes c's
+// circuit to b.
+TEST(Network, LongSourceRouteIsCarriedWhole) {
+  NetworkConfig cfg;
+  cfg.congestion_detection = false;  // a late packet waits for its slice
+  auto net = make_rotor_net(cfg, 8, 1, 100_us);
+  const auto& sched = net->schedule();
+  const NodeId a = 0;
+  const NodeId c = sched.peer(a, 0, 0)->node;
+  ASSERT_EQ(sched.peer(c, 0, 0)->node, a);
+  const SliceId to_b = 1;
+  const NodeId b = sched.peer(c, 0, to_b)->node;
+  ASSERT_NE(b, a);
+  constexpr int kBounces = 65536;  // a->c and c->a, then c->b
+  Path path;
+  path.src = a;
+  path.dst = b;
+  path.start_slice = 0;
+  for (int i = 0; i <= kBounces; ++i) {
+    path.hops.push_back({i % 2 == 0 ? a : c, 0, 0});
+  }
+  path.hops.push_back({c, 0, to_b});
+  const std::size_t len = path.hops.size();
+  ASSERT_GT(len, 65536u);
+  Controller ctl(*net);
+  ASSERT_TRUE(ctl.deploy_routing({path}, LookupMode::SourceRouting,
+                                 MultipathMode::None))
+      << ctl.last_error();
+  ASSERT_EQ(net->tor(a).tft().lookup(0, a, b).select(0).rest.size(),
+            len - 1);
+  net->start();
+  int got = 0;
+  int hops = 0;
+  net->host(b).bind_flow(7, [&](Packet&& p) {
+    ++got;
+    hops = p.hops;
+    EXPECT_EQ(p.source_route.size(), len - 1);
+    EXPECT_FALSE(p.has_source_route());
+  });
+  net->sim().schedule_at(1_us, [&]() {
+    net->host(a).send(data_packet(b, 1500));
+  });
+  net->sim().run_until(2000_ms);
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(hops, static_cast<int>(len));
+}
+
+// UCMP on an 8-ToR rotor: source-routed, per-packet multipath, and the
+// deferral response, which swaps a congested packet's route for a later
+// slice's. Every delivery (packet, hops, time) is folded into one digest,
+// pinned from the simulator before packets held their route in a heap
+// block, so route handling cannot drift.
+TEST(Network, UcmpSourceRoutedDeliveriesArePinned) {
+  NetworkConfig cfg;
+  cfg.congestion_response = CongestionResponse::Defer;
+  auto net = make_rotor_net(cfg, 8, 1, 10_us);
+  Controller ctl(*net);
+  ASSERT_TRUE(ctl.deploy_routing(routing::ucmp(net->schedule()),
+                                 LookupMode::SourceRouting,
+                                 MultipathMode::PerPacket));
+  net->start();
+  std::uint64_t digest = 1469598103934665603ULL;  // FNV-1a
+  auto fold = [&digest](std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest = (digest ^ static_cast<std::uint64_t>((v >> (8 * i)) & 0xff)) *
+               1099511628211ULL;
+    }
+  };
+  int got = 0;
+  for (HostId h = 0; h < 8; ++h) {
+    net->host(h).bind_default([&, h](Packet&& p) {
+      ++got;
+      fold(h);
+      fold(p.id);
+      fold(p.hops);
+      fold(net->sim().now().ns());
+    });
+  }
+  for (int round = 0; round < 40; ++round) {
+    net->sim().schedule_at(SimTime::micros(1 + 5 * round), [&net, round]() {
+      for (HostId src = 0; src < 8; ++src) {
+        const HostId dst = (src + 1 + round % 7) % 8;
+        for (int i = 0; i < 6; ++i) {
+          net->host(src).send(data_packet(dst, 9000, src * 100 + round));
+        }
+      }
+    });
+  }
+  net->sim().run_until(3_ms);
+  std::int64_t deferrals = 0;
+  for (NodeId n = 0; n < 8; ++n) deferrals += net->tor(n).deferrals();
+  EXPECT_EQ(got, 1920);  // every packet sent
+  EXPECT_EQ(deferrals, 1499);
+  EXPECT_EQ(net->totals().congestion_drops, 0);
+  EXPECT_EQ(digest, 15419012930355514113ULL);
 }
 
 TEST(Network, FlowPausingParksAndDrains) {

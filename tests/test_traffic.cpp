@@ -22,7 +22,9 @@
 #include "runner/runner.h"
 #include "telemetry/flight_recorder.h"
 #include "traffic/engine.h"
+#include "transport/endpoint.h"
 #include "transport/fluid.h"
+#include "transport/udp_probe.h"
 #include "workload/kv.h"
 #include "workload/traces.h"
 
@@ -109,6 +111,25 @@ TEST(TraceValidation, OpenLoopRejectsBadArgs) {
   EXPECT_THROW(TrafficEngine(net, open_spec(0.4, 8936, -1.0)),
                std::invalid_argument);
   EXPECT_NO_THROW(TrafficEngine(net, open_spec(0.4, 8936, 10e9)));
+}
+
+// A packet's size is 32-bit: an MSS whose packets would not fit is
+// rejected with the spec, and a payload or probe past it where the packet
+// would be built, never wrapped.
+TEST(TraceValidation, RejectsPacketsPastTheirSizeField) {
+  auto inst = make_rotor(4, 1, 1);
+  auto& net = *inst.net;
+  TrafficSpec spec = trace_spec(workload::TraceKind::Hadoop, 0.4);
+  spec.transfer.mss = net::kMaxPacketBytes - transport::kHeaderBytes + 1;
+  EXPECT_THROW(TrafficEngine(net, spec), std::invalid_argument);
+  spec.transfer.mss = net::kMaxPacketBytes - transport::kHeaderBytes;
+  EXPECT_NO_THROW(TrafficEngine(net, spec));
+  const std::int64_t too_big = net::kMaxPacketBytes + 1;
+  EXPECT_THROW(transport::UdpProbe(net, 0, 1, SimTime::micros(10), too_big),
+               std::invalid_argument);
+  transport::FlowEndpoint ep(net, 0, 1, {}, {});
+  EXPECT_THROW(ep.data(0, too_big), std::invalid_argument);
+  EXPECT_EQ(ep.data(0, 8936).size_bytes, 9000);
 }
 
 TEST(TraceValidation, ValidateCdfRejectsMalformedShapes) {
