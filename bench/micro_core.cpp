@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot data-plane and
-// control-plane primitives: time-flow table lookup, calendar-queue
-// operations and the heap a calendar port holds per packet, EQO updates,
-// event-engine throughput, routing computation for a full rotor cycle, the
+// control-plane primitives: time-flow table lookup and the heap a table
+// holds per grid slot, calendar-queue operations and the heap a calendar
+// port holds per packet, EQO updates, event-engine throughput and the key
+// buffers a queue retains, routing computation for a full rotor cycle, the
 // opera routing deploy at 64 and 128 ToRs, and one packet flow's life in a
 // transfer pool.
 #include <benchmark/benchmark.h>
@@ -168,6 +169,26 @@ void BM_TftLookupSourceSpecific(benchmark::State& state) {
   run_lookups(state, Opera64Tables(/*src_specific=*/true));
 }
 BENCHMARK(BM_TftLookupSourceSpecific);
+
+// Heap bytes the Opera64Tables tables hold per grid slot (64 tables of 63
+// rows by 64 destinations), as malloc counts them: the cells, their side
+// arrays and everything else the tables allocate. The fixture's queries
+// are left out.
+void BM_TftTableBytes(benchmark::State& state) {
+  constexpr double kSlots = Opera64Tables::kTors * Opera64Tables::kSlices *
+                            Opera64Tables::kTors;
+  double per_slot = 0;
+  for (auto _ : state) {
+    const std::size_t before = mallinfo2().uordblks;
+    const Opera64Tables t(/*src_specific=*/false);
+    const std::size_t queries = t.queries.capacity() * sizeof(t.queries[0]);
+    per_slot = static_cast<double>(mallinfo2().uordblks - before - queries) /
+               kSlots;
+    benchmark::DoNotOptimize(t.tables.data());
+  }
+  state.counters["heap_bytes_per_slot"] = per_slot;
+}
+BENCHMARK(BM_TftTableBytes)->Unit(benchmark::kMillisecond);
 
 // A rotor network of `tors` ToRs and 2 uplinks with its controller, as
 // the opera presets build it.
@@ -342,6 +363,8 @@ struct TimerChurn {
   std::size_t next = 0;
 };
 
+// retained_key_bytes is the room the queue's key buffers hold at the end,
+// at 24 bytes a key; pending_key_bytes the keys queued then.
 void BM_EventTimerChurn(benchmark::State& state) {
   TimerChurn churn;
   std::int64_t events = 0;
@@ -351,6 +374,10 @@ void BM_EventTimerChurn(benchmark::State& state) {
     events += churn.s.events_executed() - before;
   }
   state.SetItemsProcessed(events);
+  state.counters["retained_key_bytes"] =
+      static_cast<double>(churn.s.key_capacity()) * 24;
+  state.counters["pending_key_bytes"] =
+      static_cast<double>(churn.s.events_pending()) * 24;
 }
 BENCHMARK(BM_EventTimerChurn);
 

@@ -19,6 +19,9 @@ namespace oo {
 template <typename T, std::uint32_t kChunk = 64>
 class Slab {
  public:
+  // Slots per chunk: the slab grows this many slots at a time.
+  static constexpr std::uint32_t kChunkSlots = kChunk;
+
   Slab() = default;
   ~Slab() {
     std::vector<bool> empty(used_);

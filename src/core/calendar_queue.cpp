@@ -32,12 +32,14 @@ EnqueueVerdict CalendarQueuePort::try_enqueue(net::Packet&& p, int rank) {
     return EnqueueVerdict::Full;
   }
   const std::uint32_t s = slots_.emplace(std::move(p));
-  if (s == next_.size()) next_.push_back(kNoSlot);
-  next_[s] = kNoSlot;
+  if (s / kChunk == links_.size()) {
+    links_.push_back(std::make_unique_for_overwrite<std::uint32_t[]>(kChunk));
+  }
+  next(s) = kNoSlot;
   if (d.count_ == 0) {
     d.head_ = s;
   } else {
-    next_[d.tail_] = s;
+    next(d.tail_) = s;
   }
   d.tail_ = s;
   ++d.count_;
@@ -57,7 +59,7 @@ net::Packet CalendarQueuePort::pop_head(Day& d) {
   const std::uint32_t s = d.head_;
   net::Packet p = std::move(slots_[s]);
   slots_.erase(s);
-  d.head_ = next_[s];
+  d.head_ = next(s);
   if (--d.count_ == 0) d.tail_ = kNoSlot;
   d.bytes_ -= p.size_bytes;
   return p;

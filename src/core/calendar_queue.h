@@ -5,13 +5,15 @@
 // held on the switch (buffer-offload territory, §5.2).
 //
 // The port holds every packet of its K days in one slab of packet slots,
-// with one next-slot link per slot beside it; a day is the head, tail and
-// length of its list through those links. A queued packet so costs its slot
-// and its link, and an empty day a 24-byte record.
+// with one next-slot link per slot beside it, allocated a slab chunk's
+// worth at a time as the slab grows; a day is the head, tail and length of
+// its list through those links. A queued packet so costs its slot and its
+// link, and an empty day a 24-byte record.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -93,6 +95,7 @@ class CalendarQueuePort {
 
  private:
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  static constexpr std::uint32_t kChunk = Slab<net::Packet>::kChunkSlots;
 
   std::size_t index_of(int rank) const {  // days_ index of a rank
     assert(rank >= 0 && rank < num_queues());
@@ -100,10 +103,12 @@ class CalendarQueuePort {
   }
   // Unlinks day d's head packet and frees its slot.
   net::Packet pop_head(Day& d);
+  // The slot after slot s in its day's list, or kNoSlot.
+  std::uint32_t& next(std::uint32_t s) { return links_[s / kChunk][s % kChunk]; }
 
   Slab<net::Packet> slots_;
-  // next_[s]: the slot after slot s in its day's list, or kNoSlot.
-  std::vector<std::uint32_t> next_;
+  // links_[c]: the links of slab chunk c's slots.
+  std::vector<std::unique_ptr<std::uint32_t[]>> links_;
   std::vector<Day> days_;
   std::int64_t capacity_;  // bytes per day
   int active_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <tuple>
 #include <type_traits>
 
@@ -87,17 +88,15 @@ std::size_t TimeFlowTable::make_grid_index(SliceId arr, NodeId dst) {
     row_of_[row] = static_cast<std::int32_t>(cells_.size() / width_);
     const std::size_t cells = cells_.size() + width_;
     cells_.resize(cells, kEmpty);
-    priority_.resize(cells);
-    epoch_.resize(cells);
     weight_.resize(cells);
+    stamp_.resize(cells);
   }
   return static_cast<std::size_t>(row_of_[row]) * width_ + col;
 }
 
 void TimeFlowTable::set_grid_slot(std::size_t i, const Slot& s) {
   cells_[i] = s.cell;
-  priority_[i] = s.priority;
-  epoch_[i] = s.epoch;
+  stamp_[i] = s.stamp;
   weight_[i] = s.weight;
 }
 
@@ -113,9 +112,8 @@ void TimeFlowTable::widen(std::size_t width) {
     column = std::move(out);
   };
   relay(cells_, kEmpty);
-  relay(priority_, 0);
-  relay(epoch_, std::uint64_t{0});
   relay(weight_, 0.0);
+  relay(stamp_, StampIndex{0});
   width_ = width;
 }
 
@@ -146,7 +144,7 @@ void TimeFlowTable::put(const TftMatch& m, int priority, MakeSlot make) {
   }
   if (current.cell == kEmpty) {
     ++size_;
-  } else if (priority < current.priority) {
+  } else if (priority < priority_of(current)) {
     return;
   } else {
     release(current.cell);
@@ -159,14 +157,60 @@ void TimeFlowTable::put(const TftMatch& m, int priority, MakeSlot make) {
   }
 }
 
-TimeFlowTable::Slot TimeFlowTable::store(const TftEntry& entry) {
-  Slot s{kEmpty, entry.priority, entry.epoch, 1.0};
-  const TftAction& a = entry.actions.front();
-  if (entry.actions.size() == 1 && a.hops.size() == 1 && fits(a.hops[0])) {
+TimeFlowTable::StampIndex TimeFlowTable::stamp_of(const Stamp& s) {
+  if (last_stamp_ < stamps_.size() && stamps_[last_stamp_] == s) {
+    return last_stamp_;
+  }
+  auto it = std::find(stamps_.begin(), stamps_.end(), s);
+  if (it == stamps_.end()) {
+    // A stamp not in the palette is carried by no entry, so a rebuild
+    // cannot find it either.
+    if (stamps_.size() >= stamp_limit_) reclaim_stamps();
+    if (stamps_.size() == kMaxStamps) {
+      throw std::length_error(
+          "time-flow table: more than 65,536 distinct (priority, epoch) "
+          "stamps in one table");
+    }
+    it = stamps_.insert(stamps_.end(), s);
+  }
+  last_stamp_ = static_cast<StampIndex>(it - stamps_.begin());
+  return last_stamp_;
+}
+
+void TimeFlowTable::reclaim_stamps() {
+  if (stamps_.size() <= 1) return;  // nothing to merge; at most one to drop
+  constexpr std::size_t kUnseen = SIZE_MAX;
+  std::vector<std::size_t> index(stamps_.size(), kUnseen);
+  std::vector<Stamp> live;
+  const auto move = [&](StampIndex& stamp) {
+    std::size_t& i = index[stamp];
+    if (i == kUnseen) {
+      const auto it = std::find(live.begin(), live.end(), stamps_[stamp]);
+      i = static_cast<std::size_t>(it - live.begin());
+      if (it == live.end()) live.push_back(stamps_[stamp]);
+    }
+    stamp = static_cast<StampIndex>(i);
+  };
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    if (cells_[i] != kEmpty) move(stamp_[i]);
+  }
+  for (auto& [key, slot] : by_src_) {
+    if (slot.cell != kEmpty) move(slot.stamp);
+  }
+  stamps_ = std::move(live);
+  stamp_limit_ = std::clamp(2 * stamps_.size(), kMinStampLimit, kMaxStamps);
+  last_stamp_ = 0;
+}
+
+TimeFlowTable::Slot TimeFlowTable::store(std::span<const TftAction> actions,
+                                         StampIndex stamp) {
+  Slot s{kEmpty, stamp, 1.0};
+  const TftAction& a = actions.front();
+  if (actions.size() == 1 && a.hops.size() == 1 && fits(a.hops[0])) {
     s.cell = hop_cell(a.hops[0]);
     s.weight = a.weight;
   } else {
-    s.cell = kPooled | pool_.add(entry.actions);
+    s.cell = kPooled | pool_.add(actions);
   }
   return s;
 }
@@ -175,6 +219,7 @@ TimeFlowTable::Slot TimeFlowTable::adopt(const TimeFlowTable& from, Slot s) {
   if (s.cell & kPooled) {
     s.cell = kPooled | pool_.copy(from.pool_, s.cell & ~kPooled);
   }
+  s.stamp = stamp_of(from.stamps_[s.stamp]);
   return s;
 }
 
@@ -187,6 +232,7 @@ void TimeFlowTable::compact_if_sparse() {
 }
 
 void TimeFlowTable::compact() {
+  reclaim_stamps();
   if (dead_pooled_ == 0) return;
   Pool live;
   auto move = [&](Cell& c) {
@@ -204,7 +250,9 @@ void TimeFlowTable::add(const TftEntry& entry) {
   assert(entry.match.dst >= 0 && "dst is a required match field");
   assert(entry.match.arr_slice >= kAnySlice && entry.match.src >= kInvalidNode);
   assert(!entry.actions.empty());
-  put(entry.match, entry.priority, [&](const Slot&) { return store(entry); });
+  put(entry.match, entry.priority, [&](const Slot&) {
+    return store(entry.actions, stamp_of({entry.priority, entry.epoch}));
+  });
   compact_if_sparse();
 }
 
@@ -222,13 +270,14 @@ void TimeFlowTable::install(const TimeFlowTable& from) {
       const Slot s = from.grid_slot(base + col);
       put({static_cast<SliceId>(row) - 1, kInvalidNode,
            static_cast<NodeId>(col)},
-          s.priority, [&](const Slot&) { return adopt(from, s); });
+          from.priority_of(s), [&](const Slot&) { return adopt(from, s); });
     }
   }
   for (const auto& [key, s] : from.by_src_) {
-    put(match_of(key), s.priority,
+    put(match_of(key), from.priority_of(s),
         [&](const Slot&) { return adopt(from, s); });
   }
+  reclaim_stamps();
   compact_if_sparse();
 }
 
@@ -242,8 +291,9 @@ void TimeFlowTable::merge(const TftMatch& m,
   // can equal a pooled cell.
   const bool one_cell = hops.size() == 1 && fits(hops[0]);
   put(m, priority, [&](Slot s) {
-    const bool fresh = s.cell == kEmpty || s.priority < priority;
-    if (fresh && one_cell) return Slot{hop_cell(hops[0]), priority, 0, weight};
+    const bool fresh = s.cell == kEmpty || priority_of(s) < priority;
+    if (fresh) s.stamp = stamp_of({priority, 0});
+    if (fresh && one_cell) return Slot{hop_cell(hops[0]), s.stamp, weight};
     if (!fresh && one_cell && s.cell == hop_cell(hops[0])) {
       s.weight += weight;
       return s;
@@ -267,7 +317,7 @@ void TimeFlowTable::merge(const TftMatch& m,
     } else {
       e.actions.push_back({{hops.begin(), hops.end()}, weight});
     }
-    return store(e);
+    return store(e.actions, s.stamp);
   });
   compact_if_sparse();
 }
@@ -290,26 +340,29 @@ void TimeFlowTable::remove(const TftMatch& m) {
 
 void TimeFlowTable::remove_priority(int priority) {
   for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (cells_[i] != kEmpty && priority_[i] == priority) {
+    if (cells_[i] != kEmpty && stamps_[stamp_[i]].priority == priority) {
       release(cells_[i]);
       cells_[i] = kEmpty;
       --size_;
     }
   }
   std::erase_if(by_src_, [&](const auto& kv) {
-    if (kv.second.priority != priority) return false;
+    if (priority_of(kv.second) != priority) return false;
     release(kv.second.cell);
     --size_;
     return true;
   });
+  reclaim_stamps();
   compact_if_sparse();
 }
 
 void TimeFlowTable::clear() { *this = TimeFlowTable(); }
 
 void TimeFlowTable::set_epoch(std::uint64_t epoch) {
-  std::fill(epoch_.begin(), epoch_.end(), epoch);
-  for (auto& [key, s] : by_src_) s.epoch = epoch;
+  // Stamps that differed only in epoch become equal; the rebuild merges
+  // them.
+  for (Stamp& s : stamps_) s.epoch = epoch;
+  reclaim_stamps();
 }
 
 TimeFlowTable::Hit TimeFlowTable::lookup_by_src(SliceId arr_slice,
@@ -349,8 +402,8 @@ const TftAction& TimeFlowTable::select_action(const TftEntry& entry,
 void TimeFlowTable::rebuild(const TftMatch& m, const Slot& s,
                             TftEntry& out) const {
   out.match = m;
-  out.priority = s.priority;
-  out.epoch = s.epoch;
+  out.priority = stamps_[s.stamp].priority;
+  out.epoch = stamps_[s.stamp].epoch;
   if ((s.cell & kPooled) == 0) {
     out.actions.assign(1, TftAction{{hop_of(s.cell)}, s.weight});
     return;

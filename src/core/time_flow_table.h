@@ -67,9 +67,16 @@ struct TftHops {
 // per-table pools. A source-wildcard match, (arr, *, dst) or (*, *, dst),
 // owns the cell at [arr + 1][dst] of a dense grid; a grid row exists only
 // for a slice that holds such an entry. Source-specific matches sit in a
-// hash map that lookup() probes only when the table holds any. Priority,
-// epoch and a lone action's weight live in side arrays beside the cells,
-// which lookups never read. Every TftEntry field is kept exactly.
+// hash map that lookup() probes only when the table holds any. A lone
+// action's weight and the entry's stamp, its (priority, epoch) pair, live in
+// side arrays beside the cells, which lookups never read: the stamp as a
+// 2-byte index into the table's palette of the distinct stamps its entries
+// carry. A grid slot so costs 14 bytes. The palette drops the stamps no
+// entry carries any more when it reaches its limit, twice its size at the
+// last drop (64 at least), and in every change of many entries at once
+// (install, remove_priority, set_epoch, compact); a store that would need
+// more than 65,536 stamps at once throws std::length_error. Every TftEntry
+// field is kept exactly.
 class TimeFlowTable {
  public:
   class Hit;
@@ -116,6 +123,9 @@ class TimeFlowTable {
   std::size_t size() const { return size_; }
   // Every entry, ordered by (arrival slice, source, destination).
   std::vector<TftEntry> entries() const;
+  // (priority, epoch) stamps the palette holds: those live entries carry,
+  // and those no entry has carried since the palette was last rebuilt.
+  std::size_t stamps() const { return stamps_.size(); }
 
  private:
   // A cell is kEmpty; a hop, with kPooled clear, egress + 2 in bits 16-30
@@ -140,11 +150,21 @@ class TimeFlowTable {
             static_cast<SliceId>(c & 0xFFFF) - 1};
   }
 
+  // An entry's priority and epoch, held once per table in the palette.
+  struct Stamp {
+    int priority;
+    std::uint64_t epoch;
+    bool operator==(const Stamp&) const = default;
+  };
+  // A palette index. The palette never holds more stamps than it can index.
+  using StampIndex = std::uint16_t;
+  static constexpr std::size_t kMaxStamps = std::size_t{1} << 16;
+  static constexpr std::size_t kMinStampLimit = 64;
+
   // Everything stored for one entry besides its match.
   struct Slot {
     Cell cell = kEmpty;
-    int priority = 0;
-    std::uint64_t epoch = 0;
+    StampIndex stamp = 0;
     double weight = 1.0;  // a hop cell's lone action; unused when pooled
   };
 
@@ -189,8 +209,9 @@ class TimeFlowTable {
   // As grid_index, but creates the row or column when missing.
   std::size_t make_grid_index(SliceId arr, NodeId dst);
   Slot grid_slot(std::size_t i) const {
-    return {cells_[i], priority_[i], epoch_[i], weight_[i]};
+    return {cells_[i], stamp_[i], weight_[i]};
   }
+  int priority_of(const Slot& s) const { return stamps_[s.stamp].priority; }
   void set_grid_slot(std::size_t i, const Slot& s);
   const Slot* find_by_src(SliceId arr, NodeId src, NodeId dst) const;
   // lookup() of a table that holds source-specific matches.
@@ -203,7 +224,16 @@ class TimeFlowTable {
   // match; `make` runs only when the slot is stored.
   template <class MakeSlot>
   void put(const TftMatch& m, int priority, MakeSlot make);
-  Slot store(const TftEntry& entry);
+  // The palette index of `s`: the stamp resolved most recently, else a
+  // search, else a new index (rebuilding the palette first when it is at
+  // its limit).
+  StampIndex stamp_of(const Stamp& s);
+  // Rebuilds a palette of more than one stamp from the stamps live entries
+  // carry, merging equal ones, re-indexes every entry, and lets the palette
+  // grow to twice its new size (at least kMinStampLimit) before the next
+  // rebuild.
+  void reclaim_stamps();
+  Slot store(std::span<const TftAction> actions, StampIndex stamp);
   Slot adopt(const TimeFlowTable& from, Slot s);
   void release(Cell c);
   void compact_if_sparse();
@@ -218,9 +248,13 @@ class TimeFlowTable {
   std::vector<Cell> cells_;
   // Source-specific match key -> its slot.
   std::unordered_map<std::uint64_t, Slot> by_src_;
-  std::vector<int> priority_;
-  std::vector<std::uint64_t> epoch_;
   std::vector<double> weight_;
+  std::vector<StampIndex> stamp_;
+  // The palette: stamps_[i] is the stamp index i names. It grows to
+  // stamp_limit_, then is rebuilt from the live entries' stamps.
+  std::vector<Stamp> stamps_;
+  std::size_t stamp_limit_ = kMinStampLimit;
+  StampIndex last_stamp_ = 0;  // the index stamp_of() resolved last
   Pool pool_;
   std::size_t dead_pooled_ = 0;  // pooled entries no cell refers to
   std::size_t size_ = 0;

@@ -11,6 +11,8 @@ namespace oo::sim {
 namespace {
 
 constexpr std::size_t kCompactMinQueue = 64;
+// Spare room a refilled near heap may keep: 96 KiB of keys.
+constexpr std::size_t kNearSpareKeys = 4096;
 
 // Worker-thread context: which simulator/lane the current thread is
 // executing, and the per-shard flight recorder (if the engine installed
@@ -127,6 +129,7 @@ void Simulator::push(Queue& q, const Key& k) {
 }
 
 bool Simulator::fill_near(Queue& q) {
+  std::vector<Key>* due = nullptr;
   if (q.ring_keys > 0) {
     // The first used ring bucket after `bucket`, scanning the bitmap a
     // word at a time from there and wrapping once.
@@ -143,14 +146,25 @@ bool Simulator::fill_near(Queue& q) {
     }
     q.bucket += 1 + static_cast<std::int64_t>((pos - start) % kRingBuckets);
     q.ring_used[pos / 64] &= ~(std::uint64_t{1} << (pos % 64));
-    std::vector<Key>& due = q.ring[pos / kRingChunk][pos % kRingChunk];
-    q.ring_keys -= due.size();
-    q.near.swap(due);
-    std::make_heap(q.near.begin(), q.near.end(), Later{});
+    due = &q.ring[pos / kRingChunk][pos % kRingChunk];
+    q.ring_keys -= due->size();
   } else if (!q.far.empty()) {
     q.bucket = q.far.front().when.ns() >> kBucketShift;
   } else {
     return false;
+  }
+  // The near heap, empty here, keeps its own buffer unless that has room
+  // for over four times the keys coming in plus kNearSpareKeys: then the
+  // buffer goes, so a burst does not pin its room. The due keys are copied
+  // over and their bucket's buffer freed.
+  const std::size_t incoming = due == nullptr ? 0 : due->size();
+  if (q.near.capacity() > 4 * incoming + kNearSpareKeys) {
+    std::vector<Key>().swap(q.near);
+  }
+  if (due != nullptr) {
+    q.near.assign(due->begin(), due->end());
+    std::vector<Key>().swap(*due);
+    std::make_heap(q.near.begin(), q.near.end(), Later{});
   }
   // Far keys the ring now spans move in; those in the new bucket go to the
   // near heap.
@@ -175,17 +189,22 @@ void Simulator::compact(Queue& q) {
     if (st == (k.gen | 1u)) marked.push_back(k.slot);
     return true;
   };
-  removed += std::erase_if(q.near, dead);
+  // Erases the dead keys of `keys` and releases the room they took.
+  const auto shed = [&](std::vector<Key>& keys) {
+    const std::size_t n = std::erase_if(keys, dead);
+    if (n > 0) keys.shrink_to_fit();
+    removed += n;
+    return n;
+  };
+  shed(q.near);
   std::make_heap(q.near.begin(), q.near.end(), Later{});
   for (std::size_t i = 0; i < kRingBuckets; ++i) {
     if (!q.ring[i / kRingChunk]) continue;
     std::vector<Key>& keys = q.ring[i / kRingChunk][i % kRingChunk];
-    const std::size_t n = std::erase_if(keys, dead);
-    removed += n;
-    q.ring_keys -= n;
+    q.ring_keys -= shed(keys);
     if (keys.empty()) q.ring_used[i / 64] &= ~(std::uint64_t{1} << (i % 64));
   }
-  removed += std::erase_if(q.far, dead);
+  shed(q.far);
   std::make_heap(q.far.begin(), q.far.end(), Later{});
   q.keys -= removed;
   q.table->dead.fetch_sub(static_cast<std::int64_t>(removed),
@@ -458,6 +477,20 @@ std::int64_t Simulator::events_executed() const {
 std::size_t Simulator::events_pending() const {
   std::size_t n = control_.keys;
   for (const Lane& ln : lanes_) n += ln.keys;
+  return n;
+}
+
+std::size_t Simulator::key_capacity() const {
+  const auto capacity = [](const Queue& q) {
+    std::size_t n = q.near.capacity() + q.far.capacity();
+    for (const auto& chunk : q.ring) {
+      if (!chunk) continue;
+      for (std::size_t i = 0; i < kRingChunk; ++i) n += chunk[i].capacity();
+    }
+    return n;
+  };
+  std::size_t n = capacity(control_);
+  for (const Lane& ln : lanes_) n += capacity(ln);
   return n;
 }
 

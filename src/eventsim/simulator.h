@@ -16,8 +16,12 @@
 // and heapified only when their bucket comes due (keys past the ring wait
 // in a far heap). Far-future timers such as RTOs therefore wait unsorted
 // until their bucket is due, near-term events sift through a heap of one
-// bucket's keys, and dispatch order is still exactly (when, seq). The
-// legacy engine is the control queue alone.
+// bucket's keys, and dispatch order is still exactly (when, seq). Each key
+// buffer is sized to the keys it holds: a due bucket's keys are copied into
+// the near heap's own buffer and the bucket's buffer freed, the near heap
+// drops a buffer far larger than the keys coming in, and a compaction
+// releases the room of the keys it erased. The legacy engine is the
+// control queue alone.
 // Sharded mode (src/parallel/sharded.h): configure_lanes(N) adds N lane
 // queues (one per ToR) beside it, and one insert/compact/pop-due path
 // serves them all, so a lane's execution order is a pure function of the
@@ -220,6 +224,9 @@ class Simulator {
   std::size_t events_pending() const;
   // Times a queue was compacted to shed the keys of cancelled events.
   std::int64_t compactions() const;
+  // Keys the queues' near, ring and far buffers have room for, over the
+  // control queue and every lane: events_pending() plus the spare room.
+  std::size_t key_capacity() const;
 
   // ---- telemetry ----
   telemetry::MetricsRegistry& metrics() { return metrics_; }
@@ -353,7 +360,8 @@ class Simulator {
   // keys further out sit in the `far` min-heap. The near heap's top is thus
   // the earliest key whenever the heap is non-empty; when it empties,
   // fill_near() moves `bucket` to the next used ring bucket (or to the far
-  // heap's first bucket) and heapifies that bucket's keys.
+  // heap's first bucket), copies that bucket's keys into `near`, frees the
+  // bucket's buffer and heapifies the keys.
   struct Queue {
     std::vector<Key> near;
     // Ring buckets, allocated kRingChunk at a time on first use, so a

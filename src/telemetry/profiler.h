@@ -3,11 +3,15 @@
 // set_profiler(); when absent, dispatch skips the steady_clock reads
 // entirely. Also tracks peak event-queue depth and end-to-end events/sec,
 // answering "where does a run's wall time go?" without an external profiler.
+// Tags are static strings, so a tag's bucket is found by its pointer; the
+// text decides the bucket only the first time a pointer is seen, so two
+// pointers to equal text share one.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace oo::telemetry {
@@ -22,9 +26,10 @@ class EventProfiler {
 
   // Record one dispatched event. `tag` may be null (bucketed as "untagged").
   void add(const char* tag, std::int64_t wall_ns) {
-    auto& b = buckets_[tag ? tag : "untagged"];
-    ++b.first;
-    b.second += wall_ns;
+    Counts*& b = by_pointer_[tag];
+    if (b == nullptr) b = &buckets_[tag ? tag : "untagged"];
+    ++b->first;
+    b->second += wall_ns;
     ++total_events_;
     total_wall_ns_ += wall_ns;
   }
@@ -51,6 +56,7 @@ class EventProfiler {
   std::string report() const;
 
   void clear() {
+    by_pointer_.clear();
     buckets_.clear();
     total_events_ = 0;
     total_wall_ns_ = 0;
@@ -58,7 +64,11 @@ class EventProfiler {
   }
 
  private:
-  std::map<std::string, std::pair<std::int64_t, std::int64_t>> buckets_;
+  // (events, wall ns) per tag text; map nodes never move, so by_pointer_
+  // can hold their addresses.
+  using Counts = std::pair<std::int64_t, std::int64_t>;
+  std::map<std::string, Counts> buckets_;
+  std::unordered_map<const char*, Counts*> by_pointer_;
   std::int64_t total_events_ = 0;
   std::int64_t total_wall_ns_ = 0;
   std::size_t peak_queue_depth_ = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -328,6 +329,37 @@ TEST(Simulator, CancelledPeriodicTimersCompactAway) {
   EXPECT_GE(s.compactions(), 1);
   EXPECT_LT(s.events_pending(), 64u);
   keep.cancel();
+}
+
+// A burst leaves no room behind. 100,000 keys due in one 16.4 us bucket
+// run, then a sparse tail moves the queue on: a chain of events 50 us apart
+// for 20 ms, beside a few timers further out. The key buffers then hold
+// room for a small multiple of the keys still queued, on the control queue
+// and on a lane of the windowed engine alike.
+TEST(Simulator, KeyBuffersShrinkAfterABurst) {
+  const auto burst_then_tail = [](Simulator& s, int lane) {
+    for (int i = 0; i < 100'000; ++i) {
+      s.schedule_at_lane(lane, 1_ms + SimTime::nanos(i % 10'000), []() {});
+    }
+    s.run_until(2_ms);
+    EXPECT_GE(s.key_capacity(), 100'000u) << "lane " << lane;
+    std::function<void()> link = [&s, &link]() {
+      if (s.now() < 22_ms) s.schedule_in(50_us, link);
+    };
+    s.schedule_at_lane(lane, 2_ms + 50_us, [&link]() { link(); });
+    for (int i = 0; i < 16; ++i) {
+      s.schedule_at_lane(lane, SimTime::millis(30 + i), []() {});
+    }
+    s.run_until(21_ms);
+    const std::size_t pending = s.events_pending();
+    EXPECT_EQ(pending, 17u) << "lane " << lane;
+    EXPECT_LE(s.key_capacity(), 4 * pending + 64) << "lane " << lane;
+    s.run_until(23_ms);
+  };
+  Simulator control;
+  burst_then_tail(control, Simulator::kControlLane);
+  LaneSim ls(1, 1, 10_us);
+  burst_then_tail(ls.sim, 0);
 }
 
 TEST(SimulatorLanes, PastScheduleOnLaneIsReportedAtTheBarrier) {

@@ -389,6 +389,36 @@ TEST(EventProfiler, BucketsByTagAndCountsEverything) {
   EXPECT_TRUE(prof.buckets().empty());
 }
 
+TEST(EventProfiler, EqualTagTextSharesOneBucketWhateverItsAddress) {
+  // A tag's bucket is found by its pointer, but two arrays with the same
+  // text still count into one bucket, and a null tag into "untagged".
+  telemetry::EventProfiler prof;
+  const char a[] = "link";
+  const char b[] = "link";
+  ASSERT_NE(static_cast<const void*>(a), static_cast<const void*>(b));
+  prof.add(a, 10);
+  prof.add(b, 20);
+  prof.add(nullptr, 7);
+  prof.add(a, 5);
+  prof.add(nullptr, 1);
+  auto buckets = prof.buckets();
+  ASSERT_EQ(buckets.size(), 2u);
+  EXPECT_EQ(buckets[0].tag, "link");
+  EXPECT_EQ(buckets[0].events, 3);
+  EXPECT_EQ(buckets[0].wall_ns, 35);
+  EXPECT_EQ(buckets[1].tag, "untagged");
+  EXPECT_EQ(buckets[1].events, 2);
+  EXPECT_EQ(buckets[1].wall_ns, 8);
+  // clear() forgets the pointers along with the buckets.
+  prof.clear();
+  prof.add(b, 4);
+  buckets = prof.buckets();
+  ASSERT_EQ(buckets.size(), 1u);
+  EXPECT_EQ(buckets[0].tag, "link");
+  EXPECT_EQ(buckets[0].events, 1);
+  EXPECT_EQ(buckets[0].wall_ns, 4);
+}
+
 TEST(MetricsRegistry, SimulatorCountersFlowThroughRegistry) {
   telemetry::FlightRecorder rec(std::size_t{1} << 16);
   auto inst = traced_instance(&rec);

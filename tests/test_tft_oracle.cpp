@@ -9,7 +9,9 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -167,6 +169,107 @@ TEST_P(TftOracle, MatchesReferenceUnderRandomScripts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TftOracle, ::testing::Range(1, 9));
+
+// A ToR's table takes a new epoch with every deploy, so a palette of
+// (priority, epoch) stamps that only grew would outrun its 16-bit index
+// after 65,535 deploys. Over 72,000 adds, each at an epoch of its own and at
+// one of three priorities, with remove_priority, set_epoch and installs of
+// tables stamped otherwise in between, every entry stays exact and the
+// palette stays within twice the stamps the live entries carry (64 at
+// least).
+TEST(TimeFlowTable, StampsSurviveManyDeploys) {
+  constexpr SliceId kSlices = 8;
+  constexpr NodeId kNodes = 40;
+  Rng rng(30);
+  TimeFlowTable table;
+  reference::TimeFlowTable ref;
+  std::set<std::tuple<SliceId, NodeId, NodeId>> matches;  // ever added
+  std::uint64_t epoch = 0;
+  std::size_t peak_stamps = 0;
+
+  const auto pick_match = [&]() {
+    TftMatch m{static_cast<SliceId>(rng.uniform(kSlices + 1)) - 1,
+               kInvalidNode, static_cast<NodeId>(rng.uniform(kNodes))};
+    if (rng.uniform01() < 0.05) m.src = static_cast<NodeId>(rng.uniform(kNodes));
+    return m;
+  };
+  const auto make_entry = [&](const TftMatch& m, int priority,
+                              std::uint64_t at) {
+    TftEntry e{m, {}, priority, at};
+    const int actions = rng.uniform01() < 0.1 ? 2 : 1;
+    for (int a = 0; a < actions; ++a) {
+      e.actions.push_back(
+          {{net::SourceHop{static_cast<PortId>(rng.uniform(4)),
+                           static_cast<SliceId>(rng.uniform(kSlices))}},
+           0.5 + rng.uniform01()});
+    }
+    return e;
+  };
+  const auto add = [&](TimeFlowTable& t, const TftEntry& e) {
+    matches.emplace(e.match.arr_slice, e.match.src, e.match.dst);
+    ref.add(e);
+    t.add(e);
+  };
+  const auto check = [&](const std::string& after) {
+    ASSERT_EQ(table.size(), ref.size()) << after;
+    std::set<std::pair<int, std::uint64_t>> live;
+    for (const TftEntry& e : table.entries()) {
+      const TftEntry* want =
+          ref.lookup(e.match.arr_slice, e.match.src, e.match.dst);
+      ASSERT_NE(want, nullptr) << after;
+      ASSERT_EQ(entry_diff(e, *want), "") << after;
+      live.emplace(e.priority, e.epoch);
+    }
+    peak_stamps = std::max(peak_stamps, table.stamps());
+    ASSERT_LE(table.stamps(), std::max<std::size_t>(64, 2 * live.size()))
+        << after;
+  };
+  // A table of 30 fresh matches at priorities 0 and 2, one epoch each.
+  const auto deploy = [&]() {
+    TimeFlowTable from;
+    std::set<std::tuple<SliceId, NodeId, NodeId>> taken;
+    const std::uint64_t at[] = {++epoch, ++epoch};
+    while (taken.size() < 30) {
+      const TftMatch m = pick_match();
+      if (!taken.emplace(m.arr_slice, m.src, m.dst).second) continue;
+      const int side = static_cast<int>(rng.uniform(2));
+      add(from, make_entry(m, 2 * side, at[side]));
+    }
+    return from;
+  };
+
+  table.install(deploy());  // into an empty table: a copy
+  check("the first install");
+  for (int i = 1; i <= 72'000; ++i) {
+    add(table, make_entry(pick_match(), i % 3, ++epoch));
+    if (i % 5'000 == 0) {
+      ref.remove_priority(i / 5'000 % 3);
+      table.remove_priority(i / 5'000 % 3);
+    }
+    if (i % 7'000 == 0) table.install(deploy());
+    if (i % 18'000 == 0) {
+      ++epoch;
+      for (const auto& [arr, src, dst] : matches) {
+        const TftEntry* e = ref.lookup(arr, src, dst);
+        if (e == nullptr || !(e->match == TftMatch{arr, src, dst})) continue;
+        TftEntry restamped = *e;
+        restamped.epoch = epoch;
+        ref.add(restamped);
+      }
+      table.set_epoch(epoch);
+    }
+    if (i % 1'000 == 0) {
+      check("add " + std::to_string(i));
+      if (HasFatalFailure()) return;
+    }
+  }
+  table.compact();
+  check("compact");
+  // The palette needed more than an 8-bit index, and the epochs ran past
+  // what a 16-bit one could name.
+  EXPECT_GT(peak_stamps, 256u);
+  EXPECT_GT(epoch, 65'536u);
+}
 
 // ---- compile_routing vs the std::map reference ---------------------------
 
